@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Dataset, Label
 from .errors import BadRecord, UnlabeledItem, ZeroSupport
-from .fileio import atomic_write_text, data_lines
+from .fileio import data_lines, write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
 
 
@@ -85,23 +85,13 @@ class AttrProbVector:
         return cls(0.0, 0.0, 0, False)
 
 
-def _ordered_unique(values: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return out
-
-
-def build_table(
+def build_tables(
     dataset: Dataset,
-    kind: AttributeKind,
     cache: UrlExpansionCache | None = None,
     per_item_dedup: bool = False,
-) -> AttributeStatsTable:
-    """Count attribute/class co-occurrences over a labeled dataset.
+) -> dict[AttributeKind, AttributeStatsTable]:
+    """Count attribute/class co-occurrences over a labeled dataset, for
+    every attribute kind in one pass over the items.
 
     By default every occurrence counts: a post naming a domain twice
     increments that domain's class count twice, symmetric with how
@@ -111,22 +101,30 @@ def build_table(
     Raises UnlabeledItem for any item without a gold label; this is the
     guard that keeps test-set labels out of the tables.
     """
-    counts: dict[str, list[int]] = {}
+    usernames: dict[str, list[int]] = {}
+    domains: dict[str, list[int]] = {}
     for item in dataset:
         if item.label is None:
             raise UnlabeledItem(item.id)
         attrs = extract_attributes(item.text, cache)
-        values: Sequence[str] = (
-            attrs.usernames if kind is AttributeKind.USERNAME else attrs.domains
-        )
-        if per_item_dedup:
-            values = _ordered_unique(values)
         slot = 0 if item.label is Label.REAL else 1
-        for value in values:
-            counts.setdefault(value, [0, 0])[slot] += 1
-    return AttributeStatsTable(
-        kind, {attr: AttrCounts(pair[0], pair[1]) for attr, pair in counts.items()}
-    )
+        for counts, values in ((usernames, attrs.usernames), (domains, attrs.domains)):
+            for value in dict.fromkeys(values) if per_item_dedup else values:
+                counts.setdefault(value, [0, 0])[slot] += 1
+    return {
+        kind: AttributeStatsTable(kind, {attr: AttrCounts(*pair) for attr, pair in counts.items()})
+        for kind, counts in ((AttributeKind.USERNAME, usernames), (AttributeKind.DOMAIN, domains))
+    }
+
+
+def build_table(
+    dataset: Dataset,
+    kind: AttributeKind,
+    cache: UrlExpansionCache | None = None,
+    per_item_dedup: bool = False,
+) -> AttributeStatsTable:
+    """The table of one attribute kind; see build_tables."""
+    return build_tables(dataset, cache, per_item_dedup)[kind]
 
 
 def tweet_attr_vector(attrs: Sequence[str], table: AttributeStatsTable) -> AttrProbVector:
@@ -151,21 +149,29 @@ def tweet_attr_vector(attrs: Sequence[str], table: AttributeStatsTable) -> AttrP
     return AttrProbVector(p_real_sum / n, p_fake_sum / n, support, True)
 
 
-_TABLE_HEADER = "attribute\treal_count\tfake_count"
+_TABLE_HEADER = ("attribute", "real_count", "fake_count")
 
 
 def save_table(
     table: AttributeStatsTable, path: Path | str, header_comment: str | None = None
 ) -> None:
     """Write a table as TSV, attributes sorted for deterministic output."""
-    lines: list[str] = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append(_TABLE_HEADER)
-    for attr in sorted(table.entries):
-        counts = table.entries[attr]
-        lines.append(f"{attr}\t{counts.real_count}\t{counts.fake_count}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    rows = ((attr, c.real_count, c.fake_count) for attr, c in sorted(table.entries.items()))
+    write_tsv(path, _TABLE_HEADER, rows, header_comment)
+
+
+def save_tables(
+    tables: Mapping[AttributeKind, AttributeStatsTable],
+    out_dir: Path | str,
+    header_comment: str | None = None,
+) -> list[Path]:
+    """Write every table to `<kind>_stats.tsv` under out_dir; returns the paths."""
+    written = []
+    for kind, table in tables.items():
+        path = Path(out_dir) / f"{kind.value}_stats.tsv"
+        save_table(table, path, header_comment)
+        written.append(path)
+    return written
 
 
 def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
@@ -174,9 +180,11 @@ def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
     entries: dict[str, AttrCounts] = {}
     with path.open("r", encoding="utf-8") as handle:
         rows = list(data_lines(handle))
-    if not rows or rows[0].rstrip("\n") != _TABLE_HEADER:
-        raise BadRecord("missing attribute table header", source=path.name, line_no=1)
-    for line_no, raw in enumerate(rows[1:], start=2):
+    if not rows or rows[0][1].rstrip("\n") != "\t".join(_TABLE_HEADER):
+        raise BadRecord(
+            "missing attribute table header", source=path.name, line_no=rows[0][0] if rows else 1
+        )
+    for line_no, raw in rows[1:]:
         parts = raw.rstrip("\n").split("\t")
         if len(parts) != 3:
             raise BadRecord("expected 3 columns", source=path.name, line_no=line_no)

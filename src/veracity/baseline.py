@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import Dataset, Label, LABELS
 from .errors import BadRecord, DegenerateTraining
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_tsv
 from .preprocess import CleanPolicy, clean_text
 
 _TOKEN_RE = re.compile(r"\w+")
@@ -44,15 +44,15 @@ class PredictionVector:
 @dataclass
 class BowModel:
     """Trained bag-of-words model. Counts are the persistent state; the
-    log priors and per-class token log likelihoods are derived on
-    construction."""
+    vocabulary, log priors and per-class token log likelihoods are
+    derived on construction."""
 
-    vocabulary: dict[str, int]
     class_doc_counts: dict[Label, int]
     token_counts: dict[Label, dict[str, int]]
     smoothing_alpha: float
     clean_policy: CleanPolicy = field(default_factory=CleanPolicy)
     model_name: str = DEFAULT_MODEL_NAME
+    vocabulary: frozenset[str] = field(init=False, repr=False)
     class_log_priors: dict[Label, float] = field(init=False, repr=False)
     token_log_likelihoods: dict[Label, dict[str, float]] = field(init=False, repr=False)
 
@@ -62,6 +62,9 @@ class BowModel:
             raise DegenerateTraining("both classes must be present in the training data")
         if self.smoothing_alpha <= 0:
             raise ValueError("smoothing_alpha must be positive")
+        self.vocabulary = frozenset(
+            token for c in LABELS for token in self.token_counts.get(c, {})
+        )
         self.class_log_priors = {
             c: math.log(self.class_doc_counts[c] / total_docs) for c in LABELS
         }
@@ -100,14 +103,7 @@ def train(
         bucket = token_counts[item.label]
         for token in tokenize(clean_text(item.text, policy)):
             bucket[token] = bucket.get(token, 0) + 1
-    vocabulary = {
-        token: index
-        for index, token in enumerate(
-            sorted(set(token_counts[Label.REAL]) | set(token_counts[Label.FAKE]))
-        )
-    }
     return BowModel(
-        vocabulary=vocabulary,
         class_doc_counts=class_doc_counts,
         token_counts=token_counts,
         smoothing_alpha=alpha,
@@ -180,14 +176,7 @@ def load_model(path: Path | str) -> BowModel:
         model_name = str(document["model_name"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise BadRecord(f"not a saved model: {exc}", source=path.name) from None
-    vocabulary = {
-        token: index
-        for index, token in enumerate(
-            sorted(set(token_counts[Label.REAL]) | set(token_counts[Label.FAKE]))
-        )
-    }
     return BowModel(
-        vocabulary=vocabulary,
         class_doc_counts=class_doc_counts,
         token_counts=token_counts,
         smoothing_alpha=alpha,
@@ -201,10 +190,5 @@ def write_predictions(
 ) -> None:
     """Write vectors in the per-model prediction file shape the ensemble
     loader reads back."""
-    lines: list[str] = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("id\tp_real\tp_fake")
-    for vector in sorted(vectors, key=lambda v: v.item_id):
-        lines.append(f"{vector.item_id}\t{vector.p_real!r}\t{vector.p_fake!r}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    rows = ((v.item_id, v.p_real, v.p_fake) for v in sorted(vectors, key=lambda v: v.item_id))
+    write_tsv(path, ("id", "p_real", "p_fake"), rows, header_comment)

@@ -10,15 +10,14 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from pathlib import Path
 
-from . import baseline, urlexpand
-from .attribute_stats import AttributeKind, build_table, load_table, save_table
-from .config import RunConfig, load_config
+from . import baseline
+from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
+from .config import RunConfig, load_config, override_heuristic, parse_priority
 from .corpus import Label, gold_labels_by_id, load_dataset, sniff_has_labels, summarize
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, PipelineError, UsageError
@@ -30,7 +29,7 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, data_lines
+from .fileio import atomic_write_text, data_lines, data_rows, require_file
 from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_batch, write_decisions_tsv
 from .pipeline import ablation_contexts, run_pipeline
 from .preprocess import UrlExpansionCache, extract_attributes, load_cache
@@ -41,44 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require_file(path: Path | str | None, what: str) -> Path:
-    if path is None:
-        raise UsageError(f"missing required {what} path")
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"{what} file not found: {path}")
-    return path
-
-
 def _args_digest(*parts: object) -> str:
     return hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).hexdigest()[:16]
 
 
-def _load_cache_arg(args) -> UrlExpansionCache:
-    if getattr(args, "cache", None) is None:
-        return UrlExpansionCache()
-    return load_cache(_require_file(args.cache, "cache"))
-
-
-def _parse_priority_arg(value: str) -> tuple[AttributeKind, ...]:
-    names = [part.strip().lower() for part in value.split(",") if part.strip()]
-    try:
-        return tuple(AttributeKind(name) for name in names)
-    except ValueError:
-        raise UsageError(f"--priority takes names from username/domain, got {value!r}") from None
-
-
 def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> HeuristicConfig:
-    cfg = base or HeuristicConfig()
-    threshold = cfg.threshold if args.threshold is None else args.threshold
-    priority = cfg.priority if args.priority is None else _parse_priority_arg(args.priority)
-    use_threshold = cfg.use_threshold
-    if args.no_threshold:
-        use_threshold = False
-    try:
-        return HeuristicConfig(threshold, priority, use_threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return override_heuristic(
+        base or HeuristicConfig(),
+        threshold=args.threshold,
+        priority=None if args.priority is None else parse_priority(args.priority, "--priority"),
+        use_threshold=False if args.no_threshold else None,
+    )
 
 
 def _add_heuristic_flags(sub) -> None:
@@ -95,26 +67,22 @@ def _add_heuristic_flags(sub) -> None:
     )
 
 
+def _cache_arg(args) -> UrlExpansionCache:
+    return load_cache(None if args.cache is None else require_file(args.cache, "cache"))
+
+
 def cmd_stats(args) -> int:
-    train_path = _require_file(args.train, "training data")
-    cache = _load_cache_arg(args)
+    train_path = require_file(args.train, "training data")
+    cache = _cache_arg(args)
     delimiter = "," if args.csv else "\t"
     dataset = load_dataset(train_path, has_labels=True, delimiter=delimiter)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = _args_digest("stats", train_path.name, args.cache, args.dedup_per_item)
-    counts = {}
-    for kind, name in (
-        (AttributeKind.USERNAME, "username_stats.tsv"),
-        (AttributeKind.DOMAIN, "domain_stats.tsv"),
-    ):
-        table = build_table(dataset, kind, cache, per_item_dedup=args.dedup_per_item)
-        save_table(table, out_dir / name, header_comment=f"config: {digest}")
-        counts[kind] = len(table)
+    tables = build_tables(dataset, cache, per_item_dedup=args.dedup_per_item)
+    save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
     summary = summarize(dataset, cache)
     print(f"items: {summary.item_count}")
-    print(f"unique usernames: {counts[AttributeKind.USERNAME]}")
-    print(f"unique domains: {counts[AttributeKind.DOMAIN]}")
+    print(f"unique usernames: {len(tables[AttributeKind.USERNAME])}")
+    print(f"unique domains: {len(tables[AttributeKind.DOMAIN])}")
     if summary.real_fraction is not None:
         print(f"real fraction: {summary.real_fraction:.4f}")
         print(f"fake fraction: {summary.fake_fraction:.4f}")
@@ -127,7 +95,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_baseline(args) -> int:
-    train_path = _require_file(args.train, "training data")
+    train_path = require_file(args.train, "training data")
     dataset = load_dataset(train_path, has_labels=True)
     model = baseline.train(dataset, alpha=args.alpha, model_name=args.name)
     baseline.save_model(
@@ -138,8 +106,8 @@ def cmd_train_baseline(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = baseline.load_model(_require_file(args.model, "model"))
-    data_path = _require_file(args.data, "data")
+    model = baseline.load_model(require_file(args.model, "model"))
+    data_path = require_file(args.data, "data")
     dataset = load_dataset(data_path, sniff_has_labels(data_path))
     vectors = baseline.predict_dataset(model, dataset)
     baseline.write_predictions(
@@ -151,7 +119,7 @@ def cmd_predict(args) -> int:
 
 def cmd_ensemble(args) -> int:
     for pred in args.predictions:
-        _require_file(pred, "prediction")
+        require_file(pred, "prediction")
     names = [part.strip() for part in args.names.split(",")] if args.names else None
     matrix = load_predictions(args.predictions, names)
     results = vote_all(matrix, VotingScheme(args.scheme))
@@ -162,14 +130,14 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    data_path = _require_file(args.data, "data")
+    data_path = require_file(args.data, "data")
     dataset = load_dataset(data_path, sniff_has_labels(data_path))
     for pred in args.predictions:
-        _require_file(pred, "prediction")
+        require_file(pred, "prediction")
     matrix = load_predictions(args.predictions)
-    username_table = load_table(_require_file(args.username_table, "username table"), AttributeKind.USERNAME)
-    domain_table = load_table(_require_file(args.domain_table, "domain table"), AttributeKind.DOMAIN)
-    cache = _load_cache_arg(args)
+    username_table = load_table(require_file(args.username_table, "username table"), AttributeKind.USERNAME)
+    domain_table = load_table(require_file(args.domain_table, "domain table"), AttributeKind.DOMAIN)
+    cache = _cache_arg(args)
     cfg = _heuristic_from_args(args)
     decisions = decide_batch(dataset, matrix, username_table, domain_table, cache, cfg)
     digest = _args_digest(
@@ -184,28 +152,37 @@ def cmd_postprocess(args) -> int:
 def _read_label_column(path: Path) -> dict[int, Label]:
     """Read id -> label from any of our TSV outputs that carry both."""
     with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(data_lines(handle), delimiter="\t")
+        rows = data_rows(handle)
         try:
-            header = [cell.strip().lower() for cell in next(reader)]
+            line_no, header = next(rows)
         except StopIteration:
             raise BadRecord("file is empty", source=path.name) from None
+        header = [cell.strip().lower() for cell in header]
         try:
             id_col = header.index("id")
             label_col = header.index("label")
         except ValueError:
             raise BadRecord(
-                f"no id/label columns in header {header!r}", source=path.name
+                f"no id/label columns in header {header!r}", source=path.name, line_no=line_no
             ) from None
         labels: dict[int, Label] = {}
-        for row in reader:
-            item_id = int(row[id_col])
-            labels[item_id] = Label.parse(row[label_col], item_id)
+        for line_no, row in rows:
+            try:
+                item_id = int(row[id_col])
+                label = row[label_col]
+            except (ValueError, IndexError):
+                raise BadRecord(
+                    f"expected an integer id and a label, found {row!r}",
+                    source=path.name,
+                    line_no=line_no,
+                ) from None
+            labels[item_id] = Label.parse(label, item_id)
     return labels
 
 
 def cmd_evaluate(args) -> int:
-    gold_path = _require_file(args.gold, "gold data")
-    pred_path = _require_file(args.pred, "prediction")
+    gold_path = require_file(args.gold, "gold data")
+    pred_path = require_file(args.pred, "prediction")
     gold_dataset = load_dataset(gold_path, has_labels=True, delimiter="," if args.csv else "\t")
     gold_by_id = gold_labels_by_id(gold_dataset)
     predicted = _read_label_column(pred_path)
@@ -236,7 +213,7 @@ def cmd_pipeline(args) -> int:
 
 
 def _config_with_overrides(args) -> RunConfig:
-    cfg = load_config(_require_file(args.config, "config"))
+    cfg = load_config(args.config)
     if getattr(args, "out_dir", None):
         cfg.output_dir = Path(args.out_dir)
     if getattr(args, "scheme", None):
@@ -253,7 +230,7 @@ def _parse_orderings(values: list[str] | None) -> list[tuple[AttributeKind, ...]
             (AttributeKind.DOMAIN, AttributeKind.USERNAME),
             DEFAULT_PRIORITY,
         ]
-    return [_parse_priority_arg(value) for value in values]
+    return [parse_priority(value, "--ordering") for value in values]
 
 
 def cmd_ablate(args) -> int:
@@ -271,7 +248,6 @@ def cmd_ablate(args) -> int:
         val_inputs, val_gold, test_inputs, test_gold, _parse_orderings(args.ordering), threshold
     )
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = f"# config: {digest}\n# threshold: {threshold!r}\n" + format_ablation_text(rows)
     atomic_write_text(out_dir / "ablation.txt", text)
     atomic_write_text(out_dir / "ablation.json", ablation_to_json(rows, extra))
@@ -284,16 +260,18 @@ def cmd_ablate(args) -> int:
 def cmd_expand_urls(args) -> int:
     urls: list[str] = []
     if args.urls_file:
-        urls_path = _require_file(args.urls_file, "urls list")
+        urls_path = require_file(args.urls_file, "urls list")
         with urls_path.open("r", encoding="utf-8") as handle:
-            urls.extend(line.strip() for line in data_lines(handle))
+            urls.extend(line.strip() for _, line in data_lines(handle))
     if args.data:
-        data_path = _require_file(args.data, "data")
+        data_path = require_file(args.data, "data")
         dataset = load_dataset(data_path, sniff_has_labels(data_path))
         for item in dataset:
             urls.extend(extract_attributes(item.text).urls)
     if not urls:
         raise UsageError("nothing to expand: pass --urls-file and/or --data")
+    from . import urlexpand  # the network stack, needed by this command alone
+
     resolved, failed = urlexpand.build_cache(urls, args.out, timeout=args.timeout)
     print(f"resolved {resolved} urls ({failed} failed) -> {args.out}")
     return 0

@@ -11,13 +11,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attribute_stats import AttributeKind
 from .ensemble import VotingScheme
 from .errors import UsageError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, require_file
 from .heuristic import HeuristicConfig
 from .preprocess import CleanPolicy
 
@@ -29,7 +29,6 @@ _KNOWN_KEYS: dict[str, tuple[str, ...]] = {
     "ensemble": ("scheme",),
     "heuristic": ("threshold", "priority", "use_threshold"),
     "output": ("dir",),
-    "run": ("seed",),
 }
 
 _BOOL_STRINGS = {
@@ -49,14 +48,24 @@ def _parse_bool(value: str, where: str) -> bool:
         raise UsageError(f"{where}: expected a boolean, got {value!r}") from None
 
 
-def _parse_priority(value: str) -> tuple[AttributeKind, ...]:
-    names = [part.strip() for part in value.split(",") if part.strip()]
+def parse_priority(value: str, where: str) -> tuple[AttributeKind, ...]:
+    """An attribute priority order such as "username, domain"; names are
+    comma-separated and case-insensitive. where names the setting in
+    the error message."""
+    names = [part.strip().lower() for part in value.split(",") if part.strip()]
     try:
-        return tuple(AttributeKind(name.lower()) for name in names)
+        return tuple(AttributeKind(name) for name in names)
     except ValueError:
-        raise UsageError(
-            f"heuristic.priority: expected names from username/domain, got {value!r}"
-        ) from None
+        raise UsageError(f"{where}: expected names from username/domain, got {value!r}") from None
+
+
+def override_heuristic(base: HeuristicConfig, **changes) -> HeuristicConfig:
+    """base with every change that is not None applied; an invalid
+    result is a UsageError."""
+    try:
+        return replace(base, **{key: value for key, value in changes.items() if value is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @dataclass
@@ -75,7 +84,6 @@ class RunConfig:
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")
-    seed: int = 0
 
     @property
     def delimiter(self) -> str:
@@ -110,9 +118,7 @@ class RunConfig:
         )
         buffer.write(f"use_threshold = {'true' if self.heuristic.use_threshold else 'false'}\n\n")
         buffer.write("[output]\n")
-        buffer.write(f"dir = {self.output_dir}\n\n")
-        buffer.write("[run]\n")
-        buffer.write(f"seed = {self.seed}\n")
+        buffer.write(f"dir = {self.output_dir}\n")
         return buffer.getvalue()
 
     def save(self, path: Path | str) -> None:
@@ -201,9 +207,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         except ValueError:
             raise UsageError(f"ensemble.scheme must be soft or hard, got {value!r}") from None
 
-    threshold = cfg.heuristic.threshold
-    priority = cfg.heuristic.priority
-    use_threshold = cfg.heuristic.use_threshold
+    threshold = priority = use_threshold = None
     value = get("heuristic", "threshold")
     if value is not None and value.strip():
         try:
@@ -212,24 +216,17 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise UsageError(f"heuristic.threshold: expected a number, got {value!r}") from None
     value = get("heuristic", "priority")
     if value is not None and value.strip():
-        priority = _parse_priority(value)
+        priority = parse_priority(value, "heuristic.priority")
     value = get("heuristic", "use_threshold")
     if value is not None:
         use_threshold = _parse_bool(value, "heuristic.use_threshold")
-    try:
-        cfg.heuristic = HeuristicConfig(threshold, priority, use_threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg.heuristic = override_heuristic(
+        cfg.heuristic, threshold=threshold, priority=priority, use_threshold=use_threshold
+    )
 
     value = get("output", "dir")
     if value is not None and value.strip():
         cfg.output_dir = Path(value.strip())
-    value = get("run", "seed")
-    if value is not None and value.strip():
-        try:
-            cfg.seed = int(value)
-        except ValueError:
-            raise UsageError(f"run.seed: expected an integer, got {value!r}") from None
 
     if cfg.prediction_names and len(cfg.prediction_names) != len(cfg.prediction_paths):
         raise UsageError(
@@ -240,9 +237,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path: Path | str) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
+    path = require_file(path, "config")
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
@@ -252,16 +247,12 @@ def require_paths(cfg: RunConfig, *fields_needed: str) -> None:
         "train": cfg.train_path,
         "validation": cfg.validation_path,
         "test": cfg.test_path,
-        "cache": cfg.cache_path,
     }
     for name in fields_needed:
-        value = labels[name]
-        if value is None:
+        if labels[name] is None:
             raise UsageError(f"config is missing the {name} data path")
-        if not Path(value).is_file():
-            raise UsageError(f"{name} file not found: {value}")
+        require_file(labels[name], name)
     for pred in cfg.prediction_paths:
-        if not Path(pred).is_file():
-            raise UsageError(f"prediction file not found: {pred}")
-    if cfg.cache_path is not None and not Path(cfg.cache_path).is_file():
-        raise UsageError(f"cache file not found: {cfg.cache_path}")
+        require_file(pred, "prediction")
+    if cfg.cache_path is not None:
+        require_file(cfg.cache_path, "cache")

@@ -116,7 +116,7 @@ _HEADER_UNLABELED = ["id", "tweet"]
 def sniff_has_labels(path: Path | str, delimiter: str = "\t") -> bool:
     """Inspect the header row to decide whether the file carries labels."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -147,7 +147,7 @@ def load_dataset(
     expected = _HEADER_LABELED if has_labels else _HEADER_UNLABELED
     items: list[NewsItem] = []
     seen: set[int] = set()
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)

@@ -9,7 +9,6 @@ tie resolves to real by default in both schemes; that is configurable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .baseline import PredictionVector
 from .corpus import Label
 from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
-from .fileio import atomic_write_text, data_lines
+from .fileio import data_rows, write_tsv
 
 # A prediction row is renormalized when its probabilities sum to within
 # this window of 1; anything further off is treated as corrupt input.
@@ -125,24 +124,30 @@ def vote_all(
 def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVector]:
     vectors: dict[int, PredictionVector] = {}
     with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(data_lines(handle), delimiter="\t")
+        rows = data_rows(handle)
         try:
-            header = next(reader)
+            line_no, header = next(rows)
         except StopIteration:
             raise BadRecord("file is empty", source=path.name) from None
         if [cell.strip().lower() for cell in header] != ["id", "p_real", "p_fake"]:
             raise BadRecord(
-                f"expected header id/p_real/p_fake, found {header!r}", source=path.name
+                f"expected header id/p_real/p_fake, found {header!r}",
+                source=path.name,
+                line_no=line_no,
             )
-        for row in reader:
+        for line_no, row in rows:
             if len(row) != 3:
-                raise BadRecord(f"expected 3 columns, found {len(row)}", source=path.name)
+                raise BadRecord(
+                    f"expected 3 columns, found {len(row)}", source=path.name, line_no=line_no
+                )
             try:
                 item_id = int(row[0])
                 p_real = float(row[1])
                 p_fake = float(row[2])
             except ValueError:
-                raise BadRecord(f"unparseable row {row!r}", source=path.name) from None
+                raise BadRecord(
+                    f"unparseable row {row!r}", source=path.name, line_no=line_no
+                ) from None
             if item_id in vectors:
                 raise DuplicateId(item_id, source=path.name)
             if p_real < 0.0 or p_fake < 0.0:
@@ -231,10 +236,8 @@ def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> Pred
 def write_ensemble_tsv(
     results: Sequence[EnsembleResult], path: Path | str, header_comment: str | None = None
 ) -> None:
-    lines: list[str] = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("id\tp_real\tp_fake\tlabel")
-    for result in sorted(results, key=lambda r: r.item_id):
-        lines.append(f"{result.item_id}\t{result.p_real!r}\t{result.p_fake!r}\t{result.label.value}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    rows = (
+        (r.item_id, r.p_real, r.p_fake, r.label.value)
+        for r in sorted(results, key=lambda r: r.item_id)
+    )
+    write_tsv(path, ("id", "p_real", "p_fake", "label"), rows, header_comment)

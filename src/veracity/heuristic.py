@@ -22,7 +22,7 @@ from .attribute_stats import AttributeKind, AttributeStatsTable, AttrProbVector,
 from .corpus import Dataset, Label
 from .ensemble import EnsembleResult, PredictionMatrix, soft_vote
 from .errors import IdSetMismatch
-from .fileio import atomic_write_text
+from .fileio import write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
 
 DEFAULT_THRESHOLD = 0.88
@@ -95,27 +95,24 @@ def decide(
         AttributeKind.USERNAME: username_vec,
         AttributeKind.DOMAIN: domain_vec,
     }
+    # Without the threshold conjunct only the majority comparison is left;
+    # a 0.0 threshold is the same rule, since p_win > p_lose >= 0 implies
+    # p_win > 0.
+    threshold = cfg.threshold if cfg.use_threshold else 0.0
     for kind in cfg.priority:
         vector = vectors[kind]
         if not vector.present:
             continue
-        real_wins = vector.p_real > vector.p_fake
-        fake_wins = vector.p_real < vector.p_fake
-        if cfg.use_threshold:
-            real_wins = real_wins and vector.p_real > cfg.threshold
-            fake_wins = fake_wins and vector.p_fake > cfg.threshold
-        if real_wins:
-            return HeuristicDecision(
-                ens.item_id, Label.REAL, _RULE_FOR_KIND[kind], username_vec, domain_vec, ens.p_real
-            )
-        if fake_wins:
-            return HeuristicDecision(
-                ens.item_id, Label.FAKE, _RULE_FOR_KIND[kind], username_vec, domain_vec, ens.p_real
-            )
-    label = Label.REAL if ens.p_real > ens.p_fake else Label.FAKE
-    return HeuristicDecision(
-        ens.item_id, label, DecidedBy.ENSEMBLE, username_vec, domain_vec, ens.p_real
-    )
+        if vector.p_real > vector.p_fake and vector.p_real > threshold:
+            label, decided_by = Label.REAL, _RULE_FOR_KIND[kind]
+            break
+        if vector.p_fake > vector.p_real and vector.p_fake > threshold:
+            label, decided_by = Label.FAKE, _RULE_FOR_KIND[kind]
+            break
+    else:
+        label = Label.REAL if ens.p_real > ens.p_fake else Label.FAKE
+        decided_by = DecidedBy.ENSEMBLE
+    return HeuristicDecision(ens.item_id, label, decided_by, username_vec, domain_vec, ens.p_real)
 
 
 @dataclass(frozen=True)
@@ -180,21 +177,17 @@ def decide_batch(
     )
 
 
-def _fmt_vec(vector: AttrProbVector) -> str:
-    return repr(vector.p_real) if vector.present else "-"
+def _fmt_vec(vector: AttrProbVector) -> float | str:
+    return vector.p_real if vector.present else "-"
 
 
 def write_decisions_tsv(
     decisions: Sequence[HeuristicDecision], path: Path | str, header_comment: str | None = None
 ) -> None:
-    lines: list[str] = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("id\tlabel\tdecided_by\tp_real_ens\tp_real_user\tp_real_domain")
-    for decision in sorted(decisions, key=lambda d: d.item_id):
-        lines.append(
-            f"{decision.item_id}\t{decision.label.value}\t{decision.decided_by.value}"
-            f"\t{decision.ensemble_p_real!r}"
-            f"\t{_fmt_vec(decision.username_vec)}\t{_fmt_vec(decision.domain_vec)}"
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    rows = (
+        (d.item_id, d.label.value, d.decided_by.value, d.ensemble_p_real,
+         _fmt_vec(d.username_vec), _fmt_vec(d.domain_vec))
+        for d in sorted(decisions, key=lambda d: d.item_id)
+    )
+    header = ("id", "label", "decided_by", "p_real_ens", "p_real_user", "p_real_domain")
+    write_tsv(path, header, rows, header_comment)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baseline
-from .attribute_stats import AttributeKind, build_table, save_table
+from .attribute_stats import AttributeKind, AttributeStatsTable, build_tables, save_tables
 from .config import RunConfig, config_hash, require_paths
 from .corpus import Dataset, Label, gold_labels_by_id, load_dataset, sniff_has_labels
 from .ensemble import (
@@ -30,7 +30,7 @@ from .fileio import atomic_write_text
 from .heuristic import (
     DecisionInput,
     HeuristicDecision,
-    decide_inputs,
+    decide_batch,
     prepare_inputs,
     write_decisions_tsv,
 )
@@ -49,10 +49,14 @@ class PipelineResult:
     config_digest: str
 
 
-def _load_cache_or_empty(cfg: RunConfig) -> UrlExpansionCache:
-    if cfg.cache_path is None:
-        return UrlExpansionCache()
-    return load_cache(cfg.cache_path)
+def _load_train_side(
+    cfg: RunConfig,
+) -> tuple[Dataset, UrlExpansionCache, dict[AttributeKind, AttributeStatsTable]]:
+    """The training split, the URL expansion cache and the attribute
+    tables built from them."""
+    train = load_dataset(cfg.train_path, has_labels=True, delimiter=cfg.delimiter)
+    cache = load_cache(cfg.cache_path)
+    return train, cache, build_tables(train, cache)
 
 
 def build_matrix(cfg: RunConfig, train: Dataset, target: Dataset, out_dir: Path, digest: str):
@@ -113,20 +117,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     require_paths(cfg, "train", "test")
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    train = load_dataset(cfg.train_path, has_labels=True, delimiter=cfg.delimiter)
+    train, cache, tables = _load_train_side(cfg)
     test_labeled = sniff_has_labels(cfg.test_path, cfg.delimiter)
     test = load_dataset(cfg.test_path, test_labeled, delimiter=cfg.delimiter)
-    cache = _load_cache_or_empty(cfg)
-
-    username_table = build_table(train, AttributeKind.USERNAME, cache)
-    domain_table = build_table(train, AttributeKind.DOMAIN, cache)
-    for table, name in ((username_table, "username_stats.tsv"), (domain_table, "domain_stats.tsv")):
-        table_path = out_dir / name
-        save_table(table, table_path, header_comment=f"config: {digest}")
-        written.append(table_path)
+    written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
     matrix, matrix_files = build_matrix(cfg, train, test, out_dir, digest)
     written.extend(matrix_files)
@@ -136,8 +132,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
     written.append(ensemble_path)
 
-    inputs = prepare_inputs(test, matrix, username_table, domain_table, cache)
-    decisions = decide_inputs(inputs, cfg.heuristic)
+    decisions = decide_batch(
+        test, matrix, tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
+        cfg.heuristic,
+    )
     decisions_path = out_dir / "decisions.tsv"
     write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
     written.append(decisions_path)
@@ -193,10 +191,7 @@ def ablation_contexts(
     """
     require_paths(cfg, "train", "validation", "test")
     digest = config_hash(cfg)
-    train = load_dataset(cfg.train_path, has_labels=True, delimiter=cfg.delimiter)
-    cache = _load_cache_or_empty(cfg)
-    username_table = build_table(train, AttributeKind.USERNAME, cache)
-    domain_table = build_table(train, AttributeKind.DOMAIN, cache)
+    train, cache, tables = _load_train_side(cfg)
 
     external: PredictionMatrix | None = None
     model = None
@@ -216,7 +211,9 @@ def ablation_contexts(
             matrix = matrix_from_vectors(
                 {model.model_name: baseline.predict_dataset(model, split)}
             )
-        inputs = prepare_inputs(split, matrix, username_table, domain_table, cache)
+        inputs = prepare_inputs(
+            split, matrix, tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache
+        )
         gold_by_id = gold_labels_by_id(split)
         gold = [gold_by_id[entry.item_id] for entry in inputs]
         contexts.append((inputs, gold))

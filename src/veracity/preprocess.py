@@ -17,7 +17,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .errors import BadRecord, BadUrl
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, data_lines
 
 # URLs are taken by longest match: everything from the scheme up to the
 # next whitespace belongs to the URL, so a mention inside a URL path is
@@ -79,20 +79,22 @@ class UrlExpansionCache:
         return None
 
 
-def load_cache(path: Path | str, miss_policy: MissPolicy = MissPolicy.USE_AS_IS) -> UrlExpansionCache:
+def load_cache(
+    path: Path | str | None, miss_policy: MissPolicy = MissPolicy.USE_AS_IS
+) -> UrlExpansionCache:
     """Read a cache file: one `short_url<TAB>expanded_url` per line.
 
     Blank lines and '#' comments are skipped. Duplicate keys keep the
-    last mapping (cache files are append-friendly).
+    last mapping (cache files are append-friendly). No path means the
+    empty cache.
     """
+    if path is None:
+        return UrlExpansionCache(miss_policy=miss_policy)
     path = Path(path)
     entries: dict[str, str] = {}
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+        for line_no, raw in data_lines(handle):
+            parts = raw.rstrip("\n").split("\t")
             if len(parts) < 2 or not parts[0] or not parts[1]:
                 raise BadRecord(
                     "expected short_url<TAB>expanded_url", source=path.name, line_no=line_no

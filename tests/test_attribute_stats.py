@@ -12,6 +12,7 @@ from veracity.attribute_stats import (
     AttributeStatsTable,
     AttrProbVector,
     build_table,
+    build_tables,
     cond_prob,
     load_table,
     save_table,
@@ -118,6 +119,10 @@ def test_real_count_conservation(seed):
         if item.label is Label.REAL
     )
     assert sum(c.real_count for c in table.entries.values()) == expected
+    for dedup in (False, True):
+        assert build_tables(dataset, per_item_dedup=dedup) == {
+            kind: build_table(dataset, kind, per_item_dedup=dedup) for kind in AttributeKind
+        }
 
 
 TABLE_ONE_LIKE = AttributeStatsTable(

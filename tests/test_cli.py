@@ -160,6 +160,48 @@ def test_evaluate_command(tmp_path, capsys):
     assert payload["confusion"] == [[1, 1], [0, 2]]
 
 
+@pytest.mark.parametrize(
+    "bad_row", ["x\treal", "2"], ids=["non-integer id", "short of the label column"]
+)
+def test_evaluate_malformed_prediction_row_exit_2(tmp_path, capsys, bad_row):
+    gold = tmp_path / "gold.tsv"
+    write_dataset_tsv(gold, [(1, "a", "real"), (2, "b", "fake")])
+    pred = tmp_path / "pred.tsv"
+    pred.write_text(f"# config: x\nid\tlabel\n1\treal\n{bad_row}\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+    assert "in pred.tsv (line 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["2\t0.4", "two\t0.4\t0.6"])
+def test_ensemble_bad_prediction_row_names_line(tmp_path, capsys, bad_row):
+    preds = tmp_path / "a.tsv"
+    preds.write_text(
+        f"# config: x\nid\tp_real\tp_fake\n1\t0.6\t0.4\n{bad_row}\n", encoding="utf-8"
+    )
+    rc = main(["ensemble", "--predictions", str(preds), "--out", str(tmp_path / "o.tsv")])
+    assert rc == 2
+    assert "in a.tsv (line 4)" in capsys.readouterr().err
+
+
+def test_postprocess_bad_table_row_names_physical_line(tiny_train, tmp_path, capsys):
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    table = stats_dir / "username_stats.tsv"
+    lines = table.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config: ")
+    lines[3] = "icmr\t2\tmany"  # the fourth line of the file
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    preds = tmp_path / "m.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in range(1, 7)])
+    rc = main(
+        ["postprocess", "--data", str(tiny_train), "--predictions", str(preds),
+         "--username-table", str(table), "--domain-table", str(stats_dir / "domain_stats.tsv"),
+         "--out", str(tmp_path / "d.tsv")]
+    )
+    assert rc == 2
+    assert "in username_stats.tsv (line 4)" in capsys.readouterr().err
+
+
 def _pipeline_config(tmp_path, corpus_seed=77, n=120, **overrides) -> Path:
     corpus = make_corpus(n, seed=corpus_seed)
     train = head(corpus, n // 2, "train")
@@ -376,7 +418,6 @@ def test_config_round_trip(tmp_path):
         prediction_names=("a", "b"),
         alpha=0.5,
         output_dir=Path("runs/x"),
-        seed=3,
     )
     reparsed = parse_config_text(cfg.to_text())
     assert reparsed == cfg

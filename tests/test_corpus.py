@@ -25,6 +25,15 @@ def test_load_two_rows(tiny_labeled):
     assert dataset.ids() == (1, 2)
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "excel.tsv"
+    path.write_text("\ufeffid\ttweet\tlabel\n1\thello\treal\n", encoding="utf-8")
+    assert sniff_has_labels(path)
+    dataset = load_dataset(path, has_labels=True)
+    assert dataset.ids() == (1,)
+    assert dataset.items[0].label is Label.REAL
+
+
 def test_duplicate_id_rejected(tmp_path):
     path = tmp_path / "dup.tsv"
     write_dataset_tsv(path, [(1, "a", "real"), (1, "b", "fake")])
