@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Dataset, Label
 from .errors import BadRecord, UnlabeledItem, ZeroSupport
-from .fileio import data_lines, write_tsv
+from .fileio import data_lines, open_lines, write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
 
 
@@ -178,27 +178,21 @@ def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
     """Read a table written by save_table; probabilities are re-derived."""
     path = Path(path)
     entries: dict[str, AttrCounts] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        rows = list(data_lines(handle))
-    if not rows or rows[0][1].rstrip("\n") != "\t".join(_TABLE_HEADER):
-        raise BadRecord(
-            "missing attribute table header", source=path.name, line_no=rows[0][0] if rows else 1
-        )
-    for line_no, raw in rows[1:]:
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise BadRecord("expected 3 columns", source=path.name, line_no=line_no)
-        try:
-            real_count, fake_count = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise BadRecord(
-                f"counts must be integers, found {parts[1]!r}/{parts[2]!r}",
-                source=path.name,
-                line_no=line_no,
-            ) from None
-        if real_count < 0 or fake_count < 0 or real_count + fake_count == 0:
-            raise BadRecord(
-                f"attribute {parts[0]!r} has invalid counts", source=path.name, line_no=line_no
-            )
-        entries[parts[0]] = AttrCounts(real_count, fake_count)
+    with open_lines(path) as lines:
+        rows = data_lines(lines)
+        if next(rows, "").rstrip("\r\n") != "\t".join(_TABLE_HEADER):
+            raise BadRecord("missing attribute table header")
+        for raw in rows:
+            parts = raw.rstrip("\r\n").split("\t")
+            if len(parts) != 3:
+                raise BadRecord("expected 3 columns")
+            try:
+                real_count, fake_count = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise BadRecord(
+                    f"counts must be integers, found {parts[1]!r}/{parts[2]!r}"
+                ) from None
+            if real_count < 0 or fake_count < 0 or real_count + fake_count == 0:
+                raise BadRecord(f"attribute {parts[0]!r} has invalid counts")
+            entries[parts[0]] = AttrCounts(real_count, fake_count)
     return AttributeStatsTable(kind, entries)

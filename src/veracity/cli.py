@@ -18,9 +18,9 @@ from pathlib import Path
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
 from .config import RunConfig, load_config, override_heuristic, parse_priority
-from .corpus import Label, gold_labels_by_id, load_dataset, sniff_has_labels, summarize
+from .corpus import CorpusSummary, Label, class_fractions, gold_labels_by_id, load_dataset
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
-from .errors import BadRecord, DataError, PipelineError, UsageError
+from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     ablation_to_json,
@@ -29,7 +29,7 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, data_lines, data_rows, require_file
+from .fileio import atomic_write_text, data_lines, data_rows, open_lines, require_file
 from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_batch, write_decisions_tsv
 from .pipeline import ablation_contexts, run_pipeline
 from .preprocess import UrlExpansionCache, extract_attributes, load_cache
@@ -74,15 +74,17 @@ def _cache_arg(args) -> UrlExpansionCache:
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
     cache = _cache_arg(args)
-    delimiter = "," if args.csv else "\t"
-    dataset = load_dataset(train_path, has_labels=True, delimiter=delimiter)
+    dataset = load_dataset(train_path, has_labels=True)
     digest = _args_digest("stats", train_path.name, args.cache, args.dedup_per_item)
     tables = build_tables(dataset, cache, per_item_dedup=args.dedup_per_item)
     save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
-    summary = summarize(dataset, cache)
+    summary = CorpusSummary(
+        len(dataset), *(class_fractions(dataset) or (None, None)),
+        len(tables[AttributeKind.USERNAME]), len(tables[AttributeKind.DOMAIN]),
+    )
     print(f"items: {summary.item_count}")
-    print(f"unique usernames: {len(tables[AttributeKind.USERNAME])}")
-    print(f"unique domains: {len(tables[AttributeKind.DOMAIN])}")
+    print(f"unique usernames: {summary.unique_usernames}")
+    print(f"unique domains: {summary.unique_domains}")
     if summary.real_fraction is not None:
         print(f"real fraction: {summary.real_fraction:.4f}")
         print(f"fake fraction: {summary.fake_fraction:.4f}")
@@ -108,7 +110,7 @@ def cmd_train_baseline(args) -> int:
 def cmd_predict(args) -> int:
     model = baseline.load_model(require_file(args.model, "model"))
     data_path = require_file(args.data, "data")
-    dataset = load_dataset(data_path, sniff_has_labels(data_path))
+    dataset = load_dataset(data_path)
     vectors = baseline.predict_dataset(model, dataset)
     baseline.write_predictions(
         vectors, args.out, header_comment=f"config: {_args_digest('predict', data_path.name, args.model)}"
@@ -131,7 +133,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_postprocess(args) -> int:
     data_path = require_file(args.data, "data")
-    dataset = load_dataset(data_path, sniff_has_labels(data_path))
+    dataset = load_dataset(data_path)
     for pred in args.predictions:
         require_file(pred, "prediction")
     matrix = load_predictions(args.predictions)
@@ -151,31 +153,25 @@ def cmd_postprocess(args) -> int:
 
 def _read_label_column(path: Path) -> dict[int, Label]:
     """Read id -> label from any of our TSV outputs that carry both."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        rows = data_rows(handle)
-        try:
-            line_no, header = next(rows)
-        except StopIteration:
-            raise BadRecord("file is empty", source=path.name) from None
-        header = [cell.strip().lower() for cell in header]
+    labels: dict[int, Label] = {}
+    with open_lines(path) as lines:
+        rows = data_rows(lines)
+        header = [cell.strip().lower() for cell in next(rows, [])]
+        if not header:
+            raise BadRecord("file is empty")
         try:
             id_col = header.index("id")
             label_col = header.index("label")
         except ValueError:
-            raise BadRecord(
-                f"no id/label columns in header {header!r}", source=path.name, line_no=line_no
-            ) from None
-        labels: dict[int, Label] = {}
-        for line_no, row in rows:
+            raise BadRecord(f"no id/label columns in header {header!r}") from None
+        for row in rows:
             try:
                 item_id = int(row[id_col])
                 label = row[label_col]
             except (ValueError, IndexError):
-                raise BadRecord(
-                    f"expected an integer id and a label, found {row!r}",
-                    source=path.name,
-                    line_no=line_no,
-                ) from None
+                raise BadRecord(f"expected an integer id and a label, found {row!r}") from None
+            if item_id in labels:
+                raise DuplicateId(item_id)
             labels[item_id] = Label.parse(label, item_id)
     return labels
 
@@ -183,7 +179,7 @@ def _read_label_column(path: Path) -> dict[int, Label]:
 def cmd_evaluate(args) -> int:
     gold_path = require_file(args.gold, "gold data")
     pred_path = require_file(args.pred, "prediction")
-    gold_dataset = load_dataset(gold_path, has_labels=True, delimiter="," if args.csv else "\t")
+    gold_dataset = load_dataset(gold_path, has_labels=True)
     gold_by_id = gold_labels_by_id(gold_dataset)
     predicted = _read_label_column(pred_path)
     missing = sorted(set(gold_by_id) - set(predicted))
@@ -261,11 +257,11 @@ def cmd_expand_urls(args) -> int:
     urls: list[str] = []
     if args.urls_file:
         urls_path = require_file(args.urls_file, "urls list")
-        with urls_path.open("r", encoding="utf-8") as handle:
-            urls.extend(line.strip() for _, line in data_lines(handle))
+        with open_lines(urls_path) as lines:
+            urls.extend(line.strip() for line in data_lines(lines))
     if args.data:
         data_path = require_file(args.data, "data")
-        dataset = load_dataset(data_path, sniff_has_labels(data_path))
+        dataset = load_dataset(data_path)
         for item in dataset:
             urls.extend(extract_attributes(item.text).urls)
     if not urls:
@@ -289,7 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="labeled training TSV")
     p.add_argument("--cache", default=None, help="URL expansion cache TSV")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--csv", action="store_true", help="read comma-separated data")
     p.add_argument(
         "--dedup-per-item",
         action="store_true",
@@ -339,7 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True, help="labeled dataset TSV")
     p.add_argument("--pred", required=True, help="any output TSV with id and label columns")
     p.add_argument("--average", choices=["weighted", "macro"], default="weighted")
-    p.add_argument("--csv", action="store_true")
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_evaluate)
 

@@ -17,12 +17,12 @@ from pathlib import Path
 from .attribute_stats import AttributeKind
 from .ensemble import VotingScheme
 from .errors import UsageError
-from .fileio import atomic_write_text, require_file
+from .fileio import atomic_write_text, open_lines, require_file
 from .heuristic import HeuristicConfig
 from .preprocess import CleanPolicy
 
 _KNOWN_KEYS: dict[str, tuple[str, ...]] = {
-    "data": ("train", "validation", "test", "cache", "format"),
+    "data": ("train", "validation", "test", "cache"),
     "predictions": ("files", "names"),
     "baseline": ("alpha",),
     "clean": ("remove_urls", "remove_mentions", "remove_emoji", "remove_hashmark_only"),
@@ -76,7 +76,6 @@ class RunConfig:
     validation_path: Path | None = None
     test_path: Path | None = None
     cache_path: Path | None = None
-    data_format: str = "tsv"
     prediction_paths: tuple[Path, ...] = ()
     prediction_names: tuple[str, ...] = ()
     alpha: float = 1.0
@@ -84,10 +83,6 @@ class RunConfig:
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")
-
-    @property
-    def delimiter(self) -> str:
-        return "," if self.data_format == "csv" else "\t"
 
     def to_text(self) -> str:
         """Canonical serialization; the basis of the config hash."""
@@ -99,8 +94,7 @@ class RunConfig:
         buffer.write(f"train = {path_str(self.train_path)}\n")
         buffer.write(f"validation = {path_str(self.validation_path)}\n")
         buffer.write(f"test = {path_str(self.test_path)}\n")
-        buffer.write(f"cache = {path_str(self.cache_path)}\n")
-        buffer.write(f"format = {self.data_format}\n\n")
+        buffer.write(f"cache = {path_str(self.cache_path)}\n\n")
         buffer.write("[predictions]\n")
         buffer.write(f"files = {', '.join(str(p) for p in self.prediction_paths)}\n")
         buffer.write(f"names = {', '.join(self.prediction_names)}\n\n")
@@ -167,12 +161,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     value = get("data", "cache")
     if value is not None:
         cfg.cache_path = _optional_path(value)
-    value = get("data", "format")
-    if value is not None and value.strip():
-        fmt = value.strip().lower()
-        if fmt not in ("tsv", "csv"):
-            raise UsageError(f"data.format must be tsv or csv, got {value!r}")
-        cfg.data_format = fmt
     value = get("predictions", "files")
     if value is not None:
         cfg.prediction_paths = tuple(
@@ -238,7 +226,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path: Path | str) -> RunConfig:
     path = require_file(path, "config")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    with open_lines(path) as lines:
+        text = "\n".join(line.rstrip("\r\n") for line in lines)
+    return parse_config_text(text, source=str(path))
 
 
 def require_paths(cfg: RunConfig, *fields_needed: str) -> None:

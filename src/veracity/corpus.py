@@ -1,10 +1,9 @@
 """Dataset ingestion, validation and corpus-level summary statistics.
 
-The on-disk shape is a delimited file with a header row. The default is
-tab-separated with columns ``id``, ``tweet`` and (for labeled splits)
-``label``; a comma-separated variant is accepted by passing
-``delimiter=","``. Text fields may contain the delimiter or newlines, in
-which case the csv quoting rules apply.
+The on-disk shape is a delimited file with a header row of ``id``,
+``tweet`` and, for labeled splits, ``label``, separated by tabs or by
+commas; the header says which. Text fields may contain the delimiter or
+newlines, in which case the csv quoting rules apply.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import BadLabel, BadRecord, DuplicateId, EmptyText, UnlabeledItem
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, open_lines
 
 
 class Label(Enum):
@@ -113,78 +112,67 @@ _HEADER_LABELED = ["id", "tweet", "label"]
 _HEADER_UNLABELED = ["id", "tweet"]
 
 
-def sniff_has_labels(path: Path | str, delimiter: str = "\t") -> bool:
+def _read_header(lines: Iterator[str], has_labels: bool | None = None) -> tuple[str, bool]:
+    """The delimiter and the labeledness a dataset's header line declares:
+    id, tweet[, label], separated by tabs or by commas (the two readings
+    cannot both match). has_labels, when given, requires the one or the
+    other."""
+    line = next(lines, None)
+    if line is None:
+        raise BadRecord("file is empty")
+    wanted = {True: [_HEADER_LABELED], False: [_HEADER_UNLABELED]}.get(
+        has_labels, [_HEADER_LABELED, _HEADER_UNLABELED]
+    )
+    readings = {d: next(csv.reader([line], delimiter=d), []) for d in ("\t", ",")}
+    for delimiter, cells in readings.items():
+        if [cell.strip().lower() for cell in cells] in wanted:
+            return delimiter, len(cells) == len(_HEADER_LABELED)
+    found = max(readings.values(), key=len)
+    raise BadRecord(f"expected header {' or '.join(map(str, wanted))} but found {found!r}")
+
+
+def sniff_has_labels(path: Path | str) -> bool:
     """Inspect the header row to decide whether the file carries labels."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadRecord("file is empty", source=path.name) from None
-    columns = [cell.strip().lower() for cell in header]
-    if columns == _HEADER_LABELED:
-        return True
-    if columns == _HEADER_UNLABELED:
-        return False
-    raise BadRecord(f"unexpected header {header!r}", source=path.name, line_no=1)
+    with open_lines(Path(path)) as lines:
+        return _read_header(lines)[1]
 
 
 def load_dataset(
-    path: Path | str,
-    has_labels: bool,
-    delimiter: str = "\t",
-    split_name: str | None = None,
+    path: Path | str, has_labels: bool | None = None, split_name: str | None = None
 ) -> Dataset:
     """Load a dataset file, preserving record order.
 
-    Every text field is unicode-normalized (NFC) on the way in so that
-    attribute matching downstream is stable. Labels parse
+    The header line says whether the file is tab- or comma-separated and
+    whether it is labeled; has_labels, when given, requires the one or
+    the other. Every text field is unicode-normalized (NFC) on the way
+    in so that attribute matching downstream is stable. Labels parse
     case-insensitively. Raises DuplicateId, BadLabel, EmptyText or
-    BadRecord with the offending record identified.
+    BadRecord naming the file and the record's physical line.
     """
     path = Path(path)
-    expected = _HEADER_LABELED if has_labels else _HEADER_UNLABELED
     items: list[NewsItem] = []
     seen: set[int] = set()
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BadRecord("file is empty", source=path.name) from None
-        if [cell.strip().lower() for cell in header] != expected:
-            raise BadRecord(
-                f"expected header {expected} but found {header!r}",
-                source=path.name,
-                line_no=1,
-            )
-        for line_no, row in enumerate(reader, start=2):
+    with open_lines(path) as lines:
+        delimiter, labeled = _read_header(lines, has_labels)
+        width = len(_HEADER_LABELED if labeled else _HEADER_UNLABELED)
+        for row in csv.reader(lines, delimiter=delimiter):
             if not row:
                 continue
-            if len(row) != len(expected):
-                raise BadRecord(
-                    f"expected {len(expected)} columns, found {len(row)}",
-                    source=path.name,
-                    line_no=line_no,
-                )
+            if len(row) != width:
+                raise BadRecord(f"expected {width} columns, found {len(row)}")
             try:
                 item_id = int(row[0].strip())
             except ValueError:
-                raise BadRecord(
-                    f"id {row[0]!r} is not an integer", source=path.name, line_no=line_no
-                ) from None
+                raise BadRecord(f"id {row[0]!r} is not an integer") from None
             if item_id < 0:
-                raise BadRecord(
-                    f"id {item_id} is negative", source=path.name, line_no=line_no
-                )
+                raise BadRecord(f"id {item_id} is negative")
             if item_id in seen:
-                raise DuplicateId(item_id, source=path.name)
+                raise DuplicateId(item_id)
             seen.add(item_id)
             text = unicodedata.normalize("NFC", row[1])
             if not text.strip():
                 raise EmptyText(item_id)
-            label = Label.parse(row[2], item_id) if has_labels else None
+            label = Label.parse(row[2], item_id) if labeled else None
             items.append(NewsItem(item_id, text, label))
     return Dataset(tuple(items), split_name if split_name is not None else path.stem)
 

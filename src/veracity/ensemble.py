@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .baseline import PredictionVector
 from .corpus import Label
 from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
-from .fileio import data_rows, write_tsv
+from .fileio import data_rows, open_lines, write_tsv
 
 # A prediction row is renormalized when its probabilities sum to within
 # this window of 1; anything further off is treated as corrupt input.
@@ -123,33 +123,24 @@ def vote_all(
 
 def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVector]:
     vectors: dict[int, PredictionVector] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        rows = data_rows(handle)
-        try:
-            line_no, header = next(rows)
-        except StopIteration:
-            raise BadRecord("file is empty", source=path.name) from None
+    with open_lines(path) as lines:
+        rows = data_rows(lines)
+        header = next(rows, None)
+        if header is None:
+            raise BadRecord("file is empty")
         if [cell.strip().lower() for cell in header] != ["id", "p_real", "p_fake"]:
-            raise BadRecord(
-                f"expected header id/p_real/p_fake, found {header!r}",
-                source=path.name,
-                line_no=line_no,
-            )
-        for line_no, row in rows:
+            raise BadRecord(f"expected header id/p_real/p_fake, found {header!r}")
+        for row in rows:
             if len(row) != 3:
-                raise BadRecord(
-                    f"expected 3 columns, found {len(row)}", source=path.name, line_no=line_no
-                )
+                raise BadRecord(f"expected 3 columns, found {len(row)}")
             try:
                 item_id = int(row[0])
                 p_real = float(row[1])
                 p_fake = float(row[2])
             except ValueError:
-                raise BadRecord(
-                    f"unparseable row {row!r}", source=path.name, line_no=line_no
-                ) from None
+                raise BadRecord(f"unparseable row {row!r}") from None
             if item_id in vectors:
-                raise DuplicateId(item_id, source=path.name)
+                raise DuplicateId(item_id)
             if p_real < 0.0 or p_fake < 0.0:
                 raise BadProbabilities(item_id, model_name, "negative probability")
             total = p_real + p_fake

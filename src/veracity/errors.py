@@ -18,7 +18,22 @@ class UsageError(PipelineError):
 
 
 class DataError(PipelineError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent input data.
+
+    `source` and `line_no` name the input file and its physical line, once
+    known; fileio.open_lines fills them in for errors raised while it
+    reads a file. The message ends with them.
+    """
+
+    source: str | None = None
+    line_no: int | None = None
+
+    def where(self) -> str:
+        where = f" in {self.source}" if self.source else ""
+        return where + (f" (line {self.line_no})" if self.line_no is not None else "")
+
+    def __str__(self) -> str:
+        return super().__str__() + self.where()
 
 
 class BadRecord(DataError):
@@ -28,28 +43,25 @@ class BadRecord(DataError):
         self.detail = detail
         self.source = source
         self.line_no = line_no
-        where = ""
-        if source is not None:
-            where = f" in {source}"
-        if line_no is not None:
-            where += f" (line {line_no})"
-        super().__init__(f"bad record{where}: {detail}")
+        super().__init__(detail)
+
+    def __str__(self) -> str:
+        return f"bad record{self.where()}: {self.detail}"
 
 
 class DuplicateId(DataError):
     def __init__(self, item_id: int, source: str | None = None):
         self.item_id = item_id
         self.source = source
-        where = f" in {source}" if source else ""
-        super().__init__(f"duplicate item id {item_id}{where}")
+        super().__init__(f"duplicate item id {item_id}")
 
 
 class BadLabel(DataError):
     def __init__(self, value: str, item_id: int | None = None):
         self.value = value
         self.item_id = item_id
-        who = f" (item {item_id})" if item_id is not None else ""
-        super().__init__(f"unknown label {value!r}{who}; expected 'real' or 'fake'")
+        who = f" for item {item_id}" if item_id is not None else ""
+        super().__init__(f"unknown label {value!r}{who}")
 
 
 class EmptyText(DataError):

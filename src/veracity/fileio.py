@@ -1,15 +1,17 @@
 """Small file helpers: atomic writes, the TSV artifact layout, input
-checks and comment-aware line reading."""
+checks, the one way input files are opened, and comment-aware line
+reading."""
 
 from __future__ import annotations
 
 import csv
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UsageError
+from .errors import BadRecord, DataError, UsageError
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -51,24 +53,52 @@ def require_file(path: Path | str | None, what: str) -> Path:
     return path
 
 
-def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (physical line number, line) for lines that are neither blank
-    nor '#' comments; skipped lines still count toward the numbering."""
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield line_no, line
+@contextmanager
+def open_lines(path: Path) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 text file, endings kept (as csv.reader wants
+    them) and a leading byte-order mark dropped.
 
-
-def data_rows(lines: Iterable[str], delimiter: str = "\t") -> Iterator[tuple[int, list[str]]]:
-    """Yield (physical line number, csv row) over the data lines; a row
-    whose quoted field spans lines carries the number of its last line."""
+    A DataError raised in the block that names no file is located at
+    this file and the last line read. Bytes that are not UTF-8, and csv
+    errors such as an oversized field, become such a BadRecord.
+    """
     line_no = 0
 
-    def numbered() -> Iterator[str]:
+    def numbered(handle) -> Iterator[str]:
         nonlocal line_no
-        for line_no, line in data_lines(lines):
+        for line_no, line in enumerate(handle, start=1):
             yield line
 
-    for row in csv.reader(numbered(), delimiter=delimiter):
-        yield line_no, row
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as handle:
+            yield numbered(handle)
+    except UnicodeDecodeError:
+        # text is decoded in chunks, ahead of the lines handed out, so the
+        # first bad byte's line is counted on the raw bytes
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            detail = f"not UTF-8 text ({exc.reason}: byte 0x{data[exc.start]:02x})"
+            line = len((data[: exc.start] + b".").splitlines())
+            raise BadRecord(detail, path.name, line) from None
+        raise
+    except csv.Error as exc:
+        raise BadRecord(str(exc), path.name, line_no) from None
+    except DataError as exc:
+        if exc.source is None:
+            exc.source, exc.line_no = path.name, line_no or None
+        raise
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that are neither blank nor '#' comments."""
+    for line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line
+
+
+def data_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The tab-separated csv rows of the data lines."""
+    return csv.reader(data_lines(lines), delimiter="\t")

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import baseline
 from .attribute_stats import AttributeKind, AttributeStatsTable, build_tables, save_tables
 from .config import RunConfig, config_hash, require_paths
-from .corpus import Dataset, Label, gold_labels_by_id, load_dataset, sniff_has_labels
+from .corpus import Dataset, Label, gold_labels_by_id, load_dataset
 from .ensemble import (
     EnsembleResult,
     PredictionMatrix,
@@ -54,7 +54,7 @@ def _load_train_side(
 ) -> tuple[Dataset, UrlExpansionCache, dict[AttributeKind, AttributeStatsTable]]:
     """The training split, the URL expansion cache and the attribute
     tables built from them."""
-    train = load_dataset(cfg.train_path, has_labels=True, delimiter=cfg.delimiter)
+    train = load_dataset(cfg.train_path, has_labels=True)
     cache = load_cache(cfg.cache_path)
     return train, cache, build_tables(train, cache)
 
@@ -120,8 +120,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     written: list[Path] = []
 
     train, cache, tables = _load_train_side(cfg)
-    test_labeled = sniff_has_labels(cfg.test_path, cfg.delimiter)
-    test = load_dataset(cfg.test_path, test_labeled, delimiter=cfg.delimiter)
+    test = load_dataset(cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
     matrix, matrix_files = build_matrix(cfg, train, test, out_dir, digest)
@@ -141,7 +140,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     written.append(decisions_path)
 
     pre_report = post_report = None
-    if test_labeled:
+    if test.fully_labeled:
         gold_by_id = gold_labels_by_id(test)
         ordered_ids = [result.item_id for result in ensemble_results]
         gold = [gold_by_id[item_id] for item_id in ordered_ids]
@@ -202,9 +201,9 @@ def ablation_contexts(
 
     contexts = []
     for split_name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
-        if not sniff_has_labels(path, cfg.delimiter):
+        split = load_dataset(path)
+        if not split.fully_labeled:
             raise UsageError(f"the {split_name} split must be labeled for an ablation run")
-        split = load_dataset(path, has_labels=True, delimiter=cfg.delimiter)
         if external is not None:
             matrix = external
         else:

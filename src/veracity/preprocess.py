@@ -17,7 +17,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .errors import BadRecord, BadUrl
-from .fileio import atomic_write_text, data_lines
+from .fileio import atomic_write_text, data_lines, open_lines
 
 # URLs are taken by longest match: everything from the scheme up to the
 # next whitespace belongs to the URL, so a mention inside a URL path is
@@ -92,13 +92,11 @@ def load_cache(
         return UrlExpansionCache(miss_policy=miss_policy)
     path = Path(path)
     entries: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, raw in data_lines(handle):
-            parts = raw.rstrip("\n").split("\t")
+    with open_lines(path) as lines:
+        for raw in data_lines(lines):
+            parts = raw.rstrip("\r\n").split("\t")
             if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise BadRecord(
-                    "expected short_url<TAB>expanded_url", source=path.name, line_no=line_no
-                )
+                raise BadRecord("expected short_url<TAB>expanded_url")
             entries[parts[0]] = parts[1]
     return UrlExpansionCache(entries, miss_policy)
 

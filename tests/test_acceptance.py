@@ -28,7 +28,7 @@ from veracity.attribute_stats import (
 from veracity.baseline import PredictionVector, predict_dataset, train
 from veracity.cli import main as cli_main
 from veracity.config import RunConfig
-from veracity.corpus import Label, load_dataset, save_dataset, sniff_has_labels
+from veracity.corpus import Label, load_dataset, save_dataset
 from veracity.ensemble import hard_vote, matrix_from_vectors, soft_vote, vote_all
 from veracity.evaluation import evaluate
 from veracity.heuristic import DecidedBy, HeuristicConfig, decide, decide_batch
@@ -465,8 +465,7 @@ def test_supplied_corpus_statistics():
         real_count = 0
         labeled_count = 0
         for path in data_files:
-            delimiter = "," if path.suffix == ".csv" else "\t"
-            dataset = load_dataset(path, sniff_has_labels(path, delimiter), delimiter)
+            dataset = load_dataset(path)
             item_count += len(dataset)
             if dataset.fully_labeled:
                 labeled_count += len(dataset)

@@ -307,6 +307,51 @@ def test_pipeline_external_predictions_superset_trimmed(tmp_path):
     assert [row.split("\t")[0] for row in ens_rows] == [str(i) for i in range(20, 30)]
 
 
+def test_pipeline_tie_rules_in_ensemble_and_decisions(tmp_path):
+    """ensemble.tsv and decisions.tsv agree on every untied row the
+    ensemble decides. On an exact soft tie each follows its own pinned
+    rule: the soft vote's tie label (real) in ensemble.tsv, the
+    heuristic fallback's strict p_real > p_fake (so fake) in
+    decisions.tsv."""
+    train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    write_dataset_tsv(train_path, TINY_ROWS)
+    write_dataset_tsv(test_path, [
+        (10, "@icmr repeats the update", "real"),
+        (11, "calm text", "real"),
+        (12, "more calm text", "fake"),
+        (13, "https://thespoof.com/q again", "fake"),
+        (14, "still calm", "fake"),
+    ])
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    # dyadic probabilities, so item 12's means are exactly 0.5 and 0.5
+    _write_prediction_file(a, [(10, 0.25, 0.75), (11, 0.75, 0.25), (12, 0.25, 0.75),
+                               (13, 0.75, 0.25), (14, 0.125, 0.875)])
+    _write_prediction_file(b, [(10, 0.5, 0.5), (11, 0.5, 0.5), (12, 0.75, 0.25),
+                               (13, 0.5, 0.5), (14, 0.5, 0.5)])
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(
+        f"[data]\ntrain = {train_path}\ntest = {test_path}\n"
+        f"[predictions]\nfiles = {a}, {b}\n[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+
+    def rows(name):
+        lines = (tmp_path / "out" / name).read_text(encoding="utf-8").splitlines()[2:]
+        return {int(line.split("\t")[0]): line.split("\t") for line in lines}
+
+    ensemble, decisions = rows("ensemble.tsv"), rows("decisions.tsv")
+    assert ensemble.keys() == decisions.keys() == {10, 11, 12, 13, 14}
+    tied = {i for i, row in ensemble.items() if float(row[1]) == float(row[2])}
+    assert tied == {12}
+    by_ensemble = {i for i, row in decisions.items() if row[2] == "ensemble"}
+    assert by_ensemble == {10, 11, 12, 14}  # @icmr (2 real, 1 fake) sits below 0.88
+    for item_id in by_ensemble - tied:
+        assert decisions[item_id][1] == ensemble[item_id][3]
+    assert ensemble[12][3] == "real"
+    assert decisions[12][1:3] == ["fake", "ensemble"]
+
+
 def test_pipeline_id_mismatch_exit_2(tmp_path, capsys):
     corpus = make_corpus(10, seed=1)
     train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
@@ -413,7 +458,6 @@ def test_config_round_trip(tmp_path):
         validation_path=Path("data/val.tsv"),
         test_path=Path("data/test.tsv"),
         cache_path=Path("data/cache.tsv"),
-        data_format="csv",
         prediction_paths=(Path("p/a.tsv"), Path("p/b.tsv")),
         prediction_names=("a", "b"),
         alpha=0.5,

@@ -93,7 +93,7 @@ def test_negative_or_non_integer_id_rejected(tmp_path):
 def test_csv_variant(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text('id,tweet,label\n1,"hello, there",real\n', encoding="utf-8")
-    dataset = load_dataset(path, has_labels=True, delimiter=",")
+    dataset = load_dataset(path, has_labels=True)
     assert dataset.items[0].text == "hello, there"
 
 

@@ -1,0 +1,33 @@
+"""The README's CLI examples parse: a flag removed from the program cannot
+stay in the docs."""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from veracity.cli import build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _cli_examples() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```\n(.*?)^```", text, re.M | re.S)
+    assert block, "README has no code block under '## CLI'"
+    joined = block.group(1).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in joined.splitlines()]
+    return [argv for argv in commands if argv]
+
+
+EXAMPLES = _cli_examples()
+
+
+@pytest.mark.parametrize("example", EXAMPLES, ids=[" ".join(argv[:2]) for argv in EXAMPLES])
+def test_readme_cli_example_parses(example):
+    program, *argv = example
+    assert program == "veracity"
+    build_parser().parse_args(argv)
