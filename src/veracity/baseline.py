@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Dataset, Label, LABELS
-from .errors import BadRecord, DegenerateTraining
-from .fileio import atomic_write_text, write_tsv
+from .errors import BadRecord, DataError, DegenerateTraining
+from .fileio import atomic_write_text, open_lines, write_tsv
 from .preprocess import CleanPolicy, clean_text
 
 _TOKEN_RE = re.compile(r"\w+")
@@ -60,8 +60,8 @@ class BowModel:
         total_docs = sum(self.class_doc_counts.values())
         if total_docs == 0 or any(self.class_doc_counts.get(c, 0) == 0 for c in LABELS):
             raise DegenerateTraining("both classes must be present in the training data")
-        if self.smoothing_alpha <= 0:
-            raise ValueError("smoothing_alpha must be positive")
+        if not 0 < self.smoothing_alpha < math.inf:
+            raise ValueError("smoothing_alpha must be finite and positive")
         self.vocabulary = frozenset(
             token for c in LABELS for token in self.token_counts.get(c, {})
         )
@@ -159,30 +159,36 @@ def save_model(model: BowModel, path: Path | str, config_hash: str | None = None
     atomic_write_text(Path(path), json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
+def _count(value) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"negative count {value!r}")
+    return count
+
+
 def load_model(path: Path | str) -> BowModel:
+    """Read a model written by save_model; anything else is a BadRecord
+    naming the file."""
     path = Path(path)
+    with open_lines(path) as lines:
+        text = "".join(lines)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-        policy = CleanPolicy(**document["clean_policy"])
-        class_doc_counts = {
-            Label.parse(name): int(count)
-            for name, count in document["class_doc_counts"].items()
-        }
-        token_counts = {
-            Label.parse(name): {t: int(n) for t, n in counts.items()}
-            for name, counts in document["token_counts"].items()
-        }
-        alpha = float(document["smoothing_alpha"])
-        model_name = str(document["model_name"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        document = json.loads(text)
+        return BowModel(
+            class_doc_counts={
+                Label.parse(name): _count(count)
+                for name, count in document["class_doc_counts"].items()
+            },
+            token_counts={
+                Label.parse(name): {t: _count(n) for t, n in counts.items()}
+                for name, counts in document["token_counts"].items()
+            },
+            smoothing_alpha=float(document["smoothing_alpha"]),
+            clean_policy=CleanPolicy(**document["clean_policy"]),
+            model_name=str(document["model_name"]),
+        )
+    except (ArithmeticError, AttributeError, DataError, KeyError, TypeError, ValueError) as exc:
         raise BadRecord(f"not a saved model: {exc}", source=path.name) from None
-    return BowModel(
-        class_doc_counts=class_doc_counts,
-        token_counts=token_counts,
-        smoothing_alpha=alpha,
-        clean_policy=policy,
-        model_name=model_name,
-    )
 
 
 def write_predictions(

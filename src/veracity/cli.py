@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import RunConfig, load_config, override_heuristic, parse_priority
+from .config import RunConfig, load_config, override, parse_alpha, parse_priority
 from .corpus import CorpusSummary, Label, class_fractions, gold_labels_by_id, load_dataset
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -45,7 +45,7 @@ def _args_digest(*parts: object) -> str:
 
 
 def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> HeuristicConfig:
-    return override_heuristic(
+    return override(
         base or HeuristicConfig(),
         threshold=args.threshold,
         priority=None if args.priority is None else parse_priority(args.priority, "--priority"),
@@ -296,7 +296,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-baseline", help="train the built-in bag-of-words classifier")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True, help="model JSON output path")
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing strength")
+    p.add_argument(
+        "--alpha", type=lambda value: parse_alpha(value, "--alpha"), default=1.0,
+        help="additive smoothing strength",
+    )
     p.add_argument("--name", default=baseline.DEFAULT_MODEL_NAME)
     p.set_defaults(func=cmd_train_baseline)
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
+import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from .attribute_stats import AttributeKind
@@ -21,24 +23,7 @@ from .fileio import atomic_write_text, open_lines, require_file
 from .heuristic import HeuristicConfig
 from .preprocess import CleanPolicy
 
-_KNOWN_KEYS: dict[str, tuple[str, ...]] = {
-    "data": ("train", "validation", "test", "cache"),
-    "predictions": ("files", "names"),
-    "baseline": ("alpha",),
-    "clean": ("remove_urls", "remove_mentions", "remove_emoji", "remove_hashmark_only"),
-    "ensemble": ("scheme",),
-    "heuristic": ("threshold", "priority", "use_threshold"),
-    "output": ("dir",),
-}
-
-_BOOL_STRINGS = {
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "1": True,
-    "0": False,
-}
+_BOOL_STRINGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _parse_bool(value: str, where: str) -> bool:
@@ -48,24 +33,94 @@ def _parse_bool(value: str, where: str) -> bool:
         raise UsageError(f"{where}: expected a boolean, got {value!r}") from None
 
 
+def _parse_number(value: str, where: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise UsageError(f"{where}: expected a number, got {value!r}") from None
+
+
+def parse_alpha(value: str, where: str) -> float:
+    """A smoothing strength: a finite, positive number."""
+    alpha = _parse_number(value, where)
+    if not 0 < alpha < math.inf:
+        raise UsageError(f"{where} must be {'finite' if alpha > 0 else 'positive'}")
+    return alpha
+
+
 def parse_priority(value: str, where: str) -> tuple[AttributeKind, ...]:
     """An attribute priority order such as "username, domain"; names are
-    comma-separated and case-insensitive. where names the setting in
-    the error message."""
+    comma-separated and case-insensitive, and at least one is given.
+    where names the setting in the error message."""
     names = [part.strip().lower() for part in value.split(",") if part.strip()]
     try:
-        return tuple(AttributeKind(name) for name in names)
+        if names:
+            return tuple(AttributeKind(name) for name in names)
     except ValueError:
-        raise UsageError(f"{where}: expected names from username/domain, got {value!r}") from None
+        pass
+    raise UsageError(f"{where}: expected names from username/domain, got {value!r}")
 
 
-def override_heuristic(base: HeuristicConfig, **changes) -> HeuristicConfig:
-    """base with every change that is not None applied; an invalid
-    result is a UsageError."""
+def _parse_scheme(value: str, where: str) -> VotingScheme:
+    try:
+        return VotingScheme(value.strip().lower())
+    except ValueError:
+        raise UsageError(f"{where} must be soft or hard, got {value!r}") from None
+
+
+def _list_of(kind):
+    """A parser of comma-separated values; blank parts are dropped."""
+    return lambda value, where: tuple(kind(part.strip()) for part in value.split(",") if part.strip())
+
+
+def _unless_blank(parse):
+    """parse, with a blank value keeping the default."""
+    return lambda value, where: parse(value, where) if value.strip() else None
+
+
+_path = _unless_blank(lambda value, where: Path(value.strip()))
+
+# One row per config key, in file order: (section, key, RunConfig field,
+# parser). A parser gets the raw value and "section.key" for its error
+# message, and returns the value, or None to keep the default.
+_KEYS = (
+    ("data", "train", "train_path", _path),
+    ("data", "validation", "validation_path", _path),
+    ("data", "test", "test_path", _path),
+    ("data", "cache", "cache_path", _path),
+    ("predictions", "files", "prediction_paths", _list_of(Path)),
+    ("predictions", "names", "prediction_names", _list_of(str)),
+    ("baseline", "alpha", "alpha", _unless_blank(parse_alpha)),
+    ("clean", "remove_urls", "clean_policy.remove_urls", _parse_bool),
+    ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),
+    ("clean", "remove_emoji", "clean_policy.remove_emoji", _parse_bool),
+    ("clean", "remove_hashmark_only", "clean_policy.remove_hashmark_only", _parse_bool),
+    ("ensemble", "scheme", "scheme", _unless_blank(_parse_scheme)),
+    ("heuristic", "threshold", "heuristic.threshold", _unless_blank(_parse_number)),
+    ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
+    ("heuristic", "use_threshold", "heuristic.use_threshold", _parse_bool),
+    ("output", "dir", "output_dir", _path),
+)
+
+
+def override(base, **changes):
+    """base, a settings dataclass such as HeuristicConfig, with every
+    change that is not None applied; an invalid result is a UsageError."""
     try:
         return replace(base, **{key: value for key, value in changes.items() if value is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _text(value) -> str:
+    """A setting as the config file spells it."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_text, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return "" if value is None else str(value)
 
 
 @dataclass
@@ -84,36 +139,18 @@ class RunConfig:
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")
 
+    def __post_init__(self) -> None:
+        if self.prediction_names and len(self.prediction_names) != len(self.prediction_paths):
+            files, names = len(self.prediction_paths), len(self.prediction_names)
+            raise UsageError(f"{files} prediction files but {names} names")
+
     def to_text(self) -> str:
         """Canonical serialization; the basis of the config hash."""
-        def path_str(p: Path | None) -> str:
-            return str(p) if p is not None else ""
-
-        buffer = io.StringIO()
-        buffer.write("[data]\n")
-        buffer.write(f"train = {path_str(self.train_path)}\n")
-        buffer.write(f"validation = {path_str(self.validation_path)}\n")
-        buffer.write(f"test = {path_str(self.test_path)}\n")
-        buffer.write(f"cache = {path_str(self.cache_path)}\n\n")
-        buffer.write("[predictions]\n")
-        buffer.write(f"files = {', '.join(str(p) for p in self.prediction_paths)}\n")
-        buffer.write(f"names = {', '.join(self.prediction_names)}\n\n")
-        buffer.write("[baseline]\n")
-        buffer.write(f"alpha = {self.alpha!r}\n\n")
-        buffer.write("[clean]\n")
-        for key, value in self.clean_policy.as_dict().items():
-            buffer.write(f"{key} = {'true' if value else 'false'}\n")
-        buffer.write("\n[ensemble]\n")
-        buffer.write(f"scheme = {self.scheme.value}\n\n")
-        buffer.write("[heuristic]\n")
-        buffer.write(f"threshold = {self.heuristic.threshold!r}\n")
-        buffer.write(
-            f"priority = {', '.join(kind.value for kind in self.heuristic.priority)}\n"
-        )
-        buffer.write(f"use_threshold = {'true' if self.heuristic.use_threshold else 'false'}\n\n")
-        buffer.write("[output]\n")
-        buffer.write(f"dir = {self.output_dir}\n")
-        return buffer.getvalue()
+        sections: dict[str, str] = {}
+        for section, key, name, _ in _KEYS:
+            line = f"{key} = {_text(attrgetter(name)(self))}\n"
+            sections[section] = sections.get(section, f"[{section}]\n") + line
+        return "\n".join(sections.values())
 
     def save(self, path: Path | str) -> None:
         atomic_write_text(Path(path), self.to_text())
@@ -123,11 +160,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(cfg.to_text().encode("utf-8")).hexdigest()[:16]
 
 
-def _optional_path(value: str) -> Path | None:
-    value = value.strip()
-    return Path(value) if value else None
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -135,93 +167,25 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config {source}: {exc}") from None
 
+    known = {(section, key) for section, key, _, _ in _KEYS}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in {known_section for known_section, _ in known}:
             raise UsageError(f"unknown config section [{section}] in {source}")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if (section, key) not in known:
                 raise UsageError(f"unknown config key {key!r} in [{section}] of {source}")
 
-    cfg = RunConfig()
-
-    def get(section: str, key: str) -> str | None:
+    groups: dict[str, dict] = {}  # "" for RunConfig's own fields, else a nested object's
+    for section, key, name, parse in _KEYS:
         if parser.has_option(section, key):
-            return parser.get(section, key)
-        return None
-
-    value = get("data", "train")
-    if value is not None:
-        cfg.train_path = _optional_path(value)
-    value = get("data", "validation")
-    if value is not None:
-        cfg.validation_path = _optional_path(value)
-    value = get("data", "test")
-    if value is not None:
-        cfg.test_path = _optional_path(value)
-    value = get("data", "cache")
-    if value is not None:
-        cfg.cache_path = _optional_path(value)
-    value = get("predictions", "files")
-    if value is not None:
-        cfg.prediction_paths = tuple(
-            Path(part.strip()) for part in value.split(",") if part.strip()
-        )
-    value = get("predictions", "names")
-    if value is not None:
-        cfg.prediction_names = tuple(
-            part.strip() for part in value.split(",") if part.strip()
-        )
-    value = get("baseline", "alpha")
-    if value is not None and value.strip():
-        try:
-            cfg.alpha = float(value)
-        except ValueError:
-            raise UsageError(f"baseline.alpha: expected a number, got {value!r}") from None
-        if cfg.alpha <= 0:
-            raise UsageError("baseline.alpha must be positive")
-
-    policy_kwargs = {}
-    for key in _KNOWN_KEYS["clean"]:
-        value = get("clean", key)
-        if value is not None:
-            policy_kwargs[key] = _parse_bool(value, f"clean.{key}")
-    if policy_kwargs:
-        cfg.clean_policy = CleanPolicy(**{**cfg.clean_policy.as_dict(), **policy_kwargs})
-
-    value = get("ensemble", "scheme")
-    if value is not None and value.strip():
-        try:
-            cfg.scheme = VotingScheme(value.strip().lower())
-        except ValueError:
-            raise UsageError(f"ensemble.scheme must be soft or hard, got {value!r}") from None
-
-    threshold = priority = use_threshold = None
-    value = get("heuristic", "threshold")
-    if value is not None and value.strip():
-        try:
-            threshold = float(value)
-        except ValueError:
-            raise UsageError(f"heuristic.threshold: expected a number, got {value!r}") from None
-    value = get("heuristic", "priority")
-    if value is not None and value.strip():
-        priority = parse_priority(value, "heuristic.priority")
-    value = get("heuristic", "use_threshold")
-    if value is not None:
-        use_threshold = _parse_bool(value, "heuristic.use_threshold")
-    cfg.heuristic = override_heuristic(
-        cfg.heuristic, threshold=threshold, priority=priority, use_threshold=use_threshold
-    )
-
-    value = get("output", "dir")
-    if value is not None and value.strip():
-        cfg.output_dir = Path(value.strip())
-
-    if cfg.prediction_names and len(cfg.prediction_names) != len(cfg.prediction_paths):
-        raise UsageError(
-            f"{len(cfg.prediction_paths)} prediction files but"
-            f" {len(cfg.prediction_names)} names"
-        )
-    return cfg
+            value = parse(parser.get(section, key), f"{section}.{key}")
+            if value is not None:
+                group, _, attr = name.rpartition(".")
+                groups.setdefault(group, {})[attr] = value
+    settings = groups.pop("", {})
+    for group, changes in groups.items():
+        settings[group] = override(getattr(RunConfig(), group), **changes)
+    return RunConfig(**settings)
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -233,15 +197,10 @@ def load_config(path: Path | str) -> RunConfig:
 
 def require_paths(cfg: RunConfig, *fields_needed: str) -> None:
     """Check that the named path fields are set and exist on disk."""
-    labels = {
-        "train": cfg.train_path,
-        "validation": cfg.validation_path,
-        "test": cfg.test_path,
-    }
     for name in fields_needed:
-        if labels[name] is None:
+        if getattr(cfg, f"{name}_path") is None:
             raise UsageError(f"config is missing the {name} data path")
-        require_file(labels[name], name)
+        require_file(getattr(cfg, f"{name}_path"), name)
     for pred in cfg.prediction_paths:
         require_file(pred, "prediction")
     if cfg.cache_path is not None:

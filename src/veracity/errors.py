@@ -117,4 +117,7 @@ class LengthMismatch(DataError):
     def __init__(self, n_gold: int, n_pred: int):
         self.n_gold = n_gold
         self.n_pred = n_pred
-        super().__init__(f"gold has {n_gold} labels but predictions have {n_pred}")
+        super().__init__(
+            f"gold has {n_gold} labels but predictions have {n_pred}"
+            if n_gold or n_pred else "no items to score"
+        )

@@ -510,3 +510,33 @@ def test_expand_urls_with_injected_resolver(tmp_path, monkeypatch, capsys):
 
 def test_expand_urls_requires_input(tmp_path):
     assert main(["expand-urls", "--out", str(tmp_path / "c.tsv")]) == 1
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_alpha_must_be_finite_and_positive(tiny_train, tmp_path, capsys, given_by, alpha):
+    if given_by == "flag":
+        argv = ["train-baseline", "--train", str(tiny_train), "--out", str(tmp_path / "m.json"),
+                "--alpha", alpha]
+    else:
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(
+            f"[data]\ntrain = {tiny_train}\ntest = {tiny_train}\n[baseline]\nalpha = {alpha}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        argv = ["pipeline", "--config", str(config_path)]
+    assert main(argv) == 1
+    assert "alpha must be" in capsys.readouterr().err
+
+
+def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    write_dataset_tsv(empty, [])
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(
+        f"[data]\ntrain = {tiny_train}\ntest = {empty}\n[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "--config", str(config_path)]) == 2
+    assert "no items to score" in capsys.readouterr().err

@@ -3,6 +3,7 @@ with an error that names the file and the line, never in exit 3."""
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -35,6 +36,8 @@ def inputs(tmp_path):
         encoding="utf-8",
     )
     assert main(["stats", "--train", str(tmp_path / "train.tsv"), "--out-dir", str(tmp_path)]) == 0
+    assert main(["train-baseline", "--train", str(tmp_path / "train.tsv"),
+                 "--out", str(tmp_path / "model.json")]) == 0
     _write_predictions(tmp_path / "m.tsv", [(1, 0.6, 0.4), (2, 0.3, 0.7), (3, 0.8, 0.2)])
     (tmp_path / "pred.tsv").write_text("id\tlabel\n1\treal\n2\tfake\n3\treal\n", encoding="utf-8")
     (tmp_path / "run.ini").write_text(
@@ -60,6 +63,8 @@ def _argv(name: str, d: Path) -> list[str]:
                   "--out-dir", str(d / "o")],
         "config": ["pipeline", "--config", str(d / "run.ini")],
         "evaluate --pred": ["evaluate", "--gold", str(d / "train.tsv"), "--pred", str(d / "pred.tsv")],
+        "model": ["predict", "--model", str(d / "model.json"), "--data", str(d / "train.tsv"),
+                  "--out", str(d / "p.tsv")],
     }[name]
 
 
@@ -70,6 +75,7 @@ READERS = {
     "cache": "cache.tsv",
     "config": "run.ini",
     "evaluate --pred": "pred.tsv",
+    "model": "model.json",
 }
 
 
@@ -110,6 +116,26 @@ def test_oversized_field_names_file_and_line(inputs, capsys, command):
     err = capsys.readouterr().err
     assert "in big.tsv (line 4)" in err
     assert "field larger than field limit" in err
+
+
+BAD_MODELS = {
+    "alpha 0": lambda model: model.update(smoothing_alpha=0),
+    "alpha NaN": lambda model: model.update(smoothing_alpha=float("nan")),
+    "alpha Infinity": lambda model: model.update(smoothing_alpha=float("inf")),
+    "negative token count": lambda model: model["token_counts"]["real"].update(icmr=-1),
+    "negative document count": lambda model: model["class_doc_counts"].update(real=-1),
+    "token counts a list": lambda model: model.update(token_counts=[]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_bad_model_values_name_the_file(inputs, capsys, case):
+    path = inputs / "model.json"
+    model = json.loads(path.read_text(encoding="utf-8"))
+    BAD_MODELS[case](model)
+    path.write_text(json.dumps(model), encoding="utf-8")
+    assert main(_argv("model", inputs)) == 2
+    assert "bad record in model.json: not a saved model" in capsys.readouterr().err
 
 
 LOCATED = {

@@ -1,5 +1,5 @@
-"""The README's CLI examples parse: a flag removed from the program cannot
-stay in the docs."""
+"""The README's CLI and config examples parse as they read: a flag removed
+from the program cannot stay in the docs."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from veracity.cli import build_parser
+from veracity.config import parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +32,11 @@ def test_readme_cli_example_parses(example):
     program, *argv = example
     assert program == "veracity"
     build_parser().parse_args(argv)
+
+
+def test_readme_config_example_parses():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^```ini\n(.*?)^```", text, re.M | re.S)
+    assert block, "README has no ini code block"
+    cfg = parse_config_text(block.group(1), source="README.md")
+    assert cfg.prediction_paths == (Path("preds/a.tsv"), Path("preds/b.tsv"))
