@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import RunConfig, load_config, override, parse_alpha, parse_priority
+from .config import RunConfig, load_config, override, parse_alpha, parse_names, parse_priority
 from .corpus import CorpusSummary, Label, class_fractions, gold_labels_by_id, load_dataset
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -122,8 +122,7 @@ def cmd_predict(args) -> int:
 def cmd_ensemble(args) -> int:
     for pred in args.predictions:
         require_file(pred, "prediction")
-    names = [part.strip() for part in args.names.split(",")] if args.names else None
-    matrix = load_predictions(args.predictions, names)
+    matrix = load_predictions(args.predictions, parse_names(args.names or "", "--names") or None)
     results = vote_all(matrix, VotingScheme(args.scheme))
     digest = _args_digest("ensemble", args.scheme, *(Path(p).name for p in args.predictions))
     write_ensemble_tsv(results, args.out, header_comment=f"config: {digest}")

@@ -73,6 +73,10 @@ def _list_of(kind):
     return lambda value, where: tuple(kind(part.strip()) for part in value.split(",") if part.strip())
 
 
+#: Model names, as [predictions] names and --names spell them.
+parse_names = _list_of(str)
+
+
 def _unless_blank(parse):
     """parse, with a blank value keeping the default."""
     return lambda value, where: parse(value, where) if value.strip() else None
@@ -89,7 +93,7 @@ _KEYS = (
     ("data", "test", "test_path", _path),
     ("data", "cache", "cache_path", _path),
     ("predictions", "files", "prediction_paths", _list_of(Path)),
-    ("predictions", "names", "prediction_names", _list_of(str)),
+    ("predictions", "names", "prediction_names", parse_names),
     ("baseline", "alpha", "alpha", _unless_blank(parse_alpha)),
     ("clean", "remove_urls", "clean_policy.remove_urls", _parse_bool),
     ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),

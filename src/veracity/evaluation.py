@@ -6,17 +6,25 @@ scheme makes accuracy equal weighted recall by construction, which is
 why near-balanced binary result tables often show all four headline
 numbers agreeing to several decimals. Macro averaging is available
 behind a flag.
+
+Threshold tuning and the ablation grid do not re-decide items per
+threshold: each item's label is a step function of the threshold, so
+one sweep over a split gives the confusion matrix at every threshold
+of a grid, exactly, and each is scored by the arithmetic evaluate()
+uses.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .corpus import Label, LABELS
 from .errors import LengthMismatch
-from .heuristic import DecisionInput, HeuristicConfig, decide_inputs
+from .heuristic import DecisionInput, HeuristicConfig, reachable_rules
 
 #: Default threshold sweep for tuning on validation data.
 DEFAULT_THRESHOLD_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -81,8 +89,13 @@ def evaluate(
         raise LengthMismatch(len(gold), len(pred))
     if average not in ("weighted", "macro"):
         raise ValueError(f"unknown averaging scheme {average!r}")
-    confusion = confusion_matrix(gold, pred)
-    n = len(gold)
+    return _report_from_confusion(confusion_matrix(gold, pred), average)
+
+
+def _report_from_confusion(
+    confusion: tuple[tuple[int, int], tuple[int, int]], average: str = "weighted"
+) -> EvalReport:
+    n = sum(confusion[0]) + sum(confusion[1])
     accuracy = (confusion[0][0] + confusion[1][1]) / n
 
     per_class: dict[Label, tuple[float, float, float, int]] = {}
@@ -103,6 +116,44 @@ def evaluate(
     recall = sum(per_class[label][1] * weights[label] for label in LABELS)
     f1 = sum(per_class[label][2] * weights[label] for label in LABELS)
     return EvalReport(accuracy, precision, recall, f1, confusion, n)
+
+
+def _sweep(
+    inputs: Sequence[DecisionInput],
+    gold: Sequence[Label],
+    cfgs: Sequence[HeuristicConfig],
+) -> list[EvalReport]:
+    """evaluate(gold, decide_inputs(inputs, cfg) labels) for each cfg, from
+    one pass over the inputs. The cfgs share a priority order.
+
+    Each rule from reachable_rules decides the thresholds t with
+    w_before <= t < w, w_before being the previous rule's w, so each
+    item adds one to its gold x predicted cell over a run of the sorted
+    thresholds; a difference array per cell and prefix sums count them.
+    """
+    if len(gold) != len(inputs) or len(gold) == 0:
+        raise LengthMismatch(len(gold), len(inputs))
+    priority = cfgs[0].priority
+    points = sorted({cfg.cutoff for cfg in cfgs})
+    diffs = [[0] * (len(points) + 1) for _ in range(4)]  # gold x predicted, real first
+    for entry, label in zip(inputs, gold):
+        row = 2 if label is Label.FAKE else 0
+        start = 0
+        for w, predicted, _ in reachable_rules(
+            entry.ensemble, entry.username_vec, entry.domain_vec, priority
+        ):
+            end = bisect_left(points, w)
+            if start < end:
+                diff = diffs[row + (predicted is Label.FAKE)]
+                diff[start] += 1
+                diff[end] -= 1
+            start = end
+    counts = [accumulate(diff) for diff in diffs]
+    reports = {
+        point: _report_from_confusion(((rr, rf), (fr, ff)))
+        for point, rr, rf, fr, ff in zip(points, *counts)
+    }
+    return [reports[cfg.cutoff] for cfg in cfgs]
 
 
 def _score(report: EvalReport, objective: str) -> float:
@@ -130,20 +181,8 @@ def tune_threshold(
         raise ValueError("threshold grid must be non-empty")
     if cfg is None:
         cfg = HeuristicConfig()
-    best_threshold: float | None = None
-    best_score = float("-inf")
-    for threshold in grid:
-        decisions = decide_inputs(inputs, cfg.with_threshold(threshold))
-        score = _score(evaluate(gold, [d.label for d in decisions]), objective)
-        if (
-            best_threshold is None
-            or score > best_score
-            or (score == best_score and threshold > best_threshold)
-        ):
-            best_threshold = threshold
-            best_score = score
-    assert best_threshold is not None
-    return best_threshold
+    reports = _sweep(inputs, gold, [cfg.with_threshold(threshold) for threshold in grid])
+    return max(zip((_score(report, objective) for report in reports), grid))[1]
 
 
 @dataclass(frozen=True)
@@ -191,26 +230,19 @@ def run_ablation(
     rows: list[AblationRow] = []
     for ordering in orderings:
         priority = tuple(ordering)
-        cells: dict[tuple[bool, str], float] = {}
-        for use_threshold in (True, False):
-            cfg = HeuristicConfig(
-                threshold=threshold, priority=priority, use_threshold=use_threshold
-            )
-            for split, inputs, gold in (
-                ("val", val_inputs, val_gold),
-                ("test", test_inputs, test_gold),
-            ):
-                decisions = decide_inputs(inputs, cfg)
-                cells[(use_threshold, split)] = evaluate(
-                    gold, [d.label for d in decisions]
-                ).f1
+        cfgs = [
+            HeuristicConfig(threshold=threshold, priority=priority, use_threshold=use_threshold)
+            for use_threshold in (True, False)
+        ]
+        val = _sweep(val_inputs, val_gold, cfgs)
+        test = _sweep(test_inputs, test_gold, cfgs)
         rows.append(
             AblationRow(
                 priority_description=describe_priority(priority),
-                with_threshold_val_f1=cells[(True, "val")],
-                with_threshold_test_f1=cells[(True, "test")],
-                without_threshold_val_f1=cells[(False, "val")],
-                without_threshold_test_f1=cells[(False, "test")],
+                with_threshold_val_f1=val[0].f1,
+                with_threshold_test_f1=test[0].f1,
+                without_threshold_val_f1=val[1].f1,
+                without_threshold_test_f1=test[1].f1,
             )
         )
     return rows

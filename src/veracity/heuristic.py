@@ -13,10 +13,11 @@ never decides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .attribute_stats import AttributeKind, AttributeStatsTable, AttrProbVector, tweet_attr_vector
 from .corpus import Dataset, Label
@@ -33,12 +34,6 @@ class DecidedBy(Enum):
     USERNAME_RULE = "username_rule"
     DOMAIN_RULE = "domain_rule"
     ENSEMBLE = "ensemble"
-
-
-_RULE_FOR_KIND = {
-    AttributeKind.USERNAME: DecidedBy.USERNAME_RULE,
-    AttributeKind.DOMAIN: DecidedBy.DOMAIN_RULE,
-}
 
 
 @dataclass(frozen=True)
@@ -63,6 +58,13 @@ class HeuristicConfig:
     def with_threshold(self, threshold: float) -> "HeuristicConfig":
         return replace(self, threshold=threshold)
 
+    @property
+    def cutoff(self) -> float:
+        """The threshold the rules compare against. Without the threshold
+        conjunct only the majority comparison is left; a 0.0 threshold is
+        the same rule, since p_win > p_lose >= 0 implies p_win > 0."""
+        return self.threshold if self.use_threshold else 0.0
+
 
 @dataclass(frozen=True)
 class HeuristicDecision:
@@ -74,6 +76,43 @@ class HeuristicDecision:
     username_vec: AttrProbVector
     domain_vec: AttrProbVector
     ensemble_p_real: float
+
+
+def reachable_rules(
+    ens: EnsembleResult,
+    username_vec: AttrProbVector,
+    domain_vec: AttrProbVector,
+    priority: Sequence[AttributeKind],
+) -> Iterator[tuple[float, Label, DecidedBy]]:
+    """The rules that can decide the item, in priority order, as
+    (w, label, decided_by). A rule decides at threshold t when w > t and
+    no earlier rule does.
+
+    An attribute rule's w is its vector's winning probability; absent and
+    exactly tied vectors never decide, and a rule whose w does not beat
+    every earlier rule's is shadowed at every threshold, so neither is
+    yielded. The ensemble comes last with w = inf: it decides every
+    threshold the rules leave, real when its mean real probability is
+    strictly higher, fake otherwise.
+    """
+    best = -math.inf
+    for kind in priority:
+        if kind is AttributeKind.USERNAME:
+            vector, decided_by = username_vec, DecidedBy.USERNAME_RULE
+        else:
+            vector, decided_by = domain_vec, DecidedBy.DOMAIN_RULE
+        if not vector.present:
+            continue
+        if vector.p_real > vector.p_fake:
+            w, label = vector.p_real, Label.REAL
+        elif vector.p_fake > vector.p_real:
+            w, label = vector.p_fake, Label.FAKE
+        else:
+            continue
+        if w > best:
+            best = w
+            yield w, label, decided_by
+    yield math.inf, Label.REAL if ens.p_real > ens.p_fake else Label.FAKE, DecidedBy.ENSEMBLE
 
 
 def decide(
@@ -91,27 +130,10 @@ def decide(
     """
     if cfg is None:
         cfg = HeuristicConfig()
-    vectors = {
-        AttributeKind.USERNAME: username_vec,
-        AttributeKind.DOMAIN: domain_vec,
-    }
-    # Without the threshold conjunct only the majority comparison is left;
-    # a 0.0 threshold is the same rule, since p_win > p_lose >= 0 implies
-    # p_win > 0.
-    threshold = cfg.threshold if cfg.use_threshold else 0.0
-    for kind in cfg.priority:
-        vector = vectors[kind]
-        if not vector.present:
-            continue
-        if vector.p_real > vector.p_fake and vector.p_real > threshold:
-            label, decided_by = Label.REAL, _RULE_FOR_KIND[kind]
+    cutoff = cfg.cutoff
+    for w, label, decided_by in reachable_rules(ens, username_vec, domain_vec, cfg.priority):
+        if w > cutoff:  # the ensemble's w = inf always is
             break
-        if vector.p_fake > vector.p_real and vector.p_fake > threshold:
-            label, decided_by = Label.FAKE, _RULE_FOR_KIND[kind]
-            break
-    else:
-        label = Label.REAL if ens.p_real > ens.p_fake else Label.FAKE
-        decided_by = DecidedBy.ENSEMBLE
     return HeuristicDecision(ens.item_id, label, decided_by, username_vec, domain_vec, ens.p_real)
 
 

@@ -121,6 +121,19 @@ def test_ensemble_command_id_mismatch_exit_2(tmp_path, capsys):
     assert "a.tsv" in err and "b.tsv" in err
 
 
+@pytest.mark.parametrize("names", ["a,", ",a", " a , , "])
+def test_ensemble_names_drop_blank_parts(tmp_path, capsys, names):
+    """--names reads like [predictions] names: blank parts name no model."""
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    _write_prediction_file(a, [(1, 0.6, 0.4)])
+    _write_prediction_file(b, [(1, 0.9, 0.1)])
+    argv = ["ensemble", "--predictions", str(a), str(b), "--out", str(tmp_path / "o.tsv")]
+    assert main(argv + ["--names", names]) == 1
+    assert "usage error: 2 prediction files but 1 model names" in capsys.readouterr().err
+    with pytest.raises(UsageError, match="2 prediction files but 1 names"):
+        parse_config_text(f"[predictions]\nfiles = {a}, {b}\nnames = {names}\n")
+
+
 def test_postprocess_command(tiny_train, tmp_path):
     stats_dir = tmp_path / "stats"
     main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veracity.attribute_stats import AttrProbVector
 from veracity.corpus import Label
@@ -19,7 +19,7 @@ from veracity.evaluation import (
     run_ablation,
     tune_threshold,
 )
-from veracity.heuristic import DecisionInput
+from veracity.heuristic import DecisionInput, HeuristicConfig, decide_inputs
 from veracity.attribute_stats import AttributeKind
 
 R, F = Label.REAL, Label.FAKE
@@ -70,6 +70,13 @@ def test_length_mismatch():
         evaluate([R, F], [R])
     with pytest.raises(LengthMismatch):
         evaluate([], [])
+    inputs, gold = _perfect_attr_context()
+    with pytest.raises(LengthMismatch):
+        tune_threshold(inputs, gold[:-1])
+    with pytest.raises(LengthMismatch):
+        tune_threshold([], [])
+    with pytest.raises(LengthMismatch):
+        run_ablation(inputs, gold, inputs, gold + [R], [(AttributeKind.DOMAIN,)])
 
 
 LABEL_LISTS = st.lists(st.sampled_from([R, F]), min_size=1, max_size=50)
@@ -137,6 +144,9 @@ def _perfect_attr_context():
 def test_tune_threshold_prefers_larger_among_optima():
     inputs, gold = _perfect_attr_context()
     assert tune_threshold(inputs, gold, [0.5, 0.88, 1.0]) == 0.88
+    # without the threshold every grid value scores alike
+    no_threshold = HeuristicConfig(use_threshold=False)
+    assert tune_threshold(inputs, gold, [0.6, 1.0, 0.5], no_threshold) == 1.0
 
 
 def test_tune_threshold_single_option():
@@ -151,6 +161,10 @@ def test_tune_threshold_f1_objective_and_default_grid():
     assert best == 0.95  # all thresholds < 1.0 tie at perfect; largest wins
     with pytest.raises(ValueError):
         tune_threshold(inputs, gold, [])
+    with pytest.raises(ValueError, match="threshold must be in"):
+        tune_threshold(inputs, gold, [0.5, 1.5])
+    with pytest.raises(ValueError, match="objective"):
+        tune_threshold(inputs, gold, [0.5], objective="recall")
 
 
 def test_run_ablation_grid_shape():
@@ -216,3 +230,63 @@ def test_ablation_rendering():
     payload = ablation_to_json(rows, {"threshold": 0.88})
     assert '"threshold": 0.88' in payload
     assert describe_priority((AttributeKind.DOMAIN,)) == "domain, ensemble"
+
+
+# Probabilities on the grids, on the threshold (22/25 == 0.88) and at an
+# exact tie (0.5), besides arbitrary ones.
+_PROBS = st.one_of(
+    st.sampled_from([k / 25 for k in range(26)] + [k / 20 for k in range(21)]),
+    st.floats(0.0, 1.0),
+)
+_VECTORS = st.one_of(
+    st.just(AttrProbVector.absent()),
+    _PROBS.map(lambda p: AttrProbVector(p, p, 3, True)),
+    _PROBS.map(lambda p: AttrProbVector(p, 1.0 - p, 3, True)),
+)
+_SPLITS = st.lists(
+    st.tuples(_PROBS, _VECTORS, _VECTORS, st.sampled_from([R, F])), min_size=1, max_size=30
+).map(
+    lambda rows: (
+        [_input(i, p, user, domain) for i, (p, user, domain, _) in enumerate(rows)],
+        [g for *_, g in rows],
+    )
+)
+_GRID_VALUES = st.one_of(
+    st.sampled_from(DEFAULT_THRESHOLD_GRID + (0.0, 22 / 25, 0.88, 1.0)), st.floats(0.0, 1.0)
+)
+
+
+def _brute_force_report(inputs, gold, cfg):
+    return evaluate(gold, [d.label for d in decide_inputs(inputs, cfg)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    val=_SPLITS,
+    test=_SPLITS,
+    priority=st.lists(st.sampled_from(list(AttributeKind)), unique=True, max_size=2),
+    use_threshold=st.booleans(),
+    grid=st.lists(_GRID_VALUES, min_size=1, max_size=8),
+    objective=st.sampled_from(["accuracy", "f1"]),
+)
+def test_sweep_matches_deciding_every_threshold(val, test, priority, use_threshold, grid, objective):
+    """Tuning and the ablation grid score exactly what deciding each item
+    at each threshold and evaluating the labels scores."""
+    (val_inputs, val_gold), (test_inputs, test_gold) = val, test
+    cfg = HeuristicConfig(priority=tuple(priority), use_threshold=use_threshold)
+    scores = {
+        t: getattr(_brute_force_report(val_inputs, val_gold, cfg.with_threshold(t)), objective)
+        for t in grid
+    }
+    expected = max(grid, key=lambda t: (scores[t], t))  # ties go to the larger threshold
+    assert tune_threshold(val_inputs, val_gold, grid, cfg, objective) == expected
+
+    (row,) = run_ablation(val_inputs, val_gold, test_inputs, test_gold, [priority], expected)
+    for use, split_inputs, split_gold, cell in (
+        (True, val_inputs, val_gold, row.with_threshold_val_f1),
+        (True, test_inputs, test_gold, row.with_threshold_test_f1),
+        (False, val_inputs, val_gold, row.without_threshold_val_f1),
+        (False, test_inputs, test_gold, row.without_threshold_test_f1),
+    ):
+        cell_cfg = HeuristicConfig(expected, tuple(priority), use)
+        assert cell == _brute_force_report(split_inputs, split_gold, cell_cfg).f1

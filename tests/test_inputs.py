@@ -4,6 +4,7 @@ with an error that names the file and the line, never in exit 3."""
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -27,8 +28,7 @@ def _write_predictions(path, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.fixture
-def inputs(tmp_path):
+def _write_inputs(tmp_path: Path) -> Path:
     """A valid input of every kind, each with at least two lines."""
     write_dataset_tsv(tmp_path / "train.tsv", ROWS)
     (tmp_path / "cache.tsv").write_text(
@@ -46,6 +46,11 @@ def inputs(tmp_path):
         encoding="utf-8",
     )
     return tmp_path
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    return _write_inputs(tmp_path)
 
 
 def _argv(name: str, d: Path) -> list[str]:
@@ -272,3 +277,50 @@ def test_any_dataset_bytes_end_in_exit_0_1_or_2(model_path, delimiter, labeled, 
             copy = Path(tmp) / "copy.txt"
             save_dataset(dataset, copy, delimiter=save_delimiter)
             assert load_dataset(copy).items == dataset.items
+
+
+_CELLS = st.one_of(
+    st.sampled_from([
+        "1", "2", "3", "-1", "0", "-0", "0.4", "0.6", "2.5", "-0.5", "nan", "NaN", "inf", "-inf",
+        "Infinity", "1e308", "-1e308", "1e309", "99999999999999999999", "real", "fake", "REAL",
+        "maybe", "icmr", "news.sky", "http://t.co/a", "https://news.sky/a", "", " ", '"', "#",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"), max_size=6),
+)
+# the header line each reader expects (a cache has none; its comment stands in)
+_HEADERS = {
+    "predictions": "id\tp_real\tp_fake",
+    "table": "attribute\treal_count\tfake_count",
+    "cache": "# short_url\texpanded_url",
+    "evaluate --pred": "id\tlabel",
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    return _write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    reader=st.sampled_from(sorted(_HEADERS)),
+    comment=st.booleans(),
+    header=st.booleans(),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    rows=st.lists(st.lists(_CELLS, max_size=5), max_size=5),  # short, long and empty rows
+)
+def test_any_reader_bytes_end_in_exit_0_1_or_2(
+    valid_inputs, reader, comment, header, bom, newline, final_newline, rows
+):
+    """Prediction files, attribute tables, URL caches and evaluate --pred
+    files holding NaN, inf, negative or huge numbers, rows short of or past
+    the header, CRLF and a byte-order mark end in exit 0, 1 or 2."""
+    lines = (["# config: x"] if comment else []) + ([_HEADERS[reader]] if header else [])
+    lines += ["\t".join(row) for row in rows]
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(valid_inputs, tmp, dirs_exist_ok=True)
+        (Path(tmp) / READERS[reader]).write_text(text, encoding="utf-8", newline="")
+        assert main(_argv(reader, Path(tmp))) in (0, 1, 2)
