@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import KeysView, Sequence
 
 from .corpus import Dataset, Label, LABELS
 from .errors import BadRecord, DataError, DegenerateTraining
@@ -44,17 +46,18 @@ class PredictionVector:
 @dataclass
 class BowModel:
     """Trained bag-of-words model. Counts are the persistent state; the
-    vocabulary, log priors and per-class token log likelihoods are
-    derived on construction."""
+    log priors and `pairs`, which maps each vocabulary token to its
+    (real, fake) log likelihood so that scoring a token is one lookup,
+    are derived on construction. `vocabulary` and
+    `token_log_likelihoods` are read-only views of `pairs`."""
 
     class_doc_counts: dict[Label, int]
     token_counts: dict[Label, dict[str, int]]
     smoothing_alpha: float
     clean_policy: CleanPolicy = field(default_factory=CleanPolicy)
     model_name: str = DEFAULT_MODEL_NAME
-    vocabulary: frozenset[str] = field(init=False, repr=False)
     class_log_priors: dict[Label, float] = field(init=False, repr=False)
-    token_log_likelihoods: dict[Label, dict[str, float]] = field(init=False, repr=False)
+    pairs: dict[str, tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         total_docs = sum(self.class_doc_counts.values())
@@ -62,21 +65,32 @@ class BowModel:
             raise DegenerateTraining("both classes must be present in the training data")
         if not 0 < self.smoothing_alpha < math.inf:
             raise ValueError("smoothing_alpha must be finite and positive")
-        self.vocabulary = frozenset(
-            token for c in LABELS for token in self.token_counts.get(c, {})
-        )
         self.class_log_priors = {
             c: math.log(self.class_doc_counts[c] / total_docs) for c in LABELS
         }
-        vocab_size = len(self.vocabulary)
-        self.token_log_likelihoods = {}
-        for c in LABELS:
-            counts = self.token_counts.get(c, {})
-            denominator = sum(counts.values()) + self.smoothing_alpha * vocab_size
-            self.token_log_likelihoods[c] = {
-                token: math.log((counts.get(token, 0) + self.smoothing_alpha) / denominator)
-                for token in self.vocabulary
-            }
+        alpha = self.smoothing_alpha
+        real, fake = (self.token_counts.get(c, {}) for c in LABELS)
+        vocabulary = dict.fromkeys(chain(real, fake))
+        real_denominator = sum(real.values()) + alpha * len(vocabulary)
+        fake_denominator = sum(fake.values()) + alpha * len(vocabulary)
+        self.pairs = {
+            token: (
+                math.log((real.get(token, 0) + alpha) / real_denominator),
+                math.log((fake.get(token, 0) + alpha) / fake_denominator),
+            )
+            for token in vocabulary
+        }
+
+    @property
+    def vocabulary(self) -> KeysView[str]:
+        return self.pairs.keys()
+
+    @property
+    def token_log_likelihoods(self) -> dict[Label, dict[str, float]]:
+        return {
+            c: {token: pair[i] for token, pair in self.pairs.items()}
+            for i, c in enumerate(LABELS)
+        }
 
 
 def train(
@@ -95,14 +109,12 @@ def train(
     if policy is None:
         policy = CleanPolicy()
     class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
-    token_counts: dict[Label, dict[str, int]] = {c: {} for c in LABELS}
+    token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
     for item in dataset:
         if item.label is None:
             raise DegenerateTraining(f"item {item.id} is unlabeled")
         class_doc_counts[item.label] += 1
-        bucket = token_counts[item.label]
-        for token in tokenize(clean_text(item.text, policy)):
-            bucket[token] = bucket.get(token, 0) + 1
+        token_counts[item.label].update(tokenize(clean_text(item.text, policy)))
     return BowModel(
         class_doc_counts=class_doc_counts,
         token_counts=token_counts,
@@ -116,26 +128,24 @@ def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:
     """Posterior class probabilities for one text.
 
     Out-of-vocabulary tokens are ignored; with no usable tokens the
-    output is exactly the class priors. The pair always sums to 1 up to
-    float rounding.
+    output is the class priors, up to float rounding. The pair always
+    sums to 1 up to float rounding.
     """
-    tokens = [
-        t for t in tokenize(clean_text(text, model.clean_policy)) if t in model.vocabulary
-    ]
-    log_scores: dict[Label, float] = {}
-    for c in LABELS:
-        likelihoods = model.token_log_likelihoods[c]
-        score = model.class_log_priors[c]
-        for token in tokens:
-            score += likelihoods[token]
-        log_scores[c] = score
-    peak = max(log_scores.values())
-    unnormalized = {c: math.exp(score - peak) for c, score in log_scores.items()}
-    z = sum(unnormalized.values())
+    pairs = model.pairs
+    score_real = model.class_log_priors[Label.REAL]
+    score_fake = model.class_log_priors[Label.FAKE]
+    for token in tokenize(clean_text(text, model.clean_policy)):
+        pair = pairs.get(token)
+        if pair is not None:
+            score_real += pair[0]
+            score_fake += pair[1]
+    peak = max(score_real, score_fake)
+    u_real, u_fake = math.exp(score_real - peak), math.exp(score_fake - peak)
+    z = u_real + u_fake
     return PredictionVector(
         item_id=item_id,
-        p_real=unnormalized[Label.REAL] / z,
-        p_fake=unnormalized[Label.FAKE] / z,
+        p_real=u_real / z,
+        p_fake=u_fake / z,
         model_name=model.model_name,
     )
 

@@ -5,6 +5,14 @@ username handles ("@..." mentions) and http(s) URLs are scanned first,
 URL hosts are resolved through an offline expansion cache, and only then
 may the same spans be stripped for the classifier. The two attribute
 channels are independent: mention scanning never consults the cache.
+
+Every post passes through both scans, so each regex is skipped when a
+substring test shows it cannot match. Each skip is exact:
+- every URL match contains "://";
+- every mention contains "@", and every hashmark run "#";
+- every emoji range is non-ASCII, so ASCII text has no emoji;
+- testing the character before each "@" for a word character keeps
+  the mentions a lookbehind would keep, and lets `re` jump to the "@".
 """
 
 from __future__ import annotations
@@ -24,9 +32,19 @@ from .fileio import atomic_write_text, data_lines, open_lines
 # part of the URL, not a handle.
 _URL_RE = re.compile(r"https?://\S+", re.IGNORECASE)
 
+# An http(s) URL whose host is only ASCII letters, digits, dots and
+# hyphens up to the path, query, fragment or end: its host is what
+# urlsplit would find. Any other shape (userinfo, port, brackets, "%",
+# whitespace, control or non-ASCII characters) goes to urlsplit. re.ASCII
+# keeps IGNORECASE from matching "ſ" or "K" (Kelvin sign) as "s" or "k".
+_PLAIN_HOST_RE = re.compile(r"https?://([a-z0-9.-]+)(?:[/?#]|\Z)", re.IGNORECASE | re.ASCII)
+
 # Handles are "@" plus word characters, and must not be glued to a word
-# on the left (so "bob@example.com" is not a mention).
-_MENTION_RE = re.compile(r"(?<!\w)@(\w+)")
+# on the left (so "bob@example.com" is not a mention), which
+# extract_attributes tests with _WORD_RE. A rejected match cannot
+# swallow a later "@", because "@" is not a word character.
+_MENTION_RE = re.compile(r"@(\w+)")
+_WORD_RE = re.compile(r"\w")
 
 # Cleaning strips any "@word" run, even mid-token; stripping is allowed
 # to be more aggressive than extraction.
@@ -149,11 +167,14 @@ def normalize_domain(url: str) -> str:
     Lowercases, drops userinfo/port/path, and strips leading "www."
     labels. Raises BadUrl when no host can be found.
     """
-    try:
-        parts = urlsplit(url)
-        host = parts.hostname
-    except ValueError:
-        raise BadUrl(url) from None
+    plain = _PLAIN_HOST_RE.match(url)
+    if plain is not None:
+        host = plain.group(1).lower()
+    else:
+        try:
+            host = urlsplit(url).hostname
+        except ValueError:
+            raise BadUrl(url) from None
     if not host:
         raise BadUrl(url)
     while host.startswith("www."):
@@ -173,17 +194,17 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
     """
     if cache is None:
         cache = UrlExpansionCache()
-    url_spans = [(m.start(), m.end(), m.group()) for m in _URL_RE.finditer(text)]
-    urls = tuple(group for _, _, group in url_spans)
-
-    def inside_url(pos: int) -> bool:
-        return any(start <= pos < end for start, end, _ in url_spans)
-
-    usernames = tuple(
-        m.group(1).lower()
-        for m in _MENTION_RE.finditer(text)
-        if not inside_url(m.start())
-    )
+    url_spans = [m.span() for m in _URL_RE.finditer(text)] if "://" in text else []
+    urls = tuple(text[start:end] for start, end in url_spans)
+    usernames: list[str] = []
+    if "@" in text:
+        for m in _MENTION_RE.finditer(text):
+            pos = m.start()
+            if pos and _WORD_RE.match(text, pos - 1):
+                continue
+            if any(start <= pos < end for start, end in url_spans):
+                continue
+            usernames.append(m.group(1).lower())
     domains: list[str] = []
     for url in urls:
         expanded = cache.expand(url)
@@ -193,7 +214,7 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
             domains.append(normalize_domain(expanded))
         except BadUrl:
             continue
-    return TweetAttributes(usernames, urls, tuple(domains))
+    return TweetAttributes(tuple(usernames), urls, tuple(domains))
 
 
 def clean_text(text: str, policy: CleanPolicy | None = None) -> str:
@@ -206,12 +227,12 @@ def clean_text(text: str, policy: CleanPolicy | None = None) -> str:
     """
     if policy is None:
         policy = CleanPolicy()
-    if policy.remove_urls:
+    if policy.remove_urls and "://" in text:
         text = _URL_RE.sub(" ", text)
-    if policy.remove_mentions:
+    if policy.remove_mentions and "@" in text:
         text = _MENTION_STRIP_RE.sub(" ", text)
-    if policy.remove_emoji:
+    if policy.remove_emoji and not text.isascii():
         text = _EMOJI_RE.sub(" ", text)
-    if policy.remove_hashmark_only:
+    if policy.remove_hashmark_only and "#" in text:
         text = _HASHMARK_RE.sub(" ", text)
     return " ".join(text.split())

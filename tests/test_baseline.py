@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import dataset_of
 from veracity.baseline import (
@@ -15,7 +18,7 @@ from veracity.baseline import (
     tokenize,
     train,
 )
-from veracity.corpus import Dataset, Label, NewsItem
+from veracity.corpus import LABELS, Dataset, Label, NewsItem
 from veracity.errors import DegenerateTraining
 from veracity.preprocess import CleanPolicy, clean_text
 
@@ -205,3 +208,90 @@ def test_cleaning_policy_applied_before_tokenizing():
     assert "handle" not in model.vocabulary
     assert "x" not in model.vocabulary
     assert tokenize(clean_text("good @handle", CleanPolicy())) == ["good"]
+
+
+# --------------------------------------------------------------------------
+# Bit identity: the model as first written, with one token -> likelihood
+# dict per class and a vocabulary set, scored class by class. One paired
+# lookup per token must reproduce its floats exactly, not approximately.
+# --------------------------------------------------------------------------
+
+def oracle_fit(dataset, policy, alpha):
+    class_doc_counts = {c: 0 for c in LABELS}
+    token_counts = {c: {} for c in LABELS}
+    for item in dataset:
+        class_doc_counts[item.label] += 1
+        bucket = token_counts[item.label]
+        for token in tokenize(clean_text(item.text, policy)):
+            bucket[token] = bucket.get(token, 0) + 1
+    total_docs = sum(class_doc_counts.values())
+    vocabulary = frozenset(token for c in LABELS for token in token_counts[c])
+    log_priors = {c: math.log(class_doc_counts[c] / total_docs) for c in LABELS}
+    likelihoods = {}
+    for c in LABELS:
+        counts = token_counts[c]
+        denominator = sum(counts.values()) + alpha * len(vocabulary)
+        likelihoods[c] = {
+            token: math.log((counts.get(token, 0) + alpha) / denominator) for token in vocabulary
+        }
+    return class_doc_counts, token_counts, vocabulary, log_priors, likelihoods
+
+
+def oracle_predict(fit, policy, text):
+    _, _, vocabulary, log_priors, likelihoods = fit
+    tokens = [t for t in tokenize(clean_text(text, policy)) if t in vocabulary]
+    log_scores = {}
+    for c in LABELS:
+        score = log_priors[c]
+        for token in tokens:
+            score += likelihoods[c][token]
+        log_scores[c] = score
+    peak = max(log_scores.values())
+    unnormalized = {c: math.exp(score - peak) for c, score in log_scores.items()}
+    z = sum(unnormalized.values())
+    return unnormalized[Label.REAL] / z, unnormalized[Label.FAKE] / z
+
+
+def oracle_model_text(fit, policy, alpha, model_name):
+    class_doc_counts, token_counts = fit[:2]
+    document = {
+        "model_name": model_name,
+        "smoothing_alpha": alpha,
+        "clean_policy": policy.as_dict(),
+        "class_doc_counts": {c.value: class_doc_counts[c] for c in LABELS},
+        "token_counts": {c.value: dict(sorted(token_counts[c].items())) for c in LABELS},
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+BIT_WORDS = ["up", "Down", "left", "right", "mid", "@user", "#tag", "https://x.com/a", "\U0001F600", "é"]
+BIT_TEXTS = st.lists(st.sampled_from(BIT_WORDS), max_size=12).map(" ".join)
+BIT_CORPORA = st.lists(st.tuples(BIT_TEXTS, st.sampled_from(LABELS)), max_size=12).map(
+    # both classes always present, as training requires
+    lambda rows: [("seed real", Label.REAL), ("seed fake", Label.FAKE)] + rows
+)
+CLEAN_POLICIES = st.sampled_from(
+    [CleanPolicy(*flags) for flags in itertools.product((False, True), repeat=4)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    BIT_CORPORA, CLEAN_POLICIES, st.sampled_from([0.01, 0.5, 1.0, 2.0, 3.7]),
+    st.lists(st.one_of(BIT_TEXTS, st.text(max_size=20)), max_size=6),
+)
+def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, policy, alpha, queries):
+    dataset = Dataset(
+        tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows)), "bits"
+    )
+    model = train(dataset, policy, alpha)
+    fit = oracle_fit(dataset, policy, alpha)
+    assert model.token_counts == fit[1]
+    assert model.vocabulary == fit[2]
+    assert model.token_log_likelihoods == fit[4]
+    for text in queries:
+        got = predict(model, text)
+        assert (got.p_real, got.p_fake) == oracle_predict(fit, policy, text)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert path.read_text(encoding="utf-8") == oracle_model_text(fit, policy, alpha, model.model_name)

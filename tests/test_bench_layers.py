@@ -1,13 +1,24 @@
 """The traced benchmark run (bench/tracing.py) wraps each function its
 LAYERS table names, looked up by module and name at run time; a rename
 or deletion in `veracity` would break traced runs without failing any
-other test."""
+other test. Its per-item layers are only meaningful while each post is
+scanned once per kind, so that is pinned here too."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from _synth import make_corpus, head, tail
+from veracity import preprocess
+from veracity.cli import main
+from veracity.config import RunConfig
+from veracity.corpus import save_dataset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -21,3 +32,66 @@ def test_traced_layers_resolve():
     for module_name, function in targets:
         module = importlib.import_module(f"veracity.{module_name}")
         assert callable(getattr(module, function, None)), f"veracity.{module_name}.{function}"
+
+
+def _count_scans(monkeypatch) -> Counter:
+    """Wrap the two per-post scans the way bench/tracing.py installs its
+    wrappers: every `veracity` module attribute bound to the original is
+    rebound to a counting wrapper."""
+    calls: Counter = Counter()
+    modules = [m for key, m in sys.modules.items() if key == "veracity" or key.startswith("veracity.")]
+    for name in ("extract_attributes", "clean_text"):
+        original = getattr(preprocess, name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def _split_paths(tmp_path):
+    corpus = make_corpus(90, seed=21)
+    splits = {
+        "train": head(corpus, 40, "train"),
+        "validation": head(tail(corpus, 40), 20, "validation"),
+        "test": tail(corpus, 60, "test"),
+    }
+    paths = {}
+    for name, split in splits.items():
+        paths[name] = tmp_path / f"{name}.tsv"
+        save_dataset(split, paths[name])
+    return paths, {name: len(split) for name, split in splits.items()}
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external):
+    paths, sizes = _split_paths(tmp_path)
+    prediction_paths = ()
+    if external:
+        # covers the validation and test ids, which follow the train ids
+        rows = "".join(f"{i}\t0.7\t0.3\n" for i in range(sizes["train"], sum(sizes.values())))
+        prediction_paths = (tmp_path / "model.tsv",)
+        prediction_paths[0].write_text("id\tp_real\tp_fake\n" + rows, encoding="utf-8")
+    cfg = RunConfig(
+        train_path=paths["train"],
+        validation_path=paths["validation"],
+        test_path=paths["test"],
+        prediction_paths=prediction_paths,
+        output_dir=tmp_path / "out",
+    )
+    config_path = tmp_path / "run.ini"
+    cfg.save(config_path)
+    calls = _count_scans(monkeypatch)
+    argv = [command, "--config", str(config_path)]
+    if command == "ablate":
+        argv.append("--tune-threshold")
+    assert main(argv) == 0
+    loaded = sizes["train"] + sizes["test"] + (sizes["validation"] if command == "ablate" else 0)
+    assert calls["extract_attributes"] == loaded
+    assert calls["clean_text"] == (0 if external else loaded)

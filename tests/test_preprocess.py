@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import re
+from urllib.parse import urlsplit
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veracity.errors import BadRecord, BadUrl
 from veracity.preprocess import (
     CleanPolicy,
     MissPolicy,
+    TweetAttributes,
     UrlExpansionCache,
     clean_text,
     extract_attributes,
@@ -187,3 +192,160 @@ def test_cache_bad_row_rejected(tmp_path):
     path.write_text("https://t.co/a only-one-column\n", encoding="utf-8")
     with pytest.raises(BadRecord):
         load_cache(path)
+
+
+# --------------------------------------------------------------------------
+# The scans without their fast paths: every regex runs on every post, the
+# mention rule is a lookbehind and every host goes through urlsplit. The
+# fast paths must give the same result on any text.
+# --------------------------------------------------------------------------
+
+_ORACLE_URL_RE = re.compile(r"https?://\S+", re.IGNORECASE)
+_ORACLE_MENTION_RE = re.compile(r"(?<!\w)@(\w+)")
+_ORACLE_MENTION_STRIP_RE = re.compile(r"@\w+")
+_ORACLE_HASHMARK_RE = re.compile(r"#+(?=\w)")
+_ORACLE_EMOJI_RE = re.compile(
+    "[\U0001F300-\U0001F5FF\U0001F600-\U0001F64F\U0001F680-\U0001F6FF\U0001F700-\U0001F77F"
+    "\U0001F900-\U0001FAFF\U0001F1E6-\U0001F1FF\u2600-\u27BF\uFE0F]+"
+)
+
+
+def oracle_normalize_domain(url):
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        raise BadUrl(url) from None
+    if not host:
+        raise BadUrl(url)
+    while host.startswith("www."):
+        host = host[4:]
+    if not host:
+        raise BadUrl(url)
+    return host
+
+
+def oracle_extract_attributes(text, cache):
+    url_spans = [(m.start(), m.end(), m.group()) for m in _ORACLE_URL_RE.finditer(text)]
+    urls = tuple(group for _, _, group in url_spans)
+    usernames = tuple(
+        m.group(1).lower()
+        for m in _ORACLE_MENTION_RE.finditer(text)
+        if not any(start <= m.start() < end for start, end, _ in url_spans)
+    )
+    domains = []
+    for url in urls:
+        expanded = cache.expand(url)
+        if expanded is None:
+            continue
+        try:
+            domains.append(oracle_normalize_domain(expanded))
+        except BadUrl:
+            continue
+    return TweetAttributes(usernames, urls, tuple(domains))
+
+
+def oracle_clean_text(text, policy):
+    if policy.remove_urls:
+        text = _ORACLE_URL_RE.sub(" ", text)
+    if policy.remove_mentions:
+        text = _ORACLE_MENTION_STRIP_RE.sub(" ", text)
+    if policy.remove_emoji:
+        text = _ORACLE_EMOJI_RE.sub(" ", text)
+    if policy.remove_hashmark_only:
+        text = _ORACLE_HASHMARK_RE.sub(" ", text)
+    return " ".join(text.split())
+
+
+ALL_CLEAN_POLICIES = [CleanPolicy(*flags) for flags in itertools.product((False, True), repeat=4)]
+# one cached short link expanding to an upper-case host, one to a bad URL
+CACHES = [
+    UrlExpansionCache({"https://t.co/a": "HTTP://Ex.COM/a", "https://t.co/b": "http:///x"}, policy)
+    for policy in MissPolicy
+]
+
+# Weighted toward the characters the fast paths test for, with the
+# characters where `\w`, case folding, ASCII and whitespace rules are
+# easy to get wrong: "²" and "é" are word characters, "\x85" and "\u3000"
+# are whitespace, "ſ" and "K" fold to ASCII letters under IGNORECASE.
+TEXT_PIECES = (
+    list("@#:/._htpswHTPS") * 3
+    + ["http://", "HTTPS://", "https://t.co/a", "https://t.co/b", "www.", "a", "Z", "1", " "]
+    + ["\U0001F600", "\u2764", "\uFE0F", "\u00b2", "\u00e9", "\x85", "\u3000", "\u017f", "\u212a"]
+    + ["-", "?", "[", "]", "%", "\t", "\n", "bob", "x.com"]
+)
+NOISY_TEXT = st.one_of(
+    st.lists(st.sampled_from(TEXT_PIECES), max_size=30).map("".join),
+    st.text(max_size=40),
+)
+
+
+def assert_text_paths_match(text):
+    for cache in CACHES:
+        assert extract_attributes(text, cache) == oracle_extract_attributes(text, cache)
+    for policy in ALL_CLEAN_POLICIES:
+        assert clean_text(text, policy) == oracle_clean_text(text, policy)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "@bobhttps://x.com", "a@b", "@@x", "x@@y", "https://x.com/@someone",
+        "HTTP://Ex.COM/a", "##tag", "\u00b2@x", "_@x", "@x_y@z", "",
+        "see https://t.co/a and https://t.co/b then @Bob #Tag \U0001F600\uFE0F",
+    ],
+)
+def test_text_fast_paths_match_oracle_examples(text):
+    assert_text_paths_match(text)
+
+
+@settings(max_examples=400)
+@given(NOISY_TEXT)
+def test_text_fast_paths_match_oracle(text):
+    assert_text_paths_match(text)
+
+
+def _domain_outcome(normalize, url):
+    try:
+        return normalize(url)
+    except BadUrl as exc:
+        return ("BadUrl", str(exc))
+
+
+URL_SCHEMES = [
+    "http://", "https://", "HTTP://", "HtTpS://", "http:/", "https:", "ftp://", "",
+    " https://", "\x01http://", "\thttps://", "http\u017f://", "https:///",
+]
+URL_USERINFO = ["", "", "user@", "u:p@", "@"]
+HOST_PIECES = [
+    "www.", "www.", "a", "Ex", "COM", ".", "-", "0", "_", "[::1]", "[bad", "]",
+    "\t", "\r", "\n", " ", "\u00e9", "\u212a", "%41", "\x00", ":",
+]
+URL_PORTS = ["", "", ":80", ":x", ":"]
+URL_TAILS = ["", "", "/", "/path", "?q=1", "#f", "\\x", "/\t", " x", "/a@b"]
+URLS = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(URL_SCHEMES),
+    st.sampled_from(URL_USERINFO),
+    st.lists(st.sampled_from(HOST_PIECES), max_size=6).map("".join),
+    st.sampled_from(URL_PORTS),
+    st.sampled_from(URL_TAILS),
+)
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "https://user:pw@Ex.com:8443/a", "http://[::1]/x", "http://[bad/x", "http://ex\tample.com",
+        "http://ex\nample.com/", " https://x.com", "\x01https://x.com", "HTTPS://X.COM",
+        "https://www.www.x.com", "https://www.", "https://www.www.", "https://x.com.",
+        "https://\u00e9x.com/", "http:///x", "https://", "https://x.com?q#f", "https://-.",
+    ],
+)
+def test_normalize_domain_matches_oracle_examples(url):
+    assert _domain_outcome(normalize_domain, url) == _domain_outcome(oracle_normalize_domain, url)
+
+
+@settings(max_examples=400)
+@given(URLS)
+def test_normalize_domain_matches_oracle(url):
+    assert _domain_outcome(normalize_domain, url) == _domain_outcome(oracle_normalize_domain, url)
