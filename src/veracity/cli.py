@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import RunConfig, load_config, override, parse_alpha, parse_names, parse_priority
+from .config import RunConfig, load_config, override, parse_names, parse_positive, parse_priority
 from .corpus import CorpusSummary, Label, class_fractions, gold_labels_by_id, load_dataset
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -229,6 +229,7 @@ def _parse_orderings(values: list[str] | None) -> list[tuple[AttributeKind, ...]
 
 
 def cmd_ablate(args) -> int:
+    orderings = _parse_orderings(args.ordering)
     cfg = _config_with_overrides(args)
     val_inputs, val_gold, test_inputs, test_gold, digest = ablation_contexts(cfg)
     extra: dict = {"config_hash": digest, "threshold": cfg.heuristic.threshold}
@@ -239,9 +240,7 @@ def cmd_ablate(args) -> int:
         threshold = tuned
     else:
         threshold = cfg.heuristic.threshold
-    rows = run_ablation(
-        val_inputs, val_gold, test_inputs, test_gold, _parse_orderings(args.ordering), threshold
-    )
+    rows = run_ablation(val_inputs, val_gold, test_inputs, test_gold, orderings, threshold)
     out_dir = Path(cfg.output_dir)
     text = f"# config: {digest}\n# threshold: {threshold!r}\n" + format_ablation_text(rows)
     atomic_write_text(out_dir / "ablation.txt", text)
@@ -296,7 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument(
-        "--alpha", type=lambda value: parse_alpha(value, "--alpha"), default=1.0,
+        "--alpha", type=lambda value: parse_positive(value, "--alpha"), default=1.0,
         help="additive smoothing strength",
     )
     p.add_argument("--name", default=baseline.DEFAULT_MODEL_NAME)
@@ -342,7 +341,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run the priority/threshold ablation grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--scheme", choices=["soft", "hard"], default=None)
     p.add_argument(
         "--ordering",
         action="append",
@@ -360,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--urls-file", default=None, help="one URL per line")
     p.add_argument("--data", default=None, help="dataset to harvest URLs from")
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=lambda value: parse_positive(value, "--timeout"), default=10.0)
     p.set_defaults(func=cmd_expand_urls)
 
     return parser

@@ -40,25 +40,28 @@ def _parse_number(value: str, where: str) -> float:
         raise UsageError(f"{where}: expected a number, got {value!r}") from None
 
 
-def parse_alpha(value: str, where: str) -> float:
-    """A smoothing strength: a finite, positive number."""
-    alpha = _parse_number(value, where)
-    if not 0 < alpha < math.inf:
-        raise UsageError(f"{where} must be {'finite' if alpha > 0 else 'positive'}")
-    return alpha
+def parse_positive(value: str, where: str) -> float:
+    """A finite, positive number, such as a smoothing strength or a timeout."""
+    number = _parse_number(value, where)
+    if not 0 < number < math.inf:
+        raise UsageError(f"{where} must be {'finite' if number > 0 else 'positive'}")
+    return number
 
 
 def parse_priority(value: str, where: str) -> tuple[AttributeKind, ...]:
     """An attribute priority order such as "username, domain"; names are
-    comma-separated and case-insensitive, and at least one is given.
-    where names the setting in the error message."""
+    comma-separated and case-insensitive, at least one is given and none
+    repeats. where names the setting in the error message."""
     names = [part.strip().lower() for part in value.split(",") if part.strip()]
     try:
-        if names:
-            return tuple(AttributeKind(name) for name in names)
+        kinds = tuple(AttributeKind(name) for name in names)
     except ValueError:
-        pass
-    raise UsageError(f"{where}: expected names from username/domain, got {value!r}")
+        kinds = ()
+    if not kinds:
+        raise UsageError(f"{where}: expected names from username/domain, got {value!r}")
+    if len(set(kinds)) != len(kinds):
+        raise UsageError(f"{where}: a name may appear only once, got {value!r}")
+    return kinds
 
 
 def _parse_scheme(value: str, where: str) -> VotingScheme:
@@ -94,7 +97,7 @@ _KEYS = (
     ("data", "cache", "cache_path", _path),
     ("predictions", "files", "prediction_paths", _list_of(Path)),
     ("predictions", "names", "prediction_names", parse_names),
-    ("baseline", "alpha", "alpha", _unless_blank(parse_alpha)),
+    ("baseline", "alpha", "alpha", _unless_blank(parse_positive)),
     ("clean", "remove_urls", "clean_policy.remove_urls", _parse_bool),
     ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),
     ("clean", "remove_emoji", "clean_policy.remove_emoji", _parse_bool),

@@ -102,23 +102,14 @@ def hard_vote(row: Sequence[PredictionVector], tie_label: Label = Label.REAL) ->
     return EnsembleResult(item_id, p_real, p_fake, votes_real, votes_fake, label, VotingScheme.HARD)
 
 
-def vote(
-    row: Sequence[PredictionVector],
-    scheme: VotingScheme,
-    tie_label: Label = Label.REAL,
-) -> EnsembleResult:
-    if scheme is VotingScheme.SOFT:
-        return soft_vote(row, tie_label)
-    return hard_vote(row, tie_label)
-
-
 def vote_all(
     matrix: PredictionMatrix,
     scheme: VotingScheme = VotingScheme.SOFT,
     tie_label: Label = Label.REAL,
 ) -> list[EnsembleResult]:
     """Vote every row, output ordered by item id."""
-    return [vote(matrix.rows[item_id], scheme, tie_label) for item_id in sorted(matrix.rows)]
+    voter = soft_vote if scheme is VotingScheme.SOFT else hard_vote
+    return [voter(matrix.rows[item_id], tie_label) for item_id in sorted(matrix.rows)]
 
 
 def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVector]:
@@ -152,6 +143,24 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVe
     return vectors
 
 
+def _aligned(
+    names: Sequence[str], columns: Sequence[Mapping[int, PredictionVector]], sources: Sequence[str]
+) -> PredictionMatrix:
+    """The matrix of one id -> vector column per model, rows in ascending
+    id order. Every column must cover the first one's ids; sources name
+    the columns in the mismatch message."""
+    ids = columns[0].keys()
+    for source, column in zip(sources[1:], columns[1:]):
+        if column.keys() != ids:
+            missing = sorted(ids - column.keys())[:3]
+            extra = sorted(column.keys() - ids)[:3]
+            raise IdSetMismatch(
+                f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
+            )
+    rows = {item_id: tuple(column[item_id] for column in columns) for item_id in sorted(ids)}
+    return PredictionMatrix(tuple(names), rows)
+
+
 def load_predictions(
     paths: Sequence[Path | str], model_names: Sequence[str] | None = None
 ) -> PredictionMatrix:
@@ -172,21 +181,8 @@ def load_predictions(
             raise UsageError(
                 f"{len(resolved)} prediction files but {len(names)} model names"
             )
-    per_model = [_read_prediction_file(p, name) for p, name in zip(resolved, names)]
-    id_set = set(per_model[0])
-    for path, vectors in zip(resolved[1:], per_model[1:]):
-        if set(vectors) != id_set:
-            missing = sorted(id_set - set(vectors))[:3]
-            extra = sorted(set(vectors) - id_set)[:3]
-            raise IdSetMismatch(
-                f"{resolved[0].name} vs {path.name}"
-                f" (missing e.g. {missing}, unexpected e.g. {extra})"
-            )
-    rows = {
-        item_id: tuple(vectors[item_id] for vectors in per_model)
-        for item_id in sorted(id_set)
-    }
-    return PredictionMatrix(tuple(names), rows)
+    columns = [_read_prediction_file(p, name) for p, name in zip(resolved, names)]
+    return _aligned(names, columns, [p.name for p in resolved])
 
 
 def restrict_to(matrix: PredictionMatrix, ids: Iterable[int]) -> PredictionMatrix:
@@ -204,24 +200,15 @@ def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> Pred
     """Build a matrix from in-memory model outputs (e.g. the baseline)."""
     if not named:
         raise NoModels()
-    by_model: dict[str, dict[int, PredictionVector]] = {}
+    columns: list[dict[int, PredictionVector]] = []
     for name, vectors in named.items():
         indexed: dict[int, PredictionVector] = {}
         for vector in vectors:
             if vector.item_id in indexed:
                 raise DuplicateId(vector.item_id, source=name)
             indexed[vector.item_id] = vector
-        by_model[name] = indexed
-    names = list(by_model)
-    id_set = set(by_model[names[0]])
-    for name in names[1:]:
-        if set(by_model[name]) != id_set:
-            raise IdSetMismatch(f"model {names[0]!r} vs model {name!r}")
-    rows = {
-        item_id: tuple(by_model[name][item_id] for name in names)
-        for item_id in sorted(id_set)
-    }
-    return PredictionMatrix(tuple(names), rows)
+        columns.append(indexed)
+    return _aligned(list(named), columns, [f"model {name!r}" for name in named])
 
 
 def write_ensemble_tsv(

@@ -8,7 +8,9 @@ other class; otherwise it falls through. If no attribute rule fires,
 the label is the ensemble's: real when its mean real probability is
 strictly higher, fake otherwise. All comparisons are strict, so a
 vector sitting exactly on the threshold, or an exactly tied vector,
-never decides.
+never decides. The rules read the ensemble's mean probabilities, which
+both voting schemes record, so prepare_inputs takes vote_all's results
+as they are and votes nothing itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .attribute_stats import AttributeKind, AttributeStatsTable, AttrProbVector, tweet_attr_vector
 from .corpus import Dataset, Label
-from .ensemble import EnsembleResult, PredictionMatrix, soft_vote
+from .ensemble import EnsembleResult, PredictionMatrix, restrict_to, vote_all
 from .errors import IdSetMismatch
 from .fileio import write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
@@ -123,10 +125,10 @@ def decide(
 ) -> HeuristicDecision:
     """Apply the prioritized attribute rules, ensemble as fallback.
 
-    Expects a soft-voting ensemble result (the post-processing step is
-    defined over averaged probabilities). Absent vectors are skipped;
-    the final fallback compares the ensemble's mean probabilities with
-    a strict >, so an exactly tied ensemble resolves to fake here.
+    Reads only the ensemble's mean probabilities, so a hard-voted result
+    decides like a soft-voted one. Absent vectors are skipped; the final
+    fallback compares the means with a strict >, so an exactly tied
+    ensemble resolves to fake here.
     """
     if cfg is None:
         cfg = HeuristicConfig()
@@ -150,26 +152,25 @@ class DecisionInput:
 
 def prepare_inputs(
     dataset: Dataset,
-    matrix: PredictionMatrix,
+    ensemble: Sequence[EnsembleResult],
     username_table: AttributeStatsTable,
     domain_table: AttributeStatsTable,
     cache: UrlExpansionCache | None = None,
 ) -> list[DecisionInput]:
-    """Extract attributes, look up their vectors and soft-vote each item.
-
-    Ordered by item id. The matrix must cover every dataset id (extra
-    matrix rows are tolerated and ignored).
+    """Extract attributes and look up their vectors for each item, beside
+    its ensemble result; nothing is voted here. ensemble is vote_all's
+    output for exactly the dataset's ids, so the inputs are in id order.
     """
+    items = sorted(dataset, key=lambda i: i.id)
+    if [result.item_id for result in ensemble] != [item.id for item in items]:
+        raise IdSetMismatch(f"{len(ensemble)} ensemble results do not match {len(items)} items")
     inputs: list[DecisionInput] = []
-    for item in sorted(dataset, key=lambda i: i.id):
-        row = matrix.rows.get(item.id)
-        if row is None:
-            raise IdSetMismatch(f"no predictions for dataset item {item.id}")
+    for item, result in zip(items, ensemble):
         attrs = extract_attributes(item.text, cache)
         inputs.append(
             DecisionInput(
                 item_id=item.id,
-                ensemble=soft_vote(row),
+                ensemble=result,
                 username_vec=tweet_attr_vector(attrs.usernames, username_table),
                 domain_vec=tweet_attr_vector(attrs.domains, domain_table),
             )
@@ -193,9 +194,11 @@ def decide_batch(
     cache: UrlExpansionCache | None = None,
     cfg: HeuristicConfig | None = None,
 ) -> list[HeuristicDecision]:
-    """Full per-item post-processing pass over a dataset, ordered by id."""
+    """Full per-item post-processing pass over a dataset, ordered by id:
+    soft-vote the matrix rows of the dataset's ids, then decide."""
+    ensemble = vote_all(restrict_to(matrix, dataset.ids()))
     return decide_inputs(
-        prepare_inputs(dataset, matrix, username_table, domain_table, cache), cfg
+        prepare_inputs(dataset, ensemble, username_table, domain_table, cache), cfg
     )
 
 

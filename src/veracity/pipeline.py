@@ -1,7 +1,8 @@
 """End-to-end orchestration: stats, predictions, voting, post-processing,
 reports. Every artifact is written atomically and tagged with the config
 hash, and nothing here depends on wall-clock time, so a rerun with the
-same inputs is byte-identical.
+same inputs is byte-identical. Each item is voted once, and
+prepare_inputs takes those results as they are.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .fileio import atomic_write_text
 from .heuristic import (
     DecisionInput,
     HeuristicDecision,
-    decide_batch,
+    decide_inputs,
     prepare_inputs,
     write_decisions_tsv,
 )
@@ -49,32 +50,31 @@ class PipelineResult:
     config_digest: str
 
 
+#: Where a split's predictions come from: prediction files, or the built-in model.
+PredictionSource = PredictionMatrix | baseline.BowModel
+
+
 def _load_train_side(
     cfg: RunConfig,
-) -> tuple[Dataset, UrlExpansionCache, dict[AttributeKind, AttributeStatsTable]]:
-    """The training split, the URL expansion cache and the attribute
-    tables built from them."""
+) -> tuple[UrlExpansionCache, dict[AttributeKind, AttributeStatsTable], PredictionSource]:
+    """The URL expansion cache, the attribute tables built from the
+    training split and the prediction source: the configured prediction
+    files, read once, or else the built-in model trained on the split.
+    The split itself, the largest thing a run would hold, is not kept."""
     train = load_dataset(cfg.train_path, has_labels=True)
     cache = load_cache(cfg.cache_path)
-    return train, cache, build_tables(train, cache)
-
-
-def build_matrix(cfg: RunConfig, train: Dataset, target: Dataset, out_dir: Path, digest: str):
-    """External prediction files when configured, else the built-in model."""
-    written: list[Path] = []
+    tables = build_tables(train, cache)
     if cfg.prediction_paths:
-        matrix = load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
-        # files may cover a superset of the target split; trim to it
-        return restrict_to(matrix, target.ids()), written
-    model = baseline.train(train, cfg.clean_policy, cfg.alpha)
-    model_path = out_dir / "baseline_model.json"
-    baseline.save_model(model, model_path, config_hash=digest)
-    written.append(model_path)
-    vectors = baseline.predict_dataset(model, target)
-    predictions_path = out_dir / "baseline_predictions.tsv"
-    baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
-    written.append(predictions_path)
-    return matrix_from_vectors({model.model_name: vectors}), written
+        return cache, tables, load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
+    return cache, tables, baseline.train(train, cfg.clean_policy, cfg.alpha)
+
+
+def build_matrix(source: PredictionSource, split: Dataset) -> PredictionMatrix:
+    """Exactly the split's prediction rows: trimmed from the files, which
+    may cover a superset of it, or predicted by the model."""
+    if isinstance(source, PredictionMatrix):
+        return restrict_to(source, split.ids())
+    return matrix_from_vectors({source.model_name: baseline.predict_dataset(source, split)})
 
 
 def _decided_by_counts(decisions: list[HeuristicDecision]) -> Counter:
@@ -110,29 +110,39 @@ def _report_text(
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Run the whole flow described by a config; returns the artifacts.
 
-    The heuristic always consumes soft-voting probabilities; the
-    configured scheme governs the standalone ensemble output and its
-    "ensemble only" metrics.
+    Each test item is voted once, by the configured scheme, which sets
+    ensemble.tsv's labels and the "ensemble only" metrics; the heuristic
+    reads those results' mean probabilities, the same in both schemes.
     """
     require_paths(cfg, "train", "test")
     digest = config_hash(cfg)
     out_dir = Path(cfg.output_dir)
     written: list[Path] = []
 
-    train, cache, tables = _load_train_side(cfg)
+    cache, tables, source = _load_train_side(cfg)
     test = load_dataset(cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
-    matrix, matrix_files = build_matrix(cfg, train, test, out_dir, digest)
-    written.extend(matrix_files)
+    matrix = build_matrix(source, test)
+    if isinstance(source, baseline.BowModel):
+        model_path = out_dir / "baseline_model.json"
+        baseline.save_model(source, model_path, config_hash=digest)
+        predictions_path = out_dir / "baseline_predictions.tsv"
+        vectors = [row[0] for row in matrix.rows.values()]
+        baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
+        written += [model_path, predictions_path]
 
     ensemble_results = vote_all(matrix, cfg.scheme)
+    del source, matrix  # a trained model and the rows are not needed past the vote
     ensemble_path = out_dir / "ensemble.tsv"
     write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
     written.append(ensemble_path)
 
-    decisions = decide_batch(
-        test, matrix, tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
+    decisions = decide_inputs(
+        prepare_inputs(
+            test, ensemble_results,
+            tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
+        ),
         cfg.heuristic,
     )
     decisions_path = out_dir / "decisions.tsv"
@@ -185,33 +195,21 @@ def ablation_contexts(
 
     Both validation and test must be labeled. External prediction files,
     when configured, must cover the union of the two splits' ids;
-    otherwise the baseline is trained once and applied to both. Nothing
-    is written to disk here.
+    otherwise the baseline is trained once and applied to both. Each
+    item is soft-voted once. Nothing is written to disk here.
     """
     require_paths(cfg, "train", "validation", "test")
     digest = config_hash(cfg)
-    train, cache, tables = _load_train_side(cfg)
-
-    external: PredictionMatrix | None = None
-    model = None
-    if cfg.prediction_paths:
-        external = load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
-    else:
-        model = baseline.train(train, cfg.clean_policy, cfg.alpha)
+    cache, tables, source = _load_train_side(cfg)
 
     contexts = []
     for split_name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
         split = load_dataset(path)
         if not split.fully_labeled:
             raise UsageError(f"the {split_name} split must be labeled for an ablation run")
-        if external is not None:
-            matrix = external
-        else:
-            matrix = matrix_from_vectors(
-                {model.model_name: baseline.predict_dataset(model, split)}
-            )
         inputs = prepare_inputs(
-            split, matrix, tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache
+            split, vote_all(build_matrix(source, split)),
+            tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
         )
         gold_by_id = gold_labels_by_id(split)
         gold = [gold_by_id[entry.item_id] for entry in inputs]

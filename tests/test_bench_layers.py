@@ -2,7 +2,7 @@
 LAYERS table names, looked up by module and name at run time; a rename
 or deletion in `veracity` would break traced runs without failing any
 other test. Its per-item layers are only meaningful while each post is
-scanned once per kind, so that is pinned here too."""
+scanned once per kind and voted once, so that is pinned here too."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from _synth import make_corpus, head, tail
-from veracity import preprocess
+from veracity import ensemble, preprocess
 from veracity.cli import main
 from veracity.config import RunConfig
 from veracity.corpus import save_dataset
@@ -35,13 +35,15 @@ def test_traced_layers_resolve():
 
 
 def _count_scans(monkeypatch) -> Counter:
-    """Wrap the two per-post scans the way bench/tracing.py installs its
-    wrappers: every `veracity` module attribute bound to the original is
-    rebound to a counting wrapper."""
+    """Wrap the two per-post scans and the two votes the way
+    bench/tracing.py installs its wrappers: every `veracity` module
+    attribute bound to the original is rebound to a counting wrapper."""
     calls: Counter = Counter()
     modules = [m for key, m in sys.modules.items() if key == "veracity" or key.startswith("veracity.")]
-    for name in ("extract_attributes", "clean_text"):
-        original = getattr(preprocess, name)
+    counted = ((preprocess, "extract_attributes"), (preprocess, "clean_text"),
+               (ensemble, "soft_vote"), (ensemble, "hard_vote"))
+    for owner, name in counted:
+        original = getattr(owner, name)
 
         def wrapper(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
@@ -91,7 +93,13 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
     argv = [command, "--config", str(config_path)]
     if command == "ablate":
         argv.append("--tune-threshold")
-    assert main(argv) == 0
-    loaded = sizes["train"] + sizes["test"] + (sizes["validation"] if command == "ablate" else 0)
-    assert calls["extract_attributes"] == loaded
-    assert calls["clean_text"] == (0 if external else loaded)
+    voted = sizes["test"] + (sizes["validation"] if command == "ablate" else 0)
+    loaded = sizes["train"] + voted
+    # pipeline votes by the configured scheme; ablate always soft-votes
+    for scheme in (["soft", "hard"] if command == "pipeline" else ["soft"]):
+        calls.clear()
+        assert main(argv + (["--scheme", scheme] if command == "pipeline" else [])) == 0
+        assert calls["extract_attributes"] == loaded
+        assert calls["clean_text"] == (0 if external else loaded)
+        assert calls["soft_vote"] + calls["hard_vote"] == voted
+        assert calls[f"{scheme}_vote"] == voted

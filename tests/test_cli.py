@@ -7,7 +7,7 @@ import pytest
 
 from _synth import make_corpus, head, tail
 from conftest import write_dataset_tsv
-from veracity import urlexpand
+from veracity import pipeline, urlexpand
 from veracity.cli import main
 from veracity.config import RunConfig, config_hash, load_config, parse_config_text
 from veracity.corpus import save_dataset
@@ -465,6 +465,33 @@ def test_ablate_unlabeled_test_refused(tmp_path, capsys):
     assert "must be labeled" in capsys.readouterr().err
 
 
+def test_ablate_has_no_scheme_flag(tmp_path, capsys):
+    # ablate's decisions read the mean probabilities, which no scheme changes
+    config_path = _ablate_config(tmp_path)
+    assert main(["ablate", "--config", str(config_path), "--scheme", "soft"]) == 1
+    assert "unrecognized arguments: --scheme soft" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given_by", ["--priority", "--ordering", "heuristic.priority"])
+def test_repeated_priority_name_is_usage_error(tmp_path, monkeypatch, capsys, given_by):
+    def no_data(*args, **kwargs):
+        raise AssertionError("the invocation must be refused before any data is read")
+
+    config_path = _ablate_config(tmp_path)
+    argv = ["ablate", "--config", str(config_path)]
+    if given_by == "heuristic.priority":
+        text = config_path.read_text(encoding="utf-8")
+        config_path.write_text(
+            text.replace("priority = username, domain", "priority = username, Username"),
+            encoding="utf-8",
+        )
+    else:
+        argv += [given_by, "username, Username"]
+    monkeypatch.setattr(pipeline, "load_dataset", no_data)
+    assert main(argv) == 1
+    assert f"usage error: {given_by}: a name may appear only once" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(
         train_path=Path("data/train.tsv"),
@@ -541,6 +568,38 @@ def test_alpha_must_be_finite_and_positive(tiny_train, tmp_path, capsys, given_b
         argv = ["pipeline", "--config", str(config_path)]
     assert main(argv) == 1
     assert "alpha must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+def test_expand_urls_timeout_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, timeout):
+    def unreachable(url, timeout):
+        raise AssertionError("no URL may be fetched")
+
+    monkeypatch.setattr(urlexpand, "resolve_redirect", unreachable)
+    urls_file = tmp_path / "urls.txt"
+    urls_file.write_text("https://t.co/x\n", encoding="utf-8")
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("https://t.co/x\thttps://news.sky/a\n", encoding="utf-8")
+    argv = ["expand-urls", "--urls-file", str(urls_file), "--out", str(cache), "--timeout", timeout]
+    assert main(argv) == 1
+    assert "usage error: --timeout must be" in capsys.readouterr().err
+    assert cache.read_text(encoding="utf-8") == "https://t.co/x\thttps://news.sky/a\n"
+
+
+@pytest.mark.parametrize("unusable", ["stats-out-dir-is-a-file", "ensemble-out-is-a-directory"])
+def test_unusable_output_path_is_usage_error(tiny_train, tmp_path, capsys, unusable):
+    target = tmp_path / "target"
+    if unusable == "stats-out-dir-is-a-file":
+        target.write_text("not a directory\n", encoding="utf-8")
+        argv = ["stats", "--train", str(tiny_train), "--out-dir", str(target)]
+    else:
+        target.mkdir()
+        predictions = tmp_path / "a.tsv"
+        _write_prediction_file(predictions, [(1, 0.6, 0.4)])
+        argv = ["ensemble", "--predictions", str(predictions), "--out", str(target)]
+    assert main(argv) == 1
+    assert f"usage error: cannot write {target}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, capsys):

@@ -224,6 +224,28 @@ def test_matrix_from_vectors_alignment():
         matrix_from_vectors({"a": vectors_a, "b": vectors_b[:1]})
 
 
+def test_same_stem_in_two_directories_gives_two_columns(tmp_path):
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    a, b = tmp_path / "x" / "model.tsv", tmp_path / "y" / "model.tsv"
+    _write_predictions(a, [(1, 0.6, 0.4), (2, 0.3, 0.7)])
+    _write_predictions(b, [(2, 0.2, 0.8), (1, 0.9, 0.1)])
+    matrix = load_predictions([a, b])
+    assert matrix.model_names == ("model", "model")
+    assert [vector.p_real for vector in matrix.rows[1]] == [0.6, 0.9]
+    assert [vector.p_real for vector in matrix.rows[2]] == [0.3, 0.2]
+
+
+def test_matrix_from_vectors_mismatch_names_ids():
+    vectors_a = [pv(0.5, item_id=i, name="a") for i in (1, 2, 3, 4)]
+    vectors_b = [pv(0.5, item_id=i, name="b") for i in (3, 4, 7, 8)]
+    with pytest.raises(IdSetMismatch) as exc_info:
+        matrix_from_vectors({"a": vectors_a, "b": vectors_b})
+    message = str(exc_info.value)
+    assert "'a'" in message and "'b'" in message
+    assert "missing e.g. [1, 2]" in message and "unexpected e.g. [7, 8]" in message
+
+
 def test_matrix_row_width_validated():
     with pytest.raises(IdSetMismatch):
         PredictionMatrix(("a", "b"), {1: (pv(0.5, item_id=1),)})

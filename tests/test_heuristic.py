@@ -16,11 +16,13 @@ from veracity.attribute_stats import (
 from veracity.baseline import PredictionVector
 from veracity.corpus import Dataset, Label, NewsItem
 from veracity.ensemble import EnsembleResult, VotingScheme, matrix_from_vectors, vote_all
+from veracity.errors import IdSetMismatch
 from veracity.heuristic import (
     DecidedBy,
     HeuristicConfig,
     decide,
     decide_batch,
+    prepare_inputs,
     write_decisions_tsv,
 )
 
@@ -232,6 +234,16 @@ def test_batch_output_ordered_by_id():
     table_d = build_table(corpus, DOMAIN)
     decisions = decide_batch(shuffled, matrix, table_u, table_d)
     assert [d.item_id for d in decisions] == list(range(25))
+
+
+@pytest.mark.parametrize("result_ids", [(0, 1), (0, 1, 2, 3), (0, 1, 3), (2, 1, 0)])
+def test_prepare_inputs_needs_results_for_exactly_the_dataset_ids(result_ids):
+    dataset = Dataset(tuple(NewsItem(i, "plain text", Label.REAL) for i in range(3)), "d")
+    tables = AttributeStatsTable(USERNAME, {}), AttributeStatsTable(DOMAIN, {})
+    inputs = prepare_inputs(dataset, [ens(0.7, item_id) for item_id in range(3)], *tables)
+    assert [entry.item_id for entry in inputs] == [0, 1, 2]
+    with pytest.raises(IdSetMismatch):
+        prepare_inputs(dataset, [ens(0.7, item_id) for item_id in result_ids], *tables)
 
 
 def test_decisions_tsv_shape(tmp_path):
