@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import KeysView, Sequence
+from typing import KeysView, NamedTuple, Sequence
 
 from .corpus import Dataset, Label, LABELS
 from .errors import BadRecord, DataError, DegenerateTraining
@@ -33,8 +33,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class PredictionVector:
+class PredictionVector(NamedTuple):
     """One model's class probabilities for one item."""
 
     item_id: int

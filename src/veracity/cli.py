@@ -32,7 +32,7 @@ from .evaluation import (
 from .fileio import atomic_write_text, data_lines, data_rows, open_lines, require_file
 from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_batch, write_decisions_tsv
 from .pipeline import ablation_contexts, run_pipeline
-from .preprocess import UrlExpansionCache, extract_attributes, load_cache
+from .preprocess import extract_attributes, load_cache
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,13 +67,13 @@ def _add_heuristic_flags(sub) -> None:
     )
 
 
-def _cache_arg(args) -> UrlExpansionCache:
-    return load_cache(None if args.cache is None else require_file(args.cache, "cache"))
+def _cache_path(args) -> Path | None:
+    return None if args.cache is None else require_file(args.cache, "cache")
 
 
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
-    cache = _cache_arg(args)
+    cache = load_cache(_cache_path(args))
     dataset = load_dataset(train_path, has_labels=True)
     digest = _args_digest("stats", train_path.name, args.cache, args.dedup_per_item)
     tables = build_tables(dataset, cache, per_item_dedup=args.dedup_per_item)
@@ -132,14 +132,16 @@ def cmd_ensemble(args) -> int:
 
 def cmd_postprocess(args) -> int:
     data_path = require_file(args.data, "data")
-    dataset = load_dataset(data_path)
-    for pred in args.predictions:
-        require_file(pred, "prediction")
-    matrix = load_predictions(args.predictions)
-    username_table = load_table(require_file(args.username_table, "username table"), AttributeKind.USERNAME)
-    domain_table = load_table(require_file(args.domain_table, "domain table"), AttributeKind.DOMAIN)
-    cache = _cache_arg(args)
+    prediction_paths = [require_file(pred, "prediction") for pred in args.predictions]
+    username_path = require_file(args.username_table, "username table")
+    domain_path = require_file(args.domain_table, "domain table")
+    cache_path = _cache_path(args)
     cfg = _heuristic_from_args(args)
+    dataset = load_dataset(data_path)
+    matrix = load_predictions(prediction_paths)
+    username_table = load_table(username_path, AttributeKind.USERNAME)
+    domain_table = load_table(domain_path, AttributeKind.DOMAIN)
+    cache = load_cache(cache_path)
     decisions = decide_batch(dataset, matrix, username_table, domain_table, cache, cfg)
     digest = _args_digest(
         "postprocess", data_path.name, cfg.threshold, cfg.use_threshold,

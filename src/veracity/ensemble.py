@@ -9,10 +9,13 @@ tie resolves to real by default in both schemes; that is configurable.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baseline import PredictionVector
 from .corpus import Label
@@ -48,33 +51,74 @@ class EnsembleResult:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Per-item rows of prediction vectors, aligned to model_names."""
+    """Every model's predictions for the same items, one float column per
+    model and class: p_real[k][j] and p_fake[k][j] are model k's
+    probabilities for item_ids[j], and item_ids ascend.
+
+    rows is a read-only view of the same numbers as id -> one vector per
+    model, built only for the items looked up.
+    """
 
     model_names: tuple[str, ...]
-    rows: Mapping[int, tuple[PredictionVector, ...]]
+    item_ids: tuple[int, ...]
+    p_real: tuple[tuple[float, ...], ...]
+    p_fake: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        width = len(self.model_names)
-        for item_id, row in self.rows.items():
-            if len(row) != width:
-                raise IdSetMismatch(
-                    f"item {item_id} has {len(row)} predictions for {width} models"
-                )
+        width, height = len(self.model_names), len(self.item_ids)
+        for columns in (self.p_real, self.p_fake):
+            if len(columns) != width:
+                raise IdSetMismatch(f"{len(columns)} prediction columns for {width} models")
+            for name, column in zip(self.model_names, columns):
+                if len(column) != height:
+                    raise IdSetMismatch(
+                        f"model {name!r} has {len(column)} predictions for {height} items"
+                    )
+        if not all(map(operator.lt, self.item_ids, self.item_ids[1:])):
+            raise ValueError("item ids must be unique and ascending")
+
+    @property
+    def rows(self) -> Mapping[int, tuple[PredictionVector, ...]]:
+        return _Rows(self)
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(self.rows.keys())
+        return self.item_ids
+
+
+class _Rows(Mapping):
+    """A matrix's items as id -> (one PredictionVector per model)."""
+
+    def __init__(self, matrix: PredictionMatrix) -> None:
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self._matrix.item_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._matrix.item_ids)
+
+    def __getitem__(self, item_id: int) -> tuple[PredictionVector, ...]:
+        matrix = self._matrix
+        j = bisect_left(matrix.item_ids, item_id)
+        if j == len(matrix.item_ids) or matrix.item_ids[j] != item_id:
+            raise KeyError(item_id)
+        return tuple(
+            PredictionVector(item_id, reals[j], fakes[j], name)
+            for name, reals, fakes in zip(matrix.model_names, matrix.p_real, matrix.p_fake)
+        )
 
 
 def _row_stats(row: Sequence[PredictionVector]) -> tuple[int, float, float, int, int]:
     if not row:
         raise NoModels()
-    item_id = row[0].item_id
-    if any(vector.item_id != item_id for vector in row):
-        raise ValueError("a voting row must hold predictions for a single item")
+    item_ids, reals, fakes, _ = zip(*row)
+    item_id = item_ids[0]
     n = len(row)
-    p_real = sum(vector.p_real for vector in row) / n
-    p_fake = sum(vector.p_fake for vector in row) / n
-    votes_real = sum(1 for vector in row if vector.p_real >= vector.p_fake)
+    if item_ids.count(item_id) != n:
+        raise ValueError("a voting row must hold predictions for a single item")
+    p_real = sum(reals) / n
+    p_fake = sum(fakes) / n
+    votes_real = sum(map(operator.ge, reals, fakes))
     return item_id, p_real, p_fake, votes_real, n - votes_real
 
 
@@ -107,13 +151,18 @@ def vote_all(
     scheme: VotingScheme = VotingScheme.SOFT,
     tie_label: Label = Label.REAL,
 ) -> list[EnsembleResult]:
-    """Vote every row, output ordered by item id."""
+    """Vote every item once, output ordered by item id."""
     voter = soft_vote if scheme is VotingScheme.SOFT else hard_vote
-    return [voter(matrix.rows[item_id], tie_label) for item_id in sorted(matrix.rows)]
+    names = matrix.model_names
+    return [
+        voter(tuple(map(PredictionVector, repeat(item_id), reals, fakes, names)), tie_label)
+        for item_id, reals, fakes in zip(matrix.item_ids, zip(*matrix.p_real), zip(*matrix.p_fake))
+    ]
 
 
-def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVector]:
-    vectors: dict[int, PredictionVector] = {}
+def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float, float]]:
+    """id -> (p_real, p_fake), renormalized to sum to 1."""
+    pairs: dict[int, tuple[float, float]] = {}
     with open_lines(path) as lines:
         rows = data_rows(lines)
         header = next(rows, None)
@@ -130,7 +179,7 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVe
                 p_fake = float(row[2])
             except ValueError:
                 raise BadRecord(f"unparseable row {row!r}") from None
-            if item_id in vectors:
+            if item_id in pairs:
                 raise DuplicateId(item_id)
             if p_real < 0.0 or p_fake < 0.0:
                 raise BadProbabilities(item_id, model_name, "negative probability")
@@ -139,16 +188,20 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, PredictionVe
                 raise BadProbabilities(
                     item_id, model_name, f"probabilities sum to {total!r}, outside [0.99, 1.01]"
                 )
-            vectors[item_id] = PredictionVector(item_id, p_real / total, p_fake / total, model_name)
-    return vectors
+            pairs[item_id] = (p_real / total, p_fake / total)
+    return pairs
 
 
 def _aligned(
-    names: Sequence[str], columns: Sequence[Mapping[int, PredictionVector]], sources: Sequence[str]
+    names: Sequence[str],
+    columns: Sequence[Mapping[int, Sequence]],
+    sources: Sequence[str],
+    real_at: int = 0,
 ) -> PredictionMatrix:
-    """The matrix of one id -> vector column per model, rows in ascending
-    id order. Every column must cover the first one's ids; sources name
-    the columns in the mismatch message."""
+    """The matrix of one id -> record column per model, where a record
+    holds p_real at real_at and p_fake after it. Every column must cover
+    the first one's ids; sources name the columns in the mismatch
+    message."""
     ids = columns[0].keys()
     for source, column in zip(sources[1:], columns[1:]):
         if column.keys() != ids:
@@ -157,8 +210,13 @@ def _aligned(
             raise IdSetMismatch(
                 f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
             )
-    rows = {item_id: tuple(column[item_id] for column in columns) for item_id in sorted(ids)}
-    return PredictionMatrix(tuple(names), rows)
+    item_ids = tuple(sorted(ids))
+    reals, fakes = [], []
+    for column in columns:
+        records = list(map(column.__getitem__, item_ids))
+        reals.append(tuple([record[real_at] for record in records]))
+        fakes.append(tuple([record[real_at + 1] for record in records]))
+    return PredictionMatrix(tuple(names), item_ids, tuple(reals), tuple(fakes))
 
 
 def load_predictions(
@@ -188,11 +246,18 @@ def load_predictions(
 def restrict_to(matrix: PredictionMatrix, ids: Iterable[int]) -> PredictionMatrix:
     """Subset a matrix to the given ids; every id must be covered."""
     wanted = sorted(set(ids))
-    missing = [item_id for item_id in wanted if item_id not in matrix.rows]
+    position = {item_id: j for j, item_id in enumerate(matrix.item_ids)}
+    missing = [item_id for item_id in wanted if item_id not in position]
     if missing:
         raise IdSetMismatch(f"no predictions for items {missing[:5]}")
+    if len(wanted) == len(position):
+        return matrix
+    keep = [position[item_id] for item_id in wanted]
     return PredictionMatrix(
-        matrix.model_names, {item_id: matrix.rows[item_id] for item_id in wanted}
+        matrix.model_names,
+        tuple(wanted),
+        tuple(tuple([column[j] for j in keep]) for column in matrix.p_real),
+        tuple(tuple([column[j] for j in keep]) for column in matrix.p_fake),
     )
 
 
@@ -208,7 +273,7 @@ def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> Pred
                 raise DuplicateId(vector.item_id, source=name)
             indexed[vector.item_id] = vector
         columns.append(indexed)
-    return _aligned(list(named), columns, [f"model {name!r}" for name in named])
+    return _aligned(list(named), columns, [f"model {name!r}" for name in named], real_at=1)
 
 
 def write_ensemble_tsv(

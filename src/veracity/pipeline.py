@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import baseline
@@ -128,7 +129,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         model_path = out_dir / "baseline_model.json"
         baseline.save_model(source, model_path, config_hash=digest)
         predictions_path = out_dir / "baseline_predictions.tsv"
-        vectors = [row[0] for row in matrix.rows.values()]
+        vectors = list(map(
+            baseline.PredictionVector,
+            matrix.item_ids, matrix.p_real[0], matrix.p_fake[0], repeat(source.model_name),
+        ))
         baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
         written += [model_path, predictions_path]
 

@@ -13,7 +13,7 @@ import urllib.request
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .preprocess import UrlExpansionCache, save_cache
+from .preprocess import UrlExpansionCache, load_cache, save_cache
 
 
 def resolve_redirect(url: str, timeout: float = 10.0) -> str:
@@ -35,17 +35,22 @@ def build_cache(
     timeout: float = 10.0,
     resolver: Callable[[str, float], str] | None = None,
 ) -> tuple[int, int]:
-    """Resolve each distinct URL and write the cache file.
+    """Resolve each distinct URL and merge the results into the cache
+    file at out_path, creating it if there is none.
 
+    This run's resolutions replace the cached ones for the same URLs;
+    entries for URLs it did not resolve, failures included, are kept.
     Only URLs that change under redirection are recorded (identity
     mappings would be dead weight; the pipeline's miss policy already
-    falls back to the URL itself). Returns (resolved, failed) counts.
+    falls back to the URL itself), so a URL that now resolves to itself
+    loses its entry. Returns (resolved, failed) counts for this run.
     Failures are reported to stderr and skipped.
     """
     if resolver is None:
         resolver = resolve_redirect
-    entries: dict[str, str] = {}
-    failed = 0
+    out_path = Path(out_path)
+    entries = dict(load_cache(out_path).entries) if out_path.is_file() else {}
+    resolved = failed = 0
     for url in dict.fromkeys(urls):
         try:
             expanded = resolver(url, timeout)
@@ -55,5 +60,8 @@ def build_cache(
             continue
         if expanded and expanded != url:
             entries[url] = expanded
+            resolved += 1
+        else:
+            entries.pop(url, None)
     save_cache(UrlExpansionCache(entries), out_path)
-    return len(entries), failed
+    return resolved, failed

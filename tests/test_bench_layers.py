@@ -23,10 +23,15 @@ from veracity.corpus import save_dataset
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_traced_layers_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layers_resolve():
+    tracing = _load_tracing()
     targets = [(module, function) for module, function, _, _ in tracing.LAYERS]
     targets.append(tracing.ROOT[:2])
     for module_name, function in targets:
@@ -103,3 +108,23 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
         assert calls["clean_text"] == (0 if external else loaded)
         assert calls["soft_vote"] + calls["hard_vote"] == voted
         assert calls[f"{scheme}_vote"] == voted
+
+
+def test_traced_row_count_builds_no_vectors(monkeypatch):
+    """The traced run counts a loaded matrix's rows as models x ids; that
+    count must come from the columns, not from a vector per cell."""
+    built = Counter()
+    original = ensemble.PredictionVector
+
+    def counting(*args, **kwargs):
+        built["vectors"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "PredictionVector", counting)
+    item_ids = (2, 5, 9, 11)
+    columns = tuple(tuple(0.1 * k for _ in item_ids) for k in range(3))
+    matrix = ensemble.PredictionMatrix(("a", "b", "c"), item_ids, columns, columns[::-1])
+    note = _load_tracing()._note("ensemble.load_predictions", (), {}, matrix)
+    assert note == {"rows": 12}
+    assert built["vectors"] == 0
+    assert len(matrix.rows[9]) == 3 and built["vectors"] == 3  # the counter does see lookups

@@ -157,6 +157,38 @@ def test_postprocess_command(tiny_train, tmp_path):
     assert lines[3].split("\t")[:3] == ["11", "real", "ensemble"]
 
 
+@pytest.mark.parametrize(
+    "missing", ["--data", "--predictions", "--username-table", "--domain-table", "--cache"]
+)
+def test_postprocess_checks_every_path_before_reading_any(
+    tiny_train, tmp_path, monkeypatch, capsys, missing
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("the invocation must be refused before any data is read")
+
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    preds = tmp_path / "m.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in range(1, 7)])
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("https://t.co/x\thttps://news.sky/a\n", encoding="utf-8")
+    paths = {
+        "--data": tiny_train,
+        "--predictions": preds,
+        "--username-table": stats_dir / "username_stats.tsv",
+        "--domain-table": stats_dir / "domain_stats.tsv",
+        "--cache": cache,
+    }
+    paths[missing] = tmp_path / "absent.tsv"
+    argv = ["postprocess", "--out", str(tmp_path / "d.tsv")]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    monkeypatch.setattr("veracity.cli.load_dataset", no_data)
+    assert main(argv) == 1
+    assert f"file not found: {tmp_path / 'absent.tsv'}" in capsys.readouterr().err
+    assert not (tmp_path / "d.tsv").exists()
+
+
 def test_evaluate_command(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     write_dataset_tsv(gold, [(1, "a", "real"), (2, "b", "real"), (3, "c", "fake"), (4, "d", "fake")])
@@ -546,6 +578,30 @@ def test_expand_urls_with_injected_resolver(tmp_path, monkeypatch, capsys):
     assert "https://t.co/x\thttps://news.sky/story/long" in body
     assert "stable.org" not in body  # identity mappings are not recorded
     assert "resolved 1 urls (1 failed)" in capsys.readouterr().out
+
+
+def test_expand_urls_merges_into_existing_cache(tmp_path, monkeypatch, capsys):
+    def flaky_resolver(url, timeout):
+        if url == "https://t.co/old":
+            raise OSError("host down")
+        return "https://news.sky/new-story"
+
+    monkeypatch.setattr(urlexpand, "resolve_redirect", flaky_resolver)
+    out = tmp_path / "cache.tsv"
+    out.write_text(
+        "# short_url\texpanded_url\nhttps://t.co/old\thttps://news.sky/old-story\n", encoding="utf-8"
+    )
+    urls_file = tmp_path / "urls.txt"
+    urls_file.write_text("https://t.co/old\nhttps://t.co/new\n", encoding="utf-8")
+    assert main(["expand-urls", "--urls-file", str(urls_file), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "# short_url\texpanded_url",
+        "https://t.co/new\thttps://news.sky/new-story",
+        "https://t.co/old\thttps://news.sky/old-story",
+    ]
+    captured = capsys.readouterr()
+    assert "resolved 1 urls (1 failed)" in captured.out
+    assert "https://t.co/old: host down" in captured.err
 
 
 def test_expand_urls_requires_input(tmp_path):

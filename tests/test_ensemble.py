@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from veracity.baseline import PredictionVector
 from veracity.corpus import Label
 from veracity.ensemble import (
+    EnsembleResult,
     PredictionMatrix,
     VotingScheme,
     hard_vote,
     load_predictions,
     matrix_from_vectors,
+    restrict_to,
     soft_vote,
     vote_all,
     write_ensemble_tsv,
@@ -25,6 +28,7 @@ from veracity.errors import (
     IdSetMismatch,
     NoModels,
 )
+from veracity.fileio import data_rows, open_lines
 
 
 def pv(p_real, item_id=0, name="m"):
@@ -248,7 +252,30 @@ def test_matrix_from_vectors_mismatch_names_ids():
 
 def test_matrix_row_width_validated():
     with pytest.raises(IdSetMismatch):
-        PredictionMatrix(("a", "b"), {1: (pv(0.5, item_id=1),)})
+        PredictionMatrix(("a", "b"), (1,), ((0.5,),), ((0.5,),))
+    with pytest.raises(IdSetMismatch):
+        PredictionMatrix(("a", "b"), (1, 2), ((0.5, 0.4), (0.5,)), ((0.5, 0.6), (0.5, 0.6)))
+
+
+def test_matrix_item_ids_must_ascend():
+    with pytest.raises(ValueError):
+        PredictionMatrix(("a",), (2, 1), ((0.5, 0.4),), ((0.5, 0.6),))
+    with pytest.raises(ValueError):
+        PredictionMatrix(("a",), (1, 1), ((0.5, 0.4),), ((0.5, 0.6),))
+
+
+def test_rows_view_builds_vectors_on_lookup():
+    matrix = PredictionMatrix(
+        ("a", "b"), (3, 7), ((0.6, 0.2), (0.9, 0.4)), ((0.4, 0.8), (0.1, 0.6))
+    )
+    assert len(matrix.rows) == 2
+    assert list(matrix.rows) == [3, 7]
+    assert matrix.rows[7] == (
+        PredictionVector(7, 0.2, 0.8, "a"), PredictionVector(7, 0.4, 0.6, "b")
+    )
+    assert 3 in matrix.rows and 5 not in matrix.rows
+    with pytest.raises(KeyError):
+        matrix.rows[8]
 
 
 def test_ensemble_tsv_round_trips_through_loader(tmp_path):
@@ -271,3 +298,185 @@ def test_vote_all_sorted_by_id(seed):
     matrix = matrix_from_vectors({"m": [pv(rng.random(), item_id=i) for i in ids]})
     results = vote_all(matrix, VotingScheme.HARD)
     assert [r.item_id for r in results] == sorted(ids)
+
+
+# The row-based matrix the columnar one replaced, frozen as an oracle:
+# one vector per item and model, rows keyed by id, every mean taken by
+# the generator sums below.
+
+
+def oracle_read(path, model_name):
+    vectors = {}
+    with open_lines(path) as lines:
+        rows = data_rows(lines)
+        header = next(rows, None)
+        if header is None:
+            raise BadRecord("file is empty")
+        if [cell.strip().lower() for cell in header] != ["id", "p_real", "p_fake"]:
+            raise BadRecord(f"expected header id/p_real/p_fake, found {header!r}")
+        for row in rows:
+            if len(row) != 3:
+                raise BadRecord(f"expected 3 columns, found {len(row)}")
+            try:
+                item_id = int(row[0])
+                p_real = float(row[1])
+                p_fake = float(row[2])
+            except ValueError:
+                raise BadRecord(f"unparseable row {row!r}") from None
+            if item_id in vectors:
+                raise DuplicateId(item_id)
+            if p_real < 0.0 or p_fake < 0.0:
+                raise BadProbabilities(item_id, model_name, "negative probability")
+            total = p_real + p_fake
+            if not (0.99 <= total <= 1.01):
+                raise BadProbabilities(
+                    item_id, model_name, f"probabilities sum to {total!r}, outside [0.99, 1.01]"
+                )
+            vectors[item_id] = PredictionVector(item_id, p_real / total, p_fake / total, model_name)
+    return vectors
+
+
+def oracle_aligned(columns, sources):
+    ids = columns[0].keys()
+    for source, column in zip(sources[1:], columns[1:]):
+        if column.keys() != ids:
+            missing = sorted(ids - column.keys())[:3]
+            extra = sorted(column.keys() - ids)[:3]
+            raise IdSetMismatch(
+                f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
+            )
+    return {item_id: tuple(column[item_id] for column in columns) for item_id in sorted(ids)}
+
+
+def oracle_load(paths):
+    return oracle_aligned([oracle_read(p, p.stem) for p in paths], [p.name for p in paths])
+
+
+def oracle_restrict(rows, ids):
+    wanted = sorted(set(ids))
+    missing = [item_id for item_id in wanted if item_id not in rows]
+    if missing:
+        raise IdSetMismatch(f"no predictions for items {missing[:5]}")
+    return {item_id: rows[item_id] for item_id in wanted}
+
+
+def oracle_row_stats(row):
+    item_id = row[0].item_id
+    if any(vector.item_id != item_id for vector in row):
+        raise ValueError("a voting row must hold predictions for a single item")
+    n = len(row)
+    p_real = sum(vector.p_real for vector in row) / n
+    p_fake = sum(vector.p_fake for vector in row) / n
+    votes_real = sum(1 for vector in row if vector.p_real >= vector.p_fake)
+    return item_id, p_real, p_fake, votes_real, n - votes_real
+
+
+def oracle_vote_all(rows, scheme, tie_label):
+    results = []
+    for item_id in sorted(rows):
+        item_id, p_real, p_fake, votes_real, votes_fake = oracle_row_stats(rows[item_id])
+        high, low = (p_real, p_fake) if scheme is VotingScheme.SOFT else (votes_real, votes_fake)
+        label = Label.REAL if high > low else Label.FAKE if low > high else tie_label
+        results.append(
+            EnsembleResult(item_id, p_real, p_fake, votes_real, votes_fake, label, scheme)
+        )
+    return results
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the oracle and the program must fail alike
+        return type(exc), str(exc)
+
+
+# Dyadic values make per-model ties (0.5) and exact soft ties (means of
+# 0.25 and 0.75) likely; a scale within the window forces renormalization.
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+SCALES = st.one_of(st.just(1.0), st.floats(0.991, 1.009))
+FAULTS = st.sampled_from([None, "drop", "extra", "duplicate", "bad sum", "negative"])
+
+
+@st.composite
+def prediction_files(draw):
+    ids = draw(st.lists(st.integers(-3, 10**6), unique=True, max_size=16))
+    models = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = []
+        for item_id in ids:
+            p, scale = draw(PROBABILITIES), draw(SCALES)
+            rows.append((item_id, p * scale, (1.0 - p) * scale))
+        models.append(draw(st.permutations(rows)))
+    fault = draw(FAULTS)
+    if fault is not None:
+        rows = models[draw(st.integers(0, len(models) - 1))]
+        at = draw(st.integers(0, max(0, len(rows) - 1)))
+        if fault == "extra" or not rows:
+            rows.insert(at, (10**6 + 1, 0.5, 0.5))
+        elif fault == "drop":
+            del rows[at]
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(at + 1, len(rows))), rows[at])
+        elif fault == "bad sum":
+            rows[at] = (rows[at][0], 0.6, 0.42)
+        else:
+            rows[at] = (rows[at][0], 1.25, -0.25)
+    covered = [row[0] for row in models[0]]
+    wanted = draw(st.sets(st.sampled_from(covered))) if covered else set()
+    return models, wanted
+
+
+@settings(max_examples=300, deadline=None)
+@given(prediction_files())
+def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
+    models, wanted = case
+    root = tmp_path_factory.mktemp("predictions")
+    paths = []
+    for index, rows in enumerate(models):
+        paths.append(root / f"m{index}.tsv")
+        _write_predictions(paths[-1], [(i, repr(r), repr(f)) for i, r, f in rows])
+    matrix = _outcome(load_predictions, paths)
+    rows = _outcome(oracle_load, paths)
+    if isinstance(rows, tuple):
+        assert matrix == rows
+        return
+    assert isinstance(matrix, PredictionMatrix)
+    assert matrix.model_names == tuple(p.stem for p in paths)
+    assert matrix.item_ids == tuple(rows)
+    assert len(matrix.rows) == len(rows)
+    assert all(matrix.rows[item_id] == row for item_id, row in rows.items())
+    named = {
+        name: [row[k] for row in reversed(rows.values())]
+        for k, name in enumerate(matrix.model_names)
+    }
+    assert matrix_from_vectors(named) == matrix
+    restricted = restrict_to(matrix, wanted)
+    restricted_rows = oracle_restrict(rows, wanted)
+    assert restricted.item_ids == tuple(restricted_rows)
+    assert all(restricted.rows[item_id] == row for item_id, row in restricted_rows.items())
+    for scheme in VotingScheme:
+        for tie_label in (Label.REAL, Label.FAKE):
+            assert vote_all(matrix, scheme, tie_label) == oracle_vote_all(rows, scheme, tie_label)
+            assert vote_all(restricted, scheme, tie_label) == oracle_vote_all(
+                restricted_rows, scheme, tie_label
+            )
+    unknown = wanted | {-7, 10**6 + 2}
+    assert _outcome(restrict_to, matrix, unknown) == _outcome(oracle_restrict, rows, unknown)
+
+
+def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
+    rng = random.Random(8)
+    ids = rng.sample(range(1, 10**6), 2000)
+    paths = []
+    for k in range(8):
+        paths.append(tmp_path / f"m{k}.tsv")
+        rows = [(i, p, round(1.0 - p, 4)) for i in ids for p in [round(rng.random(), 4)]]
+        _write_predictions(paths[-1], rows)
+    tracemalloc.start()
+    try:
+        matrix = load_predictions(paths)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matrix.item_ids) * len(matrix.model_names) == 16_000
+    assert held / 16_000 < 100
