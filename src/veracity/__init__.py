@@ -16,7 +16,7 @@ from .attribute_stats import (
     tweet_attr_vector,
 )
 from .baseline import BowModel, PredictionVector, predict, predict_dataset, train
-from .corpus import Dataset, Label, NewsItem, load_dataset, save_dataset, summarize
+from .corpus import Dataset, Label, NewsItem, iter_dataset, load_dataset, save_dataset, summarize
 from .ensemble import (
     EnsembleResult,
     PredictionMatrix,
@@ -74,6 +74,7 @@ __all__ = [
     "evaluate",
     "extract_attributes",
     "hard_vote",
+    "iter_dataset",
     "load_dataset",
     "load_predictions",
     "normalize_domain",

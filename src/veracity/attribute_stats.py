@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Dataset, Label
+from .corpus import Label, NewsItem
 from .errors import BadRecord, UnlabeledItem, ZeroSupport
 from .fileio import data_lines, open_lines, write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
@@ -85,13 +85,42 @@ class AttrProbVector:
         return cls(0.0, 0.0, 0, False)
 
 
+class TableCounter:
+    """Attribute/class co-occurrence counts for every attribute kind,
+    added one labeled item at a time; see build_tables."""
+
+    def __init__(
+        self, cache: UrlExpansionCache | None = None, per_item_dedup: bool = False
+    ) -> None:
+        self.cache = cache
+        self.per_item_dedup = per_item_dedup
+        self.usernames: dict[str, list[int]] = {}
+        self.domains: dict[str, list[int]] = {}
+
+    def add(self, item: NewsItem) -> None:
+        if item.label is None:
+            raise UnlabeledItem(item.id)
+        attrs = extract_attributes(item.text, self.cache)
+        slot = 0 if item.label is Label.REAL else 1
+        for counts, values in ((self.usernames, attrs.usernames), (self.domains, attrs.domains)):
+            for value in dict.fromkeys(values) if self.per_item_dedup else values:
+                counts.setdefault(value, [0, 0])[slot] += 1
+
+    def tables(self) -> dict[AttributeKind, AttributeStatsTable]:
+        kinds = ((AttributeKind.USERNAME, self.usernames), (AttributeKind.DOMAIN, self.domains))
+        return {
+            kind: AttributeStatsTable(kind, {attr: AttrCounts(*n) for attr, n in counts.items()})
+            for kind, counts in kinds
+        }
+
+
 def build_tables(
-    dataset: Dataset,
+    items: Iterable[NewsItem],
     cache: UrlExpansionCache | None = None,
     per_item_dedup: bool = False,
 ) -> dict[AttributeKind, AttributeStatsTable]:
-    """Count attribute/class co-occurrences over a labeled dataset, for
-    every attribute kind in one pass over the items.
+    """Count attribute/class co-occurrences over labeled items, for every
+    attribute kind in one pass over the items, which may be a stream.
 
     By default every occurrence counts: a post naming a domain twice
     increments that domain's class count twice, symmetric with how
@@ -101,30 +130,20 @@ def build_tables(
     Raises UnlabeledItem for any item without a gold label; this is the
     guard that keeps test-set labels out of the tables.
     """
-    usernames: dict[str, list[int]] = {}
-    domains: dict[str, list[int]] = {}
-    for item in dataset:
-        if item.label is None:
-            raise UnlabeledItem(item.id)
-        attrs = extract_attributes(item.text, cache)
-        slot = 0 if item.label is Label.REAL else 1
-        for counts, values in ((usernames, attrs.usernames), (domains, attrs.domains)):
-            for value in dict.fromkeys(values) if per_item_dedup else values:
-                counts.setdefault(value, [0, 0])[slot] += 1
-    return {
-        kind: AttributeStatsTable(kind, {attr: AttrCounts(*pair) for attr, pair in counts.items()})
-        for kind, counts in ((AttributeKind.USERNAME, usernames), (AttributeKind.DOMAIN, domains))
-    }
+    counter = TableCounter(cache, per_item_dedup)
+    for item in items:
+        counter.add(item)
+    return counter.tables()
 
 
 def build_table(
-    dataset: Dataset,
+    items: Iterable[NewsItem],
     kind: AttributeKind,
     cache: UrlExpansionCache | None = None,
     per_item_dedup: bool = False,
 ) -> AttributeStatsTable:
     """The table of one attribute kind; see build_tables."""
-    return build_tables(dataset, cache, per_item_dedup)[kind]
+    return build_tables(items, cache, per_item_dedup)[kind]
 
 
 def tweet_attr_vector(attrs: Sequence[str], table: AttributeStatsTable) -> AttrProbVector:

@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import KeysView, NamedTuple, Sequence
+from typing import Iterable, KeysView, NamedTuple, Sequence
 
-from .corpus import Dataset, Label, LABELS
+from .corpus import Dataset, Label, LABELS, NewsItem
 from .errors import BadRecord, DataError, DegenerateTraining
 from .fileio import atomic_write_text, open_lines, write_tsv
 from .preprocess import CleanPolicy, clean_text
@@ -92,35 +92,55 @@ class BowModel:
         }
 
 
+class BowTrainer:
+    """The class and token counts of labeled items, added one at a time;
+    see train."""
+
+    def __init__(
+        self,
+        policy: CleanPolicy | None = None,
+        alpha: float = 1.0,
+        model_name: str = DEFAULT_MODEL_NAME,
+    ) -> None:
+        self.policy = CleanPolicy() if policy is None else policy
+        self.alpha = alpha
+        self.model_name = model_name
+        self.class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
+        self.token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
+
+    def add(self, item: NewsItem) -> None:
+        if item.label is None:
+            raise DegenerateTraining(f"item {item.id} is unlabeled")
+        self.class_doc_counts[item.label] += 1
+        self.token_counts[item.label].update(tokenize(clean_text(item.text, self.policy)))
+
+    def model(self) -> BowModel:
+        return BowModel(
+            class_doc_counts=self.class_doc_counts,
+            token_counts=self.token_counts,
+            smoothing_alpha=self.alpha,
+            clean_policy=self.policy,
+            model_name=self.model_name,
+        )
+
+
 def train(
-    dataset: Dataset,
+    items: Iterable[NewsItem],
     policy: CleanPolicy | None = None,
     alpha: float = 1.0,
     model_name: str = DEFAULT_MODEL_NAME,
 ) -> BowModel:
-    """Fit the model on a labeled dataset.
+    """Fit the model on labeled items, which may be a stream.
 
     Text is cleaned per the policy first (attribute noise never enters
     the vocabulary under the default policy), then tokenized. Counting
     is order-independent, so training is deterministic regardless of
     dataset order. Raises DegenerateTraining unless both classes occur.
     """
-    if policy is None:
-        policy = CleanPolicy()
-    class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
-    token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
-    for item in dataset:
-        if item.label is None:
-            raise DegenerateTraining(f"item {item.id} is unlabeled")
-        class_doc_counts[item.label] += 1
-        token_counts[item.label].update(tokenize(clean_text(item.text, policy)))
-    return BowModel(
-        class_doc_counts=class_doc_counts,
-        token_counts=token_counts,
-        smoothing_alpha=alpha,
-        clean_policy=policy,
-        model_name=model_name,
-    )
+    trainer = BowTrainer(policy, alpha, model_name)
+    for item in items:
+        trainer.add(item)
+    return trainer.model()
 
 
 def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:

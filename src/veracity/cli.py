@@ -13,12 +13,15 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
 from .config import RunConfig, load_config, override, parse_names, parse_positive, parse_priority
-from .corpus import CorpusSummary, Label, class_fractions, gold_labels_by_id, load_dataset
+from .corpus import (
+    CorpusSummary, Label, gold_labels_by_id, iter_dataset, label_fractions, load_dataset,
+)
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
@@ -74,12 +77,20 @@ def _cache_path(args) -> Path | None:
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
     cache = load_cache(_cache_path(args))
-    dataset = load_dataset(train_path, has_labels=True)
     digest = _args_digest("stats", train_path.name, args.cache, args.dedup_per_item)
-    tables = build_tables(dataset, cache, per_item_dedup=args.dedup_per_item)
+    labels: Counter = Counter()
+
+    def tallied(items):
+        for item in items:
+            labels[item.label] += 1
+            yield item
+
+    items = tallied(iter_dataset(train_path, has_labels=True))
+    tables = build_tables(items, cache, per_item_dedup=args.dedup_per_item)
     save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
+    n_items = labels.total()
     summary = CorpusSummary(
-        len(dataset), *(class_fractions(dataset) or (None, None)),
+        n_items, *(label_fractions(labels[Label.REAL], n_items) or (None, None)),
         len(tables[AttributeKind.USERNAME]), len(tables[AttributeKind.DOMAIN]),
     )
     print(f"items: {summary.item_count}")
@@ -98,8 +109,9 @@ def cmd_stats(args) -> int:
 
 def cmd_train_baseline(args) -> int:
     train_path = require_file(args.train, "training data")
-    dataset = load_dataset(train_path, has_labels=True)
-    model = baseline.train(dataset, alpha=args.alpha, model_name=args.name)
+    model = baseline.train(
+        iter_dataset(train_path, has_labels=True), alpha=args.alpha, model_name=args.name
+    )
     baseline.save_model(
         model, args.out, config_hash=_args_digest("train", train_path.name, args.alpha, args.name)
     )
@@ -260,9 +272,7 @@ def cmd_expand_urls(args) -> int:
         with open_lines(urls_path) as lines:
             urls.extend(line.strip() for line in data_lines(lines))
     if args.data:
-        data_path = require_file(args.data, "data")
-        dataset = load_dataset(data_path)
-        for item in dataset:
+        for item in iter_dataset(require_file(args.data, "data")):
             urls.extend(extract_attributes(item.text).urls)
     if not urls:
         raise UsageError("nothing to expand: pass --urls-file and/or --data")

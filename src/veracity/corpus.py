@@ -137,20 +137,19 @@ def sniff_has_labels(path: Path | str) -> bool:
         return _read_header(lines)[1]
 
 
-def load_dataset(
-    path: Path | str, has_labels: bool | None = None, split_name: str | None = None
-) -> Dataset:
-    """Load a dataset file, preserving record order.
+def iter_dataset(path: Path | str, has_labels: bool | None = None) -> Iterator[NewsItem]:
+    """Yield a dataset file's items in record order, each once every
+    check on it has passed, without holding the file's items.
 
     The header line says whether the file is tab- or comma-separated and
     whether it is labeled; has_labels, when given, requires the one or
     the other. Every text field is unicode-normalized (NFC) on the way
     in so that attribute matching downstream is stable. Labels parse
     case-insensitively. Raises DuplicateId, BadLabel, EmptyText or
-    BadRecord naming the file and the record's physical line.
+    BadRecord naming the file and the record's physical line, after
+    yielding the items before that record.
     """
     path = Path(path)
-    items: list[NewsItem] = []
     seen: set[int] = set()
     with open_lines(path) as lines:
         delimiter, labeled = _read_header(lines, has_labels)
@@ -172,9 +171,17 @@ def load_dataset(
             text = unicodedata.normalize("NFC", row[1])
             if not text.strip():
                 raise EmptyText(item_id)
-            label = Label.parse(row[2], item_id) if labeled else None
-            items.append(NewsItem(item_id, text, label))
-    return Dataset(tuple(items), split_name if split_name is not None else path.stem)
+            yield NewsItem(item_id, text, Label.parse(row[2], item_id) if labeled else None)
+
+
+def load_dataset(
+    path: Path | str, has_labels: bool | None = None, split_name: str | None = None
+) -> Dataset:
+    """Load a dataset file whole, preserving record order; see
+    iter_dataset for the checks and errors."""
+    path = Path(path)
+    items = tuple(iter_dataset(path, has_labels))
+    return Dataset(items, split_name if split_name is not None else path.stem)
 
 
 def save_dataset(
@@ -204,10 +211,17 @@ def save_dataset(
 
 def class_fractions(dataset: Dataset) -> tuple[float, float] | None:
     """(real, fake) fractions, or None when any item is unlabeled."""
-    if len(dataset) == 0 or not dataset.fully_labeled:
+    if not dataset.fully_labeled:
         return None
-    n_real = sum(1 for item in dataset if item.label is Label.REAL)
-    return n_real / len(dataset), (len(dataset) - n_real) / len(dataset)
+    return label_fractions(sum(1 for item in dataset if item.label is Label.REAL), len(dataset))
+
+
+def label_fractions(n_real: int, n_items: int) -> tuple[float, float] | None:
+    """(real, fake) fractions of n_items labeled items, n_real of them
+    real, or None when there are none."""
+    if n_items == 0:
+        return None
+    return n_real / n_items, (n_items - n_real) / n_items
 
 
 def summarize(dataset: Dataset, cache=None) -> CorpusSummary:

@@ -194,28 +194,43 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float,
 
 def _aligned(
     names: Sequence[str],
-    columns: Sequence[Mapping[int, Sequence]],
+    columns: Iterable[Mapping[int, Sequence]],
     sources: Sequence[str],
     real_at: int = 0,
 ) -> PredictionMatrix:
     """The matrix of one id -> record column per model, where a record
     holds p_real at real_at and p_fake after it. Every column must cover
     the first one's ids; sources name the columns in the mismatch
-    message."""
-    ids = columns[0].keys()
-    for source, column in zip(sources[1:], columns[1:]):
-        if column.keys() != ids:
+    message. Columns are taken one at a time and dropped once their
+    floats are copied out, so they may be read lazily. After a mismatch
+    the remaining columns are still drawn, so an error raised while
+    producing one comes before the mismatch."""
+    columns = iter(columns)
+    ids: set[int] = set()
+    item_ids: tuple[int, ...] = ()
+    reals, fakes = [], []
+    mismatch = None
+    for index, source in enumerate(sources):
+        # drawn with next(), not zip(), whose reused result tuple would
+        # hold the last column while the next one is read
+        column = next(columns)
+        if index == 0:
+            ids = set(column)
+            item_ids = tuple(sorted(ids))
+        elif mismatch is None and column.keys() != ids:
             missing = sorted(ids - column.keys())[:3]
             extra = sorted(column.keys() - ids)[:3]
-            raise IdSetMismatch(
+            mismatch = IdSetMismatch(
                 f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
             )
-    item_ids = tuple(sorted(ids))
-    reals, fakes = [], []
-    for column in columns:
-        records = list(map(column.__getitem__, item_ids))
-        reals.append(tuple([record[real_at] for record in records]))
-        fakes.append(tuple([record[real_at + 1] for record in records]))
+        if mismatch is None:
+            records = list(map(column.__getitem__, item_ids))
+            reals.append(tuple([record[real_at] for record in records]))
+            fakes.append(tuple([record[real_at + 1] for record in records]))
+            del records
+        del column  # not held while the next column is read
+    if mismatch is not None:
+        raise mismatch
     return PredictionMatrix(tuple(names), item_ids, tuple(reals), tuple(fakes))
 
 
@@ -239,7 +254,7 @@ def load_predictions(
             raise UsageError(
                 f"{len(resolved)} prediction files but {len(names)} model names"
             )
-    columns = [_read_prediction_file(p, name) for p, name in zip(resolved, names)]
+    columns = (_read_prediction_file(p, name) for p, name in zip(resolved, names))
     return _aligned(names, columns, [p.name for p in resolved])
 
 

@@ -44,12 +44,15 @@ def build_cache(
     mappings would be dead weight; the pipeline's miss policy already
     falls back to the URL itself), so a URL that now resolves to itself
     loses its entry. Returns (resolved, failed) counts for this run.
-    Failures are reported to stderr and skipped.
+    Failures are reported to stderr and skipped. The cache as it stands
+    is written back before any URL is fetched, so an out_path that cannot
+    be written is a UsageError that costs no network time.
     """
     if resolver is None:
         resolver = resolve_redirect
     out_path = Path(out_path)
     entries = dict(load_cache(out_path).entries) if out_path.is_file() else {}
+    save_cache(UrlExpansionCache(entries), out_path)
     resolved = failed = 0
     for url in dict.fromkeys(urls):
         try:

@@ -520,6 +520,7 @@ def test_repeated_priority_name_is_usage_error(tmp_path, monkeypatch, capsys, gi
     else:
         argv += [given_by, "username, Username"]
     monkeypatch.setattr(pipeline, "load_dataset", no_data)
+    monkeypatch.setattr(pipeline, "iter_dataset", no_data)
     assert main(argv) == 1
     assert f"usage error: {given_by}: a name may appear only once" in capsys.readouterr().err
 
@@ -604,6 +605,24 @@ def test_expand_urls_merges_into_existing_cache(tmp_path, monkeypatch, capsys):
     assert "https://t.co/old: host down" in captured.err
 
 
+def test_expand_urls_checks_out_before_fetching(tmp_path, monkeypatch, capsys):
+    fetched = []
+
+    def counting_resolver(url, timeout):
+        fetched.append(url)
+        return "https://news.sky/story"
+
+    monkeypatch.setattr(urlexpand, "resolve_redirect", counting_resolver)
+    urls_file = tmp_path / "urls.txt"
+    urls_file.write_text("https://t.co/a\nhttps://t.co/b\n", encoding="utf-8")
+    out = tmp_path / "cache_dir"
+    out.mkdir()
+    assert main(["expand-urls", "--urls-file", str(urls_file), "--out", str(out)]) == 1
+    assert f"usage error: cannot write {out}: Is a directory" in capsys.readouterr().err
+    assert fetched == []
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_expand_urls_requires_input(tmp_path):
     assert main(["expand-urls", "--out", str(tmp_path / "c.tsv")]) == 1
 
@@ -656,6 +675,26 @@ def test_unusable_output_path_is_usage_error(tiny_train, tmp_path, capsys, unusa
     assert main(argv) == 1
     assert f"usage error: cannot write {target}" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_malformed_cache_is_reported_before_malformed_train(tmp_path, capsys, command):
+    """The cache is read first, because the streamed training pass
+    extracts attributes through it; both errors are data errors."""
+    config_path = _ablate_config(tmp_path)
+    train = tmp_path / "train.tsv"
+    train.write_text(train.read_text(encoding="utf-8") + "not an id\tword\treal\n", encoding="utf-8")
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("https://t.co/a\n", encoding="utf-8")
+    config_path.write_text(
+        config_path.read_text(encoding="utf-8").replace("cache = \n", f"cache = {cache}\n"),
+        encoding="utf-8",
+    )
+    assert main([command, "--config", str(config_path)]) == 2
+    assert "bad record in cache.tsv (line 1)" in capsys.readouterr().err
+    cache.write_text("https://t.co/a\thttps://news.sky/a\n", encoding="utf-8")
+    assert main([command, "--config", str(config_path)]) == 2
+    assert "bad record in train.tsv (line 52)" in capsys.readouterr().err
 
 
 def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, capsys):

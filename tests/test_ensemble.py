@@ -162,6 +162,26 @@ def test_load_predictions_id_mismatch(tmp_path):
     assert "a.tsv" in str(exc_info.value) and "b.tsv" in str(exc_info.value)
 
 
+def test_load_predictions_parse_error_beats_earlier_id_mismatch(tmp_path):
+    """Files are aligned as they are read, yet the first error is the one
+    reading every file first gives: a bad row in the third file comes
+    before a mismatch between the first two, and the first mismatch is
+    reported with its missing and unexpected ids."""
+    a, b, c = (tmp_path / f"{name}.tsv" for name in "abc")
+    _write_predictions(a, [(1, 0.6, 0.4), (2, 0.3, 0.7)])
+    _write_predictions(b, [(1, 0.6, 0.4), (3, 0.3, 0.7)])
+    _write_predictions(c, [(1, 0.6, 0.4), (2, "x", 0.7)])
+    with pytest.raises(BadRecord) as exc_info:
+        load_predictions([a, b, c])
+    assert "in c.tsv (line 3)" in str(exc_info.value)
+    _write_predictions(c, [(1, 0.6, 0.4), (4, 0.3, 0.7)])
+    with pytest.raises(IdSetMismatch) as exc_info:
+        load_predictions([a, b, c])
+    assert str(exc_info.value) == (
+        "prediction id sets do not line up: a.tsv vs b.tsv (missing e.g. [2], unexpected e.g. [3])"
+    )
+
+
 def test_load_predictions_renormalizes_within_window(tmp_path):
     path = tmp_path / "m.tsv"
     _write_predictions(path, [(1, 0.7, 0.31), (2, 0.495, 0.495)])
@@ -464,7 +484,7 @@ def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
     assert _outcome(restrict_to, matrix, unknown) == _outcome(oracle_restrict, rows, unknown)
 
 
-def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
+def _eight_model_files(tmp_path):
     rng = random.Random(8)
     ids = rng.sample(range(1, 10**6), 2000)
     paths = []
@@ -472,6 +492,11 @@ def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
         paths.append(tmp_path / f"m{k}.tsv")
         rows = [(i, p, round(1.0 - p, 4)) for i in ids for p in [round(rng.random(), 4)]]
         _write_predictions(paths[-1], rows)
+    return paths
+
+
+def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
+    paths = _eight_model_files(tmp_path)
     tracemalloc.start()
     try:
         matrix = load_predictions(paths)
@@ -480,3 +505,21 @@ def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
         tracemalloc.stop()
     assert len(matrix.item_ids) * len(matrix.model_names) == 16_000
     assert held / 16_000 < 100
+
+
+def test_loading_peaks_under_20_bytes_per_cell_above_the_matrix(tmp_path):
+    """Each file's rows are dropped once its columns are built, so the
+    load peaks at the matrix plus about one file's rows: 14 B per cell
+    above what the matrix holds here, 27 B when one file's rows outlive
+    its columns, and 112 B when every file's rows are held until the end.
+    The excess is pinned, not the peak, because the peak moves with the
+    interpreter's free lists while the excess does not."""
+    paths = _eight_model_files(tmp_path)
+    tracemalloc.start()
+    try:
+        matrix = load_predictions(paths)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matrix.item_ids) * len(matrix.model_names) == 16_000
+    assert (peak - held) / 16_000 < 20

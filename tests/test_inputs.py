@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import write_dataset_tsv
 from veracity.cli import main
-from veracity.corpus import load_dataset, save_dataset
+from veracity.corpus import iter_dataset, load_dataset, save_dataset
 from veracity.errors import DataError
 
 ROWS = [
@@ -249,20 +249,23 @@ _ROWS = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    delimiter=st.sampled_from(["\t", ","]),
-    labeled=st.booleans(),
-    bom=st.booleans(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    rows=_ROWS,
-)
-def test_any_dataset_bytes_end_in_exit_0_1_or_2(model_path, delimiter, labeled, bom, newline, rows):
-    header = ["id", "tweet", "label"] if labeled else ["id", "tweet"]
-    sep, end = delimiter.encode(), newline.encode()
+@st.composite
+def dataset_bytes(draw):
+    """The bytes of a dataset file: either header, a byte-order mark or
+    not, either line ending, and well-formed or arbitrary rows."""
+    delimiter = draw(st.sampled_from(["\t", ","]))
+    header = ["id", "tweet", "label"] if draw(st.booleans()) else ["id", "tweet"]
+    bom = draw(st.booleans())
+    sep, end = delimiter.encode(), draw(st.sampled_from(["\n", "\r\n"])).encode()
     data = (b"\xef\xbb\xbf" if bom else b"") + sep.join(c.encode() for c in header) + end
-    for item_id, text, label, stray in rows:
+    for item_id, text, label, stray in draw(_ROWS):
         data += sep.join([item_id, text, label][: len(header)] + stray) + end
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=dataset_bytes())
+def test_any_dataset_bytes_end_in_exit_0_1_or_2(model_path, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "split.txt"
         path.write_bytes(data)
@@ -277,6 +280,26 @@ def test_any_dataset_bytes_end_in_exit_0_1_or_2(model_path, delimiter, labeled, 
             copy = Path(tmp) / "copy.txt"
             save_dataset(dataset, copy, delimiter=save_delimiter)
             assert load_dataset(copy).items == dataset.items
+
+
+def _items_or_error(read):
+    try:
+        return read()
+    except DataError as exc:
+        return type(exc), str(exc), exc.source, exc.line_no
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=dataset_bytes(), has_labels=st.sampled_from([None, True, False]))
+def test_streamed_dataset_matches_loaded_one(data, has_labels):
+    """iter_dataset yields exactly load_dataset's items, or both raise the
+    same error type and message at the same file and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.txt"
+        path.write_bytes(data)
+        streamed = _items_or_error(lambda: tuple(iter_dataset(path, has_labels)))
+        loaded = _items_or_error(lambda: load_dataset(path, has_labels).items)
+    assert streamed == loaded
 
 
 _CELLS = st.one_of(
