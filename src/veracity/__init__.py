@@ -35,7 +35,6 @@ from .heuristic import (
 )
 from .preprocess import (
     CleanPolicy,
-    MissPolicy,
     TweetAttributes,
     UrlExpansionCache,
     clean_text,
@@ -59,7 +58,6 @@ __all__ = [
     "HeuristicConfig",
     "HeuristicDecision",
     "Label",
-    "MissPolicy",
     "NewsItem",
     "PredictionMatrix",
     "PredictionVector",

@@ -59,12 +59,6 @@ class AttributeStatsTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, attribute: str) -> bool:
-        return attribute in self.entries
-
-    def probabilities(self, attribute: str) -> tuple[float, float]:
-        return cond_prob(self.entries[attribute])
-
 
 @dataclass(frozen=True)
 class AttrProbVector:
@@ -194,7 +188,8 @@ def save_tables(
 
 
 def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
-    """Read a table written by save_table; probabilities are re-derived."""
+    """Read a table written by save_table; probabilities are re-derived.
+    An attribute may appear on one row only."""
     path = Path(path)
     entries: dict[str, AttrCounts] = {}
     with open_lines(path) as lines:
@@ -213,5 +208,7 @@ def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
                 ) from None
             if real_count < 0 or fake_count < 0 or real_count + fake_count == 0:
                 raise BadRecord(f"attribute {parts[0]!r} has invalid counts")
+            if parts[0] in entries:
+                raise BadRecord(f"repeated attribute {parts[0]!r}")
             entries[parts[0]] = AttrCounts(real_count, fake_count)
     return AttributeStatsTable(kind, entries)

@@ -95,18 +95,6 @@ class CorpusSummary:
             "unique_domains": self.unique_domains,
         }
 
-    def format_text(self) -> str:
-        lines = [f"items: {self.item_count}"]
-        if self.real_fraction is None:
-            lines.append("real_fraction: -")
-            lines.append("fake_fraction: -")
-        else:
-            lines.append(f"real_fraction: {self.real_fraction:.4f}")
-            lines.append(f"fake_fraction: {self.fake_fraction:.4f}")
-        lines.append(f"unique_usernames: {self.unique_usernames}")
-        lines.append(f"unique_domains: {self.unique_domains}")
-        return "\n".join(lines) + "\n"
-
 
 _HEADER_LABELED = ["id", "tweet", "label"]
 _HEADER_UNLABELED = ["id", "tweet"]
@@ -209,13 +197,6 @@ def save_dataset(
     atomic_write_text(Path(path), buffer.getvalue())
 
 
-def class_fractions(dataset: Dataset) -> tuple[float, float] | None:
-    """(real, fake) fractions, or None when any item is unlabeled."""
-    if not dataset.fully_labeled:
-        return None
-    return label_fractions(sum(1 for item in dataset if item.label is Label.REAL), len(dataset))
-
-
 def label_fractions(n_real: int, n_items: int) -> tuple[float, float] | None:
     """(real, fake) fractions of n_items labeled items, n_real of them
     real, or None when there are none."""
@@ -240,7 +221,11 @@ def summarize(dataset: Dataset, cache=None) -> CorpusSummary:
         attrs = extract_attributes(item.text, cache)
         usernames.update(attrs.usernames)
         domains.update(attrs.domains)
-    fractions = class_fractions(dataset)
+    fractions = (
+        label_fractions(sum(1 for item in dataset if item.label is Label.REAL), len(dataset))
+        if dataset.fully_labeled
+        else None
+    )
     real_fraction, fake_fraction = fractions if fractions else (None, None)
     return CorpusSummary(
         item_count=len(dataset),

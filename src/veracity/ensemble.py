@@ -4,7 +4,7 @@ Soft voting averages each class's probabilities across models and takes
 the class with the higher mean. Hard voting gives each model one vote
 for the class it ranks higher (a per-model tie is a vote for real, per
 the >= in the vote indicator) and takes the majority. An exact overall
-tie resolves to real by default in both schemes; that is configurable.
+tie resolves to real in both schemes.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class PredictionMatrix:
     def rows(self) -> Mapping[int, tuple[PredictionVector, ...]]:
         return _Rows(self)
 
-    def ids(self) -> tuple[int, ...]:
-        return self.item_ids
-
 
 class _Rows(Mapping):
     """A matrix's items as id -> (one PredictionVector per model)."""
@@ -122,40 +119,28 @@ def _row_stats(row: Sequence[PredictionVector]) -> tuple[int, float, float, int,
     return item_id, p_real, p_fake, votes_real, n - votes_real
 
 
-def soft_vote(row: Sequence[PredictionVector], tie_label: Label = Label.REAL) -> EnsembleResult:
+def soft_vote(row: Sequence[PredictionVector]) -> EnsembleResult:
     """Average probabilities across models; higher mean wins."""
     item_id, p_real, p_fake, votes_real, votes_fake = _row_stats(row)
-    if p_real > p_fake:
-        label = Label.REAL
-    elif p_fake > p_real:
-        label = Label.FAKE
-    else:
-        label = tie_label
+    label = Label.FAKE if p_fake > p_real else Label.REAL
     return EnsembleResult(item_id, p_real, p_fake, votes_real, votes_fake, label, VotingScheme.SOFT)
 
 
-def hard_vote(row: Sequence[PredictionVector], tie_label: Label = Label.REAL) -> EnsembleResult:
+def hard_vote(row: Sequence[PredictionVector]) -> EnsembleResult:
     """Majority vote over per-model argmax labels."""
     item_id, p_real, p_fake, votes_real, votes_fake = _row_stats(row)
-    if votes_real > votes_fake:
-        label = Label.REAL
-    elif votes_fake > votes_real:
-        label = Label.FAKE
-    else:
-        label = tie_label
+    label = Label.FAKE if votes_fake > votes_real else Label.REAL
     return EnsembleResult(item_id, p_real, p_fake, votes_real, votes_fake, label, VotingScheme.HARD)
 
 
 def vote_all(
-    matrix: PredictionMatrix,
-    scheme: VotingScheme = VotingScheme.SOFT,
-    tie_label: Label = Label.REAL,
+    matrix: PredictionMatrix, scheme: VotingScheme = VotingScheme.SOFT
 ) -> list[EnsembleResult]:
     """Vote every item once, output ordered by item id."""
     voter = soft_vote if scheme is VotingScheme.SOFT else hard_vote
     names = matrix.model_names
     return [
-        voter(tuple(map(PredictionVector, repeat(item_id), reals, fakes, names)), tie_label)
+        voter(tuple(map(PredictionVector, repeat(item_id), reals, fakes, names)))
         for item_id, reals, fakes in zip(matrix.item_ids, zip(*matrix.p_real), zip(*matrix.p_fake))
     ]
 

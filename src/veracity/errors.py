@@ -77,10 +77,8 @@ class UnlabeledItem(DataError):
 
 
 class ZeroSupport(DataError):
-    def __init__(self, attribute: str | None = None):
-        self.attribute = attribute
-        what = f" for attribute {attribute!r}" if attribute else ""
-        super().__init__(f"cannot derive probabilities from zero counts{what}")
+    def __init__(self) -> None:
+        super().__init__("cannot derive probabilities from zero counts")
 
 
 class BadUrl(DataError):

@@ -156,22 +156,13 @@ def _sweep(
     return [reports[cfg.cutoff] for cfg in cfgs]
 
 
-def _score(report: EvalReport, objective: str) -> float:
-    if objective == "accuracy":
-        return report.accuracy
-    if objective == "f1":
-        return report.f1
-    raise ValueError(f"unknown tuning objective {objective!r}")
-
-
 def tune_threshold(
     inputs: Sequence[DecisionInput],
     gold: Sequence[Label],
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
     cfg: HeuristicConfig | None = None,
-    objective: str = "accuracy",
 ) -> float:
-    """Pick the grid threshold maximizing the objective on validation data.
+    """Pick the grid threshold maximizing accuracy on validation data.
 
     Ties break toward the larger threshold (the more conservative
     override). cfg supplies the priority ordering and threshold flag;
@@ -182,7 +173,7 @@ def tune_threshold(
     if cfg is None:
         cfg = HeuristicConfig()
     reports = _sweep(inputs, gold, [cfg.with_threshold(threshold) for threshold in grid])
-    return max(zip((_score(report, objective) for report in reports), grid))[1]
+    return max(zip((report.accuracy for report in reports), grid))[1]
 
 
 @dataclass(frozen=True)

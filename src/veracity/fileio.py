@@ -16,13 +16,17 @@ from .errors import BadRecord, DataError, UsageError
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write text to path via a temp file in the same directory, then rename.
-    A path that cannot be written is a UsageError naming it."""
+    The file gets the mode open(path, "w") would give it: 0666 less the
+    umask. A path that cannot be written is a UsageError naming it."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                umask = os.umask(0)  # the umask can only be read by setting it
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)
                 handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:

@@ -48,7 +48,6 @@ class PipelineResult:
     pre_report: EvalReport | None
     post_report: EvalReport | None
     output_files: list[Path]
-    config_digest: str
 
 
 #: Where a split's predictions come from: prediction files, or the built-in model.
@@ -204,7 +203,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         pre_report=pre_report,
         post_report=post_report,
         output_files=written,
-        config_digest=digest,
     )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Mapping
 from urllib.parse import urlsplit
@@ -67,39 +66,23 @@ _EMOJI_RE = re.compile(
 )
 
 
-class MissPolicy(Enum):
-    """What to do with a URL the expansion cache does not know."""
-
-    USE_AS_IS = "use_as_is"
-    DROP = "drop"
-
-
 @dataclass(frozen=True)
 class UrlExpansionCache:
     """Offline map from shorthand URL to expanded URL.
 
     Lookup is an exact match on the raw URL string. The pipeline never
     follows redirects itself; a separate tool may populate the cache
-    file. With the default USE_AS_IS policy a miss falls back to the
-    short URL itself, so e.g. "https://t.co/x" contributes the domain
-    "t.co".
+    file. A miss falls back to the short URL itself, so e.g.
+    "https://t.co/x" contributes the domain "t.co".
     """
 
     entries: Mapping[str, str] = field(default_factory=dict)
-    miss_policy: MissPolicy = MissPolicy.USE_AS_IS
 
-    def expand(self, url: str) -> str | None:
-        hit = self.entries.get(url)
-        if hit is not None:
-            return hit
-        if self.miss_policy is MissPolicy.USE_AS_IS:
-            return url
-        return None
+    def expand(self, url: str) -> str:
+        return self.entries.get(url, url)
 
 
-def load_cache(
-    path: Path | str | None, miss_policy: MissPolicy = MissPolicy.USE_AS_IS
-) -> UrlExpansionCache:
+def load_cache(path: Path | str | None) -> UrlExpansionCache:
     """Read a cache file: one `short_url<TAB>expanded_url` per line.
 
     Blank lines and '#' comments are skipped. Duplicate keys keep the
@@ -107,7 +90,7 @@ def load_cache(
     empty cache.
     """
     if path is None:
-        return UrlExpansionCache(miss_policy=miss_policy)
+        return UrlExpansionCache()
     path = Path(path)
     entries: dict[str, str] = {}
     with open_lines(path) as lines:
@@ -116,7 +99,7 @@ def load_cache(
             if len(parts) < 2 or not parts[0] or not parts[1]:
                 raise BadRecord("expected short_url<TAB>expanded_url")
             entries[parts[0]] = parts[1]
-    return UrlExpansionCache(entries, miss_policy)
+    return UrlExpansionCache(entries)
 
 
 def save_cache(cache: UrlExpansionCache, path: Path | str) -> None:
@@ -189,8 +172,8 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
 
     URLs win over mentions: an '@' inside a URL span is never a handle.
     Each URL is expanded through the cache and reduced to a domain;
-    URLs the cache drops, or whose expansion has no parseable host, are
-    skipped. Never raises; empty text yields empty attribute lists.
+    URLs whose expansion has no parseable host are skipped. Never raises;
+    empty text yields empty attribute lists.
     """
     if cache is None:
         cache = UrlExpansionCache()
@@ -207,11 +190,8 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
             usernames.append(m.group(1).lower())
     domains: list[str] = []
     for url in urls:
-        expanded = cache.expand(url)
-        if expanded is None:
-            continue
         try:
-            domains.append(normalize_domain(expanded))
+            domains.append(normalize_domain(cache.expand(url)))
         except BadUrl:
             continue
     return TweetAttributes(tuple(usernames), urls, tuple(domains))

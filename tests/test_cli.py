@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -245,6 +247,25 @@ def test_postprocess_bad_table_row_names_physical_line(tiny_train, tmp_path, cap
     )
     assert rc == 2
     assert "in username_stats.tsv (line 4)" in capsys.readouterr().err
+
+
+def test_postprocess_repeated_table_row_exit_2(tiny_train, tmp_path, capsys):
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    table = stats_dir / "username_stats.tsv"
+    table.write_text("attribute\treal_count\tfake_count\nbob\t5\t0\nbob\t0\t7\n", encoding="utf-8")
+    preds = tmp_path / "m.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in range(1, 7)])
+    rc = main(
+        ["postprocess", "--data", str(tiny_train), "--predictions", str(preds),
+         "--username-table", str(table), "--domain-table", str(stats_dir / "domain_stats.tsv"),
+         "--out", str(tmp_path / "d.tsv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "repeated attribute 'bob'" in err
+    assert "in username_stats.tsv (line 3)" in err
+    assert not (tmp_path / "d.tsv").exists()
 
 
 def _pipeline_config(tmp_path, corpus_seed=77, n=120, **overrides) -> Path:
@@ -675,6 +696,23 @@ def test_unusable_output_path_is_usage_error(tiny_train, tmp_path, capsys, unusa
     assert main(argv) == 1
     assert f"usage error: cannot write {target}" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_the_umask_allows(tiny_train, tmp_path, umask, mode):
+    out_dir = tmp_path / "stats"
+    argv = ["stats", "--train", str(tiny_train), "--out-dir", str(out_dir),
+            "--summary-json", str(tmp_path / "summary.json")]
+    saved = os.umask(umask)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(saved)
+    written = [*out_dir.iterdir(), tmp_path / "summary.json"]
+    assert len(written) == 3
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == {
+        path.name: mode for path in written
+    }
 
 
 @pytest.mark.parametrize("command", ["pipeline", "ablate"])

@@ -46,10 +46,6 @@ def test_soft_vote_exact_tie_goes_real():
     assert soft_vote([pv(0.5)]).label is Label.REAL
 
 
-def test_soft_vote_tie_label_configurable():
-    assert soft_vote([pv(0.5)], tie_label=Label.FAKE).label is Label.FAKE
-
-
 def test_soft_vote_three_models():
     result = soft_vote([pv(0.9), pv(0.2), pv(0.2)])
     assert abs(result.p_real - (0.9 + 0.2 + 0.2) / 3) <= 1e-12
@@ -146,7 +142,7 @@ def test_load_predictions_two_files(tmp_path):
     _write_predictions(b, [(2, 0.2, 0.8), (1, 0.9, 0.1)])
     matrix = load_predictions([a, b])
     assert matrix.model_names == ("model_a", "model_b")
-    assert matrix.ids() == (1, 2)
+    assert matrix.item_ids == (1, 2)
     assert matrix.rows[1][1].p_real == 0.9
     results = vote_all(matrix, VotingScheme.SOFT)
     assert [r.item_id for r in results] == [1, 2]
@@ -227,7 +223,7 @@ def test_load_predictions_header_required(tmp_path):
 def test_load_predictions_skips_comments(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("# config: abc\nid\tp_real\tp_fake\n1\t0.6\t0.4\n", encoding="utf-8")
-    assert load_predictions([path]).ids() == (1,)
+    assert load_predictions([path]).item_ids == (1,)
 
 
 def test_load_predictions_explicit_names(tmp_path):
@@ -391,12 +387,12 @@ def oracle_row_stats(row):
     return item_id, p_real, p_fake, votes_real, n - votes_real
 
 
-def oracle_vote_all(rows, scheme, tie_label):
+def oracle_vote_all(rows, scheme):
     results = []
     for item_id in sorted(rows):
         item_id, p_real, p_fake, votes_real, votes_fake = oracle_row_stats(rows[item_id])
         high, low = (p_real, p_fake) if scheme is VotingScheme.SOFT else (votes_real, votes_fake)
-        label = Label.REAL if high > low else Label.FAKE if low > high else tie_label
+        label = Label.FAKE if low > high else Label.REAL  # an exact tie is real
         results.append(
             EnsembleResult(item_id, p_real, p_fake, votes_real, votes_fake, label, scheme)
         )
@@ -475,11 +471,8 @@ def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
     assert restricted.item_ids == tuple(restricted_rows)
     assert all(restricted.rows[item_id] == row for item_id, row in restricted_rows.items())
     for scheme in VotingScheme:
-        for tie_label in (Label.REAL, Label.FAKE):
-            assert vote_all(matrix, scheme, tie_label) == oracle_vote_all(rows, scheme, tie_label)
-            assert vote_all(restricted, scheme, tie_label) == oracle_vote_all(
-                restricted_rows, scheme, tie_label
-            )
+        assert vote_all(matrix, scheme) == oracle_vote_all(rows, scheme)
+        assert vote_all(restricted, scheme) == oracle_vote_all(restricted_rows, scheme)
     unknown = wanted | {-7, 10**6 + 2}
     assert _outcome(restrict_to, matrix, unknown) == _outcome(oracle_restrict, rows, unknown)
 

@@ -155,16 +155,14 @@ def test_tune_threshold_single_option():
     assert tune_threshold(inputs, gold, [0.88]) == 0.88
 
 
-def test_tune_threshold_f1_objective_and_default_grid():
+def test_tune_threshold_default_grid():
     inputs, gold = _perfect_attr_context()
-    best = tune_threshold(inputs, gold, DEFAULT_THRESHOLD_GRID, objective="f1")
+    best = tune_threshold(inputs, gold, DEFAULT_THRESHOLD_GRID)
     assert best == 0.95  # all thresholds < 1.0 tie at perfect; largest wins
     with pytest.raises(ValueError):
         tune_threshold(inputs, gold, [])
     with pytest.raises(ValueError, match="threshold must be in"):
         tune_threshold(inputs, gold, [0.5, 1.5])
-    with pytest.raises(ValueError, match="objective"):
-        tune_threshold(inputs, gold, [0.5], objective="recall")
 
 
 def test_run_ablation_grid_shape():
@@ -267,19 +265,18 @@ def _brute_force_report(inputs, gold, cfg):
     priority=st.lists(st.sampled_from(list(AttributeKind)), unique=True, max_size=2),
     use_threshold=st.booleans(),
     grid=st.lists(_GRID_VALUES, min_size=1, max_size=8),
-    objective=st.sampled_from(["accuracy", "f1"]),
 )
-def test_sweep_matches_deciding_every_threshold(val, test, priority, use_threshold, grid, objective):
+def test_sweep_matches_deciding_every_threshold(val, test, priority, use_threshold, grid):
     """Tuning and the ablation grid score exactly what deciding each item
     at each threshold and evaluating the labels scores."""
     (val_inputs, val_gold), (test_inputs, test_gold) = val, test
     cfg = HeuristicConfig(priority=tuple(priority), use_threshold=use_threshold)
     scores = {
-        t: getattr(_brute_force_report(val_inputs, val_gold, cfg.with_threshold(t)), objective)
+        t: _brute_force_report(val_inputs, val_gold, cfg.with_threshold(t)).accuracy
         for t in grid
     }
     expected = max(grid, key=lambda t: (scores[t], t))  # ties go to the larger threshold
-    assert tune_threshold(val_inputs, val_gold, grid, cfg, objective) == expected
+    assert tune_threshold(val_inputs, val_gold, grid, cfg) == expected
 
     (row,) = run_ablation(val_inputs, val_gold, test_inputs, test_gold, [priority], expected)
     for use, split_inputs, split_gold, cell in (

@@ -1,5 +1,6 @@
-"""The README's CLI and config examples parse as they read: a flag removed
-from the program cannot stay in the docs."""
+"""The README's CLI and config examples parse as they read, and the
+package exports only names it defines: a flag or name removed from the
+program cannot stay in the docs or in `veracity.__all__`."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import veracity
 from veracity.cli import build_parser
 from veracity.config import parse_config_text
 
@@ -40,3 +42,8 @@ def test_readme_config_example_parses():
     assert block, "README has no ini code block"
     cfg = parse_config_text(block.group(1), source="README.md")
     assert cfg.prediction_paths == (Path("preds/a.tsv"), Path("preds/b.tsv"))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in veracity.__all__ if not hasattr(veracity, name)]
+    assert missing == []
