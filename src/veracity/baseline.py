@@ -47,8 +47,7 @@ class BowModel:
     """Trained bag-of-words model. Counts are the persistent state; the
     log priors and `pairs`, which maps each vocabulary token to its
     (real, fake) log likelihood so that scoring a token is one lookup,
-    are derived on construction. `vocabulary` and
-    `token_log_likelihoods` are read-only views of `pairs`."""
+    are derived on construction. `vocabulary` is a read-only view of `pairs`."""
 
     class_doc_counts: dict[Label, int]
     token_counts: dict[Label, dict[str, int]]
@@ -83,13 +82,6 @@ class BowModel:
     @property
     def vocabulary(self) -> KeysView[str]:
         return self.pairs.keys()
-
-    @property
-    def token_log_likelihoods(self) -> dict[Label, dict[str, float]]:
-        return {
-            c: {token: pair[i] for token, pair in self.pairs.items()}
-            for i, c in enumerate(LABELS)
-        }
 
 
 class BowTrainer:

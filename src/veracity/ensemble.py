@@ -22,8 +22,7 @@ from .corpus import Label
 from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
 from .fileio import data_rows, open_lines, write_tsv
 
-# A prediction row is renormalized when its probabilities sum to within
-# this window of 1; anything further off is treated as corrupt input.
+# The sums a prediction pair may have; anything further off is corrupt.
 _SUM_WINDOW = (0.99, 1.01)
 
 
@@ -145,6 +144,22 @@ def vote_all(
     ]
 
 
+def _renormalized(
+    item_id: int, model_name: str, p_real: float, p_fake: float
+) -> tuple[float, float]:
+    """(p_real, p_fake) divided by their sum, the one way a pair enters a
+    PredictionMatrix, from a file row or a vector alike. A negative pair,
+    or one whose sum is outside _SUM_WINDOW, is a BadProbabilities."""
+    if p_real < 0.0 or p_fake < 0.0:
+        raise BadProbabilities(item_id, model_name, "negative probability")
+    total = p_real + p_fake
+    if not (_SUM_WINDOW[0] <= total <= _SUM_WINDOW[1]):
+        raise BadProbabilities(
+            item_id, model_name, f"probabilities sum to {total!r}, outside {list(_SUM_WINDOW)}"
+        )
+    return p_real / total, p_fake / total
+
+
 def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float, float]]:
     """id -> (p_real, p_fake), renormalized to sum to 1."""
     pairs: dict[int, tuple[float, float]] = {}
@@ -166,30 +181,21 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float,
                 raise BadRecord(f"unparseable row {row!r}") from None
             if item_id in pairs:
                 raise DuplicateId(item_id)
-            if p_real < 0.0 or p_fake < 0.0:
-                raise BadProbabilities(item_id, model_name, "negative probability")
-            total = p_real + p_fake
-            if not (_SUM_WINDOW[0] <= total <= _SUM_WINDOW[1]):
-                raise BadProbabilities(
-                    item_id, model_name, f"probabilities sum to {total!r}, outside [0.99, 1.01]"
-                )
-            pairs[item_id] = (p_real / total, p_fake / total)
+            pairs[item_id] = _renormalized(item_id, model_name, p_real, p_fake)
     return pairs
 
 
 def _aligned(
     names: Sequence[str],
-    columns: Iterable[Mapping[int, Sequence]],
+    columns: Iterable[Mapping[int, tuple[float, float]]],
     sources: Sequence[str],
-    real_at: int = 0,
 ) -> PredictionMatrix:
-    """The matrix of one id -> record column per model, where a record
-    holds p_real at real_at and p_fake after it. Every column must cover
-    the first one's ids; sources name the columns in the mismatch
-    message. Columns are taken one at a time and dropped once their
-    floats are copied out, so they may be read lazily. After a mismatch
-    the remaining columns are still drawn, so an error raised while
-    producing one comes before the mismatch."""
+    """The matrix of one id -> renormalized (p_real, p_fake) column per
+    model. Every column must cover the first one's ids; sources name the
+    columns in the mismatch message. Columns are taken one at a time and
+    dropped once their floats are copied out, so they may be read lazily.
+    After a mismatch the remaining columns are still drawn, so an error
+    raised while producing one comes before the mismatch."""
     columns = iter(columns)
     ids: set[int] = set()
     item_ids: tuple[int, ...] = ()
@@ -209,10 +215,10 @@ def _aligned(
                 f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
             )
         if mismatch is None:
-            records = list(map(column.__getitem__, item_ids))
-            reals.append(tuple([record[real_at] for record in records]))
-            fakes.append(tuple([record[real_at + 1] for record in records]))
-            del records
+            pairs = list(map(column.__getitem__, item_ids))
+            reals.append(tuple([pair[0] for pair in pairs]))
+            fakes.append(tuple([pair[1] for pair in pairs]))
+            del pairs
         del column  # not held while the next column is read
     if mismatch is not None:
         raise mismatch
@@ -262,18 +268,19 @@ def restrict_to(matrix: PredictionMatrix, ids: Iterable[int]) -> PredictionMatri
 
 
 def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> PredictionMatrix:
-    """Build a matrix from in-memory model outputs (e.g. the baseline)."""
+    """Build a matrix from in-memory model outputs (e.g. the baseline),
+    each vector checked and renormalized as a prediction file's row is."""
     if not named:
         raise NoModels()
-    columns: list[dict[int, PredictionVector]] = []
+    columns: list[dict[int, tuple[float, float]]] = []
     for name, vectors in named.items():
-        indexed: dict[int, PredictionVector] = {}
-        for vector in vectors:
-            if vector.item_id in indexed:
-                raise DuplicateId(vector.item_id, source=name)
-            indexed[vector.item_id] = vector
-        columns.append(indexed)
-    return _aligned(list(named), columns, [f"model {name!r}" for name in named], real_at=1)
+        pairs: dict[int, tuple[float, float]] = {}
+        for item_id, p_real, p_fake, _ in vectors:
+            if item_id in pairs:
+                raise DuplicateId(item_id, source=name)
+            pairs[item_id] = _renormalized(item_id, name, p_real, p_fake)
+        columns.append(pairs)
+    return _aligned(list(named), columns, [f"model {name!r}" for name in named])
 
 
 def write_ensemble_tsv(

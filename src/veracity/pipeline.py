@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 from . import baseline
@@ -139,17 +139,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     test = load_dataset(cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
-    matrix = build_matrix(source, test)
     if isinstance(source, baseline.BowModel):
+        # as the predict command does, so the file and the matrix match the staged chain's
+        vectors = baseline.predict_dataset(source, test)
         model_path = out_dir / "baseline_model.json"
         baseline.save_model(source, model_path, config_hash=digest)
         predictions_path = out_dir / "baseline_predictions.tsv"
-        vectors = list(map(
-            baseline.PredictionVector,
-            matrix.item_ids, matrix.p_real[0], matrix.p_fake[0], repeat(source.model_name),
-        ))
         baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
         written += [model_path, predictions_path]
+        matrix = matrix_from_vectors({source.model_name: vectors})
+        del vectors
+    else:
+        matrix = restrict_to(source, test.ids())
 
     ensemble_results = vote_all(matrix, cfg.scheme)
     del source, matrix  # a trained model and the rows are not needed past the vote

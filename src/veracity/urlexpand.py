@@ -41,12 +41,12 @@ def build_cache(
     This run's resolutions replace the cached ones for the same URLs;
     entries for URLs it did not resolve, failures included, are kept.
     Only URLs that change under redirection are recorded (identity
-    mappings would be dead weight; the pipeline's miss policy already
-    falls back to the URL itself), so a URL that now resolves to itself
-    loses its entry. Returns (resolved, failed) counts for this run.
-    Failures are reported to stderr and skipped. The cache as it stands
-    is written back before any URL is fetched, so an out_path that cannot
-    be written is a UsageError that costs no network time.
+    mappings would be dead weight: a cache miss keeps the URL itself),
+    so a URL that now resolves to itself loses its entry. Returns
+    (resolved, failed) counts for this run. Failures are reported to
+    stderr and skipped. The cache as it stands is written back before any
+    URL is fetched, so an out_path that cannot be written is a UsageError
+    that costs no network time.
     """
     if resolver is None:
         resolver = resolve_redirect

@@ -112,8 +112,8 @@ def test_likelihoods_normalize_over_vocabulary():
     import math
 
     model = train(TWO_ITEM)
-    for c, likelihoods in model.token_log_likelihoods.items():
-        total = sum(math.exp(v) for v in likelihoods.values())
+    for likelihoods in zip(*model.pairs.values()):  # one column per class
+        total = sum(math.exp(v) for v in likelihoods)
         assert abs(total - 1.0) <= 1e-9
 
 
@@ -288,7 +288,7 @@ def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, policy, alpha, 
     fit = oracle_fit(dataset, policy, alpha)
     assert model.token_counts == fit[1]
     assert model.vocabulary == fit[2]
-    assert model.token_log_likelihoods == fit[4]
+    assert model.pairs == {token: tuple(fit[4][c][token] for c in LABELS) for token in fit[2]}
     for text in queries:
         got = predict(model, text)
         assert (got.p_real, got.p_fake) == oracle_predict(fit, policy, text)

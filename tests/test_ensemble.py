@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veracity.baseline import PredictionVector
+from veracity.baseline import PredictionVector, write_predictions
 from veracity.corpus import Label
 from veracity.ensemble import (
     EnsembleResult,
@@ -461,9 +462,11 @@ def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
     assert matrix.item_ids == tuple(rows)
     assert len(matrix.rows) == len(rows)
     assert all(matrix.rows[item_id] == row for item_id, row in rows.items())
+    # the rows as written, which matrix_from_vectors checks and
+    # renormalizes as the file reader does
     named = {
-        name: [row[k] for row in reversed(rows.values())]
-        for k, name in enumerate(matrix.model_names)
+        path.stem: [PredictionVector(i, r, f, path.stem) for i, r, f in reversed(written)]
+        for path, written in zip(paths, models)
     }
     assert matrix_from_vectors(named) == matrix
     restricted = restrict_to(matrix, wanted)
@@ -475,6 +478,58 @@ def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
         assert vote_all(restricted, scheme) == oracle_vote_all(restricted_rows, scheme)
     unknown = wanted | {-7, 10**6 + 2}
     assert _outcome(restrict_to, matrix, unknown) == _outcome(oracle_restrict, rows, unknown)
+
+
+def _ulps_from(value, ulps):
+    """value moved by |ulps| representable floats, up when ulps > 0."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+UNIT = st.floats(0.0, 1.0)
+# pairs a few ulps either side of a sum of 1, and pairs scaled anywhere in the window
+NEAR_ONE = st.builds(lambda p, ulps: (p, _ulps_from(1.0 - p, ulps)), UNIT, st.integers(-4, 4))
+IN_WINDOW = st.builds(lambda p, total: (p * total, (1.0 - p) * total), UNIT, st.floats(0.99, 1.01))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-3, 10**6), st.one_of(NEAR_ONE, IN_WINDOW), max_size=16))
+def test_vectors_enter_a_matrix_as_their_file_does(tmp_path_factory, pairs):
+    vectors = [PredictionVector(i, r, f, "m") for i, (r, f) in sorted(pairs.items())]
+    path = tmp_path_factory.mktemp("vectors") / "m.tsv"
+    write_predictions(vectors, path)
+    try:
+        expected = matrix_from_vectors({"m": vectors})
+    except BadProbabilities as exc:  # a pair pushed just below 0 or out of the window
+        line = 2 + [vector.item_id for vector in vectors].index(exc.item_id)
+        with pytest.raises(BadProbabilities) as from_file:
+            load_predictions([path])
+        assert str(from_file.value) == f"{exc} in m.tsv (line {line})"
+        return
+    assert load_predictions([path]) == expected
+
+
+@pytest.mark.parametrize(
+    "pair, detail",
+    [
+        ((1.25, -0.25), "negative probability"),
+        ((0.5, 0.3), "probabilities sum to 0.8, outside [0.99, 1.01]"),
+        ((0.6, 0.42), "probabilities sum to 1.02, outside [0.99, 1.01]"),
+        ((math.nan, 0.5), "probabilities sum to nan, outside [0.99, 1.01]"),
+    ],
+)
+def test_bad_vectors_fail_as_their_file_rows_do(tmp_path, pair, detail):
+    vectors = [PredictionVector(1, 0.5, 0.5, "m"), PredictionVector(2, *pair, "m")]
+    path = tmp_path / "m.tsv"
+    write_predictions(vectors, path)
+    with pytest.raises(BadProbabilities) as in_memory:
+        matrix_from_vectors({"m": vectors})
+    with pytest.raises(BadProbabilities) as from_file:
+        load_predictions([path])
+    assert str(in_memory.value) == f"model 'm', item 2: {detail}"
+    assert str(from_file.value) == f"{in_memory.value} in m.tsv (line 3)"
 
 
 def _eight_model_files(tmp_path):
