@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +27,7 @@ class AttributeKind(Enum):
     DOMAIN = "domain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttrCounts:
     """How many real / fake training items carried one attribute."""
 
@@ -60,7 +61,7 @@ class AttributeStatsTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttrProbVector:
     """Per-item attribute probability estimate.
 
@@ -75,6 +76,7 @@ class AttrProbVector:
     present: bool
 
     @classmethod
+    @cache  # one instance, shared by every item without a known attribute
     def absent(cls) -> "AttrProbVector":
         return cls(0.0, 0.0, 0, False)
 

@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, KeysView, NamedTuple, Sequence
 
-from .corpus import Dataset, Label, LABELS, NewsItem
+from .corpus import Label, LABELS, NewsItem
 from .errors import BadRecord, DataError, DegenerateTraining
 from .fileio import atomic_write_text, open_lines, write_tsv
 from .preprocess import CleanPolicy, clean_text
@@ -161,23 +161,24 @@ def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:
     )
 
 
-def predict_dataset(model: BowModel, dataset: Dataset) -> list[PredictionVector]:
-    return [predict(model, item.text, item.id) for item in dataset]
+def predict_dataset(model: BowModel, items: Iterable[NewsItem]) -> list[PredictionVector]:
+    return [predict(model, item.text, item.id) for item in items]
 
 
 def save_model(model: BowModel, path: Path | str, config_hash: str | None = None) -> None:
-    """Persist counts and alpha as JSON; log-space values are derived
-    again at load time."""
+    """Persist counts and alpha as JSON, written as it is encoded, every
+    mapping in key order; log-space values are derived again at load time."""
     document = {
         "model_name": model.model_name,
         "smoothing_alpha": model.smoothing_alpha,
         "clean_policy": model.clean_policy.as_dict(),
         "class_doc_counts": {c.value: model.class_doc_counts[c] for c in LABELS},
-        "token_counts": {c.value: dict(sorted(model.token_counts[c].items())) for c in LABELS},
+        "token_counts": {c.value: model.token_counts[c] for c in LABELS},
     }
     if config_hash is not None:
         document["config_hash"] = config_hash
-    atomic_write_text(Path(path), json.dumps(document, indent=2, sort_keys=True) + "\n")
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    atomic_write_text(Path(path), chain(pieces, ["\n"]))
 
 
 def _count(value) -> int:

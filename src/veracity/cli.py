@@ -19,9 +19,7 @@ from pathlib import Path
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
 from .config import RunConfig, load_config, override, parse_names, parse_positive, parse_priority
-from .corpus import (
-    CorpusSummary, Label, gold_labels_by_id, iter_dataset, label_fractions, load_dataset,
-)
+from .corpus import CorpusSummary, Label, iter_dataset, label_fractions, load_dataset
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
@@ -122,8 +120,7 @@ def cmd_train_baseline(args) -> int:
 def cmd_predict(args) -> int:
     model = baseline.load_model(require_file(args.model, "model"))
     data_path = require_file(args.data, "data")
-    dataset = load_dataset(data_path)
-    vectors = baseline.predict_dataset(model, dataset)
+    vectors = baseline.predict_dataset(model, iter_dataset(data_path))
     baseline.write_predictions(
         vectors, args.out, header_comment=f"config: {_args_digest('predict', data_path.name, args.model)}"
     )
@@ -192,8 +189,7 @@ def _read_label_column(path: Path) -> dict[int, Label]:
 def cmd_evaluate(args) -> int:
     gold_path = require_file(args.gold, "gold data")
     pred_path = require_file(args.pred, "prediction")
-    gold_dataset = load_dataset(gold_path, has_labels=True)
-    gold_by_id = gold_labels_by_id(gold_dataset)
+    gold_by_id = {item.id: item.label for item in iter_dataset(gold_path, has_labels=True)}
     predicted = _read_label_column(pred_path)
     missing = sorted(set(gold_by_id) - set(predicted))
     if missing:

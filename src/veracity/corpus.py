@@ -42,7 +42,7 @@ class Label(Enum):
 LABELS: tuple[Label, Label] = (Label.REAL, Label.FAKE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewsItem:
     """One social-media post: numeric id, raw text, optional gold label."""
 
@@ -235,12 +235,3 @@ def summarize(dataset: Dataset, cache=None) -> CorpusSummary:
         unique_domains=len(domains),
     )
 
-
-def gold_labels_by_id(dataset: Dataset) -> dict[int, Label]:
-    """Map item id to gold label; raises UnlabeledItem on gaps."""
-    gold: dict[int, Label] = {}
-    for item in dataset:
-        if item.label is None:
-            raise UnlabeledItem(item.id)
-        gold[item.id] = item.label
-    return gold

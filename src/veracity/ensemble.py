@@ -31,7 +31,7 @@ class VotingScheme(Enum):
     HARD = "hard"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleResult:
     """Voting outcome for one item.
 
@@ -249,13 +249,13 @@ def load_predictions(
     return _aligned(names, columns, [p.name for p in resolved])
 
 
-def restrict_to(matrix: PredictionMatrix, ids: Iterable[int]) -> PredictionMatrix:
-    """Subset a matrix to the given ids; every id must be covered."""
+def restrict_to(matrix: PredictionMatrix, ids: Iterable[int], whose: str = "") -> PredictionMatrix:
+    """Subset a matrix to ids it must all cover; whose starts a mismatch message."""
     wanted = sorted(set(ids))
     position = {item_id: j for j, item_id in enumerate(matrix.item_ids)}
     missing = [item_id for item_id in wanted if item_id not in position]
     if missing:
-        raise IdSetMismatch(f"no predictions for items {missing[:5]}")
+        raise IdSetMismatch(f"{whose}no predictions for items {missing[:5]}")
     if len(wanted) == len(position):
         return matrix
     keep = [position[item_id] for item_id in wanted]

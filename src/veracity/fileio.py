@@ -8,17 +8,23 @@ import csv
 import os
 import tempfile
 from contextlib import contextmanager, suppress
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadRecord, DataError, UsageError
 
+#: Pieces of text that atomic_write_text joins into one write.
+_PIECES_PER_WRITE = 2048
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write text to path via a temp file in the same directory, then rename.
-    The file gets the mode open(path, "w") would give it: 0666 less the
-    umask. A path that cannot be written is a UsageError naming it."""
+
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write text, or its pieces a block at a time, to path via a temp file
+    in the same directory, then rename; if the pieces raise, path is left
+    as it was. The file gets the mode open(path, "w") would give it: 0666
+    less the umask. A path that cannot be written is a UsageError naming it."""
     path = Path(path)
+    pieces = iter([text] if isinstance(text, str) else text)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -27,7 +33,8 @@ def atomic_write_text(path: Path, text: str) -> None:
                 umask = os.umask(0)  # the umask can only be read by setting it
                 os.umask(umask)
                 os.fchmod(fd, 0o666 & ~umask)
-                handle.write(text)
+                while block := list(islice(pieces, _PIECES_PER_WRITE)):
+                    handle.write("".join(block))
             os.replace(tmp_name, path)
         except BaseException:
             with suppress(OSError):
@@ -42,11 +49,11 @@ def write_tsv(
 ) -> None:
     """Write a tab-separated artifact: an optional `# comment` line, the
     header, then one line per row. Cells are written with str(), which
-    for a float is its shortest round-tripping repr."""
-    lines = [f"# {comment}"] if comment else []
-    lines.append("\t".join(header))
-    lines.extend("\t".join(map(str, row)) for row in rows)
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    for a float is its shortest round-tripping repr. Lines are formatted
+    as they are written."""
+    head = [f"# {comment}"] if comment else []
+    lines = chain(head, ["\t".join(header)], ("\t".join(map(str, row)) for row in rows))
+    atomic_write_text(Path(path), (line + "\n" for line in lines))
 
 
 def require_file(path: Path | str | None, what: str) -> Path:

@@ -68,7 +68,7 @@ class HeuristicConfig:
         return self.threshold if self.use_threshold else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeuristicDecision:
     """Final label for one item plus the provenance of the decision."""
 
@@ -139,7 +139,7 @@ def decide(
     return HeuristicDecision(ens.item_id, label, decided_by, username_vec, domain_vec, ens.p_real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionInput:
     """Everything decide() needs for one item, precomputed once so that
     threshold sweeps and ablations do not re-extract attributes."""
@@ -150,6 +150,16 @@ class DecisionInput:
     domain_vec: AttrProbVector
 
 
+def attr_vectors(
+    text: str, username_table: AttributeStatsTable, domain_table: AttributeStatsTable,
+    cache: UrlExpansionCache | None = None,
+) -> tuple[AttrProbVector, AttrProbVector]:
+    """The username and domain vectors of the attributes in one post."""
+    attrs = extract_attributes(text, cache)
+    usernames, domains = attrs.usernames, attrs.domains
+    return tweet_attr_vector(usernames, username_table), tweet_attr_vector(domains, domain_table)
+
+
 def prepare_inputs(
     dataset: Dataset,
     ensemble: Sequence[EnsembleResult],
@@ -157,25 +167,17 @@ def prepare_inputs(
     domain_table: AttributeStatsTable,
     cache: UrlExpansionCache | None = None,
 ) -> list[DecisionInput]:
-    """Extract attributes and look up their vectors for each item, beside
-    its ensemble result; nothing is voted here. ensemble is vote_all's
-    output for exactly the dataset's ids, so the inputs are in id order.
+    """Look up each item's attribute vectors, beside its ensemble result;
+    nothing is voted here. ensemble is vote_all's output for exactly the
+    dataset's ids, so the inputs are in id order.
     """
     items = sorted(dataset, key=lambda i: i.id)
     if [result.item_id for result in ensemble] != [item.id for item in items]:
         raise IdSetMismatch(f"{len(ensemble)} ensemble results do not match {len(items)} items")
-    inputs: list[DecisionInput] = []
-    for item, result in zip(items, ensemble):
-        attrs = extract_attributes(item.text, cache)
-        inputs.append(
-            DecisionInput(
-                item_id=item.id,
-                ensemble=result,
-                username_vec=tweet_attr_vector(attrs.usernames, username_table),
-                domain_vec=tweet_attr_vector(attrs.domains, domain_table),
-            )
-        )
-    return inputs
+    return [
+        DecisionInput(item.id, result, *attr_vectors(item.text, username_table, domain_table, cache))
+        for item, result in zip(items, ensemble)
+    ]
 
 
 def decide_inputs(

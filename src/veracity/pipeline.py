@@ -1,8 +1,9 @@
 """End-to-end orchestration: stats, predictions, voting, post-processing,
 reports. Every artifact is written atomically and tagged with the config
 hash, and nothing here depends on wall-clock time, so a rerun with the
-same inputs is byte-identical. Each item is voted once, and
-prepare_inputs takes those results as they are.
+same inputs is byte-identical. Every split is read in one pass, a batch
+of posts at a time; of an evaluation split a few numbers per item are
+kept, not its text. Each item is voted once and decided on its result.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, AttributeStatsTable, TableCounter, save_tables
 from .config import RunConfig, config_hash, require_paths
-from .corpus import Dataset, Label, gold_labels_by_id, iter_dataset, load_dataset
+from .corpus import Label, iter_dataset
 from .ensemble import (
     EnsembleResult,
     PredictionMatrix,
@@ -32,8 +34,8 @@ from .fileio import atomic_write_text
 from .heuristic import (
     DecisionInput,
     HeuristicDecision,
+    attr_vectors,
     decide_inputs,
-    prepare_inputs,
     write_decisions_tsv,
 )
 from .preprocess import UrlExpansionCache, load_cache
@@ -53,10 +55,10 @@ class PipelineResult:
 #: Where a split's predictions come from: prediction files, or the built-in model.
 PredictionSource = PredictionMatrix | baseline.BowModel
 
-#: Training posts counted together. Adding a batch to one set of counts
-#: and then to the other was about 10 % faster than alternating per post
+#: Posts read together. Adding a training batch to one set of counts and
+#: then to the other was about 10 % faster than alternating per post
 #: (bench corpus, fresh processes, 2 vCPUs); 2,048 posts hold about 1.7 MB.
-_TRAIN_BATCH = 2048
+_BATCH = 2048
 
 
 def _load_train_side(
@@ -74,10 +76,11 @@ def _load_train_side(
     trainer = None if cfg.prediction_paths else baseline.BowTrainer(cfg.clean_policy, cfg.alpha)
     counters = [tables] if trainer is None else [tables, trainer]
     items = iter_dataset(cfg.train_path, has_labels=True)
-    while batch := list(islice(items, _TRAIN_BATCH)):
+    while batch := list(islice(items, _BATCH)):
         for counter in counters:
             for item in batch:
                 counter.add(item)
+        del batch  # not held while the next one is read
     if trainer is None:
         source = load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
     else:
@@ -85,12 +88,45 @@ def _load_train_side(
     return cache, tables.tables(), source
 
 
-def build_matrix(source: PredictionSource, split: Dataset) -> PredictionMatrix:
+def _read_split(
+    path: Path,
+    source: PredictionSource,
+    tables: dict[AttributeKind, AttributeStatsTable],
+    cache: UrlExpansionCache,
+) -> tuple[list[tuple], list[baseline.PredictionVector]]:
+    """One pass over an evaluation split, which is never held whole: per
+    item (id, username vector, domain vector, gold label) in id order, and
+    the built-in model's vectors if it is the source. The text of a batch
+    is dropped once the batch is predicted and looked up."""
+    username_table, domain_table = tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN]
+    records, vectors = [], []
+    items = iter_dataset(path)
+    while batch := list(islice(items, _BATCH)):
+        if isinstance(source, baseline.BowModel):
+            vectors += baseline.predict_dataset(source, batch)
+        records += [
+            (item.id, *attr_vectors(item.text, username_table, domain_table, cache), item.label)
+            for item in batch
+        ]
+        del batch  # not held while the next one is read
+    records.sort(key=itemgetter(0))
+    return records, vectors
+
+
+def build_matrix(
+    cfg: RunConfig, source: PredictionSource, split: str, records: list[tuple], vectors: list
+) -> PredictionMatrix:
     """Exactly the split's prediction rows: trimmed from the files, which
-    may cover a superset of it, or predicted by the model."""
-    if isinstance(source, PredictionMatrix):
-        return restrict_to(source, split.ids())
-    return matrix_from_vectors({source.model_name: baseline.predict_dataset(source, split)})
+    may cover a superset of it, or the model's vectors."""
+    if isinstance(source, baseline.BowModel):
+        return matrix_from_vectors({source.model_name: vectors})
+    files = ", ".join(path.name for path in cfg.prediction_paths)
+    return restrict_to(source, [r[0] for r in records], f"{files} do not cover the {split} split: ")
+
+
+def _decision_inputs(records: list[tuple], ensemble: list[EnsembleResult]) -> list[DecisionInput]:
+    """The records' decision inputs; ensemble is vote_all's output for them."""
+    return [DecisionInput(i, result, u, d) for (i, u, d, _), result in zip(records, ensemble)]
 
 
 def _decided_by_counts(decisions: list[HeuristicDecision]) -> Counter:
@@ -136,49 +172,38 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     written: list[Path] = []
 
     cache, tables, source = _load_train_side(cfg)
-    test = load_dataset(cfg.test_path)
+    records, vectors = _read_split(cfg.test_path, source, tables, cache)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
     if isinstance(source, baseline.BowModel):
         # as the predict command does, so the file and the matrix match the staged chain's
-        vectors = baseline.predict_dataset(source, test)
         model_path = out_dir / "baseline_model.json"
         baseline.save_model(source, model_path, config_hash=digest)
         predictions_path = out_dir / "baseline_predictions.tsv"
         baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
         written += [model_path, predictions_path]
-        matrix = matrix_from_vectors({source.model_name: vectors})
-        del vectors
-    else:
-        matrix = restrict_to(source, test.ids())
 
+    matrix = build_matrix(cfg, source, "test", records, vectors)
+    del source, vectors  # a trained model and its vectors are not needed past the matrix
     ensemble_results = vote_all(matrix, cfg.scheme)
-    del source, matrix  # a trained model and the rows are not needed past the vote
+    del matrix
     ensemble_path = out_dir / "ensemble.tsv"
     write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
     written.append(ensemble_path)
 
-    decisions = decide_inputs(
-        prepare_inputs(
-            test, ensemble_results,
-            tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
-        ),
-        cfg.heuristic,
-    )
+    decisions = decide_inputs(_decision_inputs(records, ensemble_results), cfg.heuristic)
     decisions_path = out_dir / "decisions.tsv"
     write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
     written.append(decisions_path)
 
     pre_report = post_report = None
-    if test.fully_labeled:
-        gold_by_id = gold_labels_by_id(test)
-        ordered_ids = [result.item_id for result in ensemble_results]
-        gold = [gold_by_id[item_id] for item_id in ordered_ids]
+    gold = [record[3] for record in records]
+    if None not in gold:
         pre_report = evaluate(gold, [result.label for result in ensemble_results])
         post_report = evaluate(gold, [decision.label for decision in decisions])
         report_json = {
             "config_hash": digest,
-            "n_items": len(test),
+            "n_items": len(gold),
             "scheme": cfg.scheme.value,
             "threshold": cfg.heuristic.threshold,
             "priority": [kind.value for kind in cfg.heuristic.priority],
@@ -194,7 +219,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     report_path = out_dir / "report.txt"
     atomic_write_text(
         report_path,
-        _report_text(digest, len(test), cfg.scheme.value, pre_report, post_report, decisions),
+        _report_text(digest, len(gold), cfg.scheme.value, pre_report, post_report, decisions),
     )
     written.append(report_path)
 
@@ -210,7 +235,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 def ablation_contexts(
     cfg: RunConfig,
 ) -> tuple[list[DecisionInput], list[Label], list[DecisionInput], list[Label], str]:
-    """Load the splits and build decision inputs for the ablation grid.
+    """Read the splits and build decision inputs for the ablation grid.
 
     Both validation and test must be labeled. External prediction files,
     when configured, must cover the union of the two splits' ids;
@@ -222,17 +247,13 @@ def ablation_contexts(
     cache, tables, source = _load_train_side(cfg)
 
     contexts = []
-    for split_name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
-        split = load_dataset(path)
-        if not split.fully_labeled:
-            raise UsageError(f"the {split_name} split must be labeled for an ablation run")
-        inputs = prepare_inputs(
-            split, vote_all(build_matrix(source, split)),
-            tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN], cache,
-        )
-        gold_by_id = gold_labels_by_id(split)
-        gold = [gold_by_id[entry.item_id] for entry in inputs]
-        contexts.append((inputs, gold))
-        del split, gold_by_id  # so the next split is never loaded beside this one
+    for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
+        records, vectors = _read_split(path, source, tables, cache)
+        gold = [record[3] for record in records]
+        if None in gold:
+            raise UsageError(f"the {name} split must be labeled for an ablation run")
+        ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))
+        contexts.append((_decision_inputs(records, ensemble), gold))
+        del records, vectors, ensemble  # not held beside the next split's
     (val_inputs, val_gold), (test_inputs, test_gold) = contexts
     return val_inputs, val_gold, test_inputs, test_gold, digest

@@ -109,7 +109,7 @@ def save_cache(cache: UrlExpansionCache, path: Path | str) -> None:
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetAttributes:
     """Attributes captured from one post, in first-occurrence order.
 

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from _synth import make_corpus, head, tail
-from veracity import ensemble, preprocess
+from veracity import baseline, ensemble, fileio, preprocess
 from veracity.cli import main
 from veracity.config import RunConfig
 from veracity.corpus import save_dataset
+from veracity.heuristic import write_decisions_tsv
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -128,3 +129,26 @@ def test_traced_row_count_builds_no_vectors(monkeypatch):
     assert note == {"rows": 12}
     assert built["vectors"] == 0
     assert len(matrix.rows[9]) == 3 and built["vectors"] == 3  # the counter does see lookups
+
+
+def test_traced_streamed_writes_record_their_size(tmp_path, monkeypatch):
+    """The writers hand atomic_write_text a stream of pieces; the traced
+    run still reads each artifact's size off that call, from the file."""
+    tracer = _load_tracing().Tracer("run")
+    original = fileio.atomic_write_text
+    wrapped = tracer.span(original, "fileio.atomic_write_text")
+    for key, module in list(sys.modules.items()):
+        if key == "veracity" or key.startswith("veracity."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapped)
+    corpus = make_corpus(40, seed=3)
+    model = baseline.train(corpus)
+    paths = [tmp_path / name for name in ("model.json", "predictions.tsv", "decisions.tsv", "data.tsv")]
+    baseline.save_model(model, paths[0])
+    baseline.write_predictions(baseline.predict_dataset(model, corpus), paths[1], "config: x")
+    write_decisions_tsv([], paths[2])
+    save_dataset(corpus, paths[3])
+    assert [span["name"] for span in tracer.spans] == ["fileio.atomic_write_text"] * 4
+    assert [span["bytes"] for span in tracer.spans] == [path.stat().st_size for path in paths]
+    assert all(path.stat().st_size > 0 for path in paths)

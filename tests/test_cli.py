@@ -518,6 +518,38 @@ def test_ablate_unlabeled_test_refused(tmp_path, capsys):
     assert "must be labeled" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("validation_labeled", [True, False])
+def test_ablate_prediction_files_must_cover_both_splits(tmp_path, capsys, validation_labeled):
+    # files covering test but not validation: the mismatch names the split
+    # and the files, and an unlabeled split is refused before any id check
+    corpus = make_corpus(60, seed=6)
+    paths = {name: tmp_path / f"{name}.tsv" for name in ("train", "val", "test")}
+    test = tail(corpus, 40, "test")
+    save_dataset(head(corpus, 20, "train"), paths["train"])
+    save_dataset(head(tail(corpus, 20), 20, "val"), paths["val"], include_labels=validation_labeled)
+    save_dataset(test, paths["test"])
+    files = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    for path in files:
+        _write_prediction_file(path, [(item_id, 0.6, 0.4) for item_id in test.ids()])
+    config_path = tmp_path / "cfg.ini"
+    RunConfig(
+        train_path=paths["train"], validation_path=paths["val"], test_path=paths["test"],
+        prediction_paths=tuple(files), output_dir=tmp_path / "out",
+    ).save(config_path)
+    rc = main(["ablate", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    if not validation_labeled:
+        assert rc == 1
+        assert "usage error: the validation split must be labeled" in err
+        return
+    assert rc == 2
+    assert (
+        "data error (IdSetMismatch): prediction id sets do not line up: "
+        "a.tsv, b.tsv do not cover the validation split: no predictions for items [20, 21, 22, 23, 24]"
+    ) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablate_has_no_scheme_flag(tmp_path, capsys):
     # ablate's decisions read the mean probabilities, which no scheme changes
     config_path = _ablate_config(tmp_path)
@@ -540,7 +572,8 @@ def test_repeated_priority_name_is_usage_error(tmp_path, monkeypatch, capsys, gi
         )
     else:
         argv += [given_by, "username, Username"]
-    monkeypatch.setattr(pipeline, "load_dataset", no_data)
+    # pipeline reads every split through iter_dataset, after the URL cache
+    monkeypatch.setattr(pipeline, "load_cache", no_data)
     monkeypatch.setattr(pipeline, "iter_dataset", no_data)
     assert main(argv) == 1
     assert f"usage error: {given_by}: a name may appear only once" in capsys.readouterr().err
@@ -745,3 +778,20 @@ def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, c
     )
     assert main(["pipeline", "--config", str(config_path)]) == 2
     assert "no items to score" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])
+def test_pipeline_bad_test_record_writes_nothing(tiny_train, tmp_path, capsys, external):
+    # the test split is streamed, yet its errors still come before any artifact
+    test = tmp_path / "test.tsv"
+    write_dataset_tsv(test, [(10, "@who_int says so", "real"), (11, "t", "real"), (10, "x", "fake")])
+    config_text = f"[data]\ntrain = {tiny_train}\ntest = {test}\n[output]\ndir = {tmp_path / 'out'}\n"
+    if external:
+        predictions = tmp_path / "m.tsv"
+        _write_prediction_file(predictions, [(10, 0.6, 0.4), (11, 0.3, 0.7)])
+        config_text += f"[predictions]\nfiles = {predictions}\n"
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(config_text, encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 2
+    assert "duplicate item id 10 in test.tsv (line 4)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
