@@ -19,8 +19,8 @@ from pathlib import Path
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
 from .config import RunConfig, load_config, override, parse_names, parse_positive, parse_priority
-from .corpus import CorpusSummary, Label, iter_dataset, label_fractions, load_dataset
-from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
+from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
+from .ensemble import VotingScheme, load_predictions, restrict_to, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
@@ -31,8 +31,8 @@ from .evaluation import (
     tune_threshold,
 )
 from .fileio import atomic_write_text, data_lines, data_rows, open_lines, require_file
-from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_batch, write_decisions_tsv
-from .pipeline import ablation_contexts, run_pipeline
+from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, write_decisions_tsv
+from .pipeline import ablation_contexts, decision_inputs, run_pipeline, split_records
 from .preprocess import extract_attributes, load_cache
 
 
@@ -146,12 +146,13 @@ def cmd_postprocess(args) -> int:
     domain_path = require_file(args.domain_table, "domain table")
     cache_path = _cache_path(args)
     cfg = _heuristic_from_args(args)
-    dataset = load_dataset(data_path)
     matrix = load_predictions(prediction_paths)
-    username_table = load_table(username_path, AttributeKind.USERNAME)
-    domain_table = load_table(domain_path, AttributeKind.DOMAIN)
-    cache = load_cache(cache_path)
-    decisions = decide_batch(dataset, matrix, username_table, domain_table, cache, cfg)
+    tables = {kind: load_table(path, kind) for kind, path in (
+        (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
+    records = split_records(data_path, tables, load_cache(cache_path))
+    ensemble = vote_all(restrict_to(matrix, [record[0] for record in records]))
+    del matrix
+    decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
     digest = _args_digest(
         "postprocess", data_path.name, cfg.threshold, cfg.use_threshold,
         ",".join(k.value for k in cfg.priority),

@@ -187,17 +187,17 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float,
 
 def _aligned(
     names: Sequence[str],
-    columns: Iterable[Mapping[int, tuple[float, float]]],
+    columns: Iterable[dict[int, tuple[float, float]]],
     sources: Sequence[str],
 ) -> PredictionMatrix:
     """The matrix of one id -> renormalized (p_real, p_fake) column per
     model. Every column must cover the first one's ids; sources name the
     columns in the mismatch message. Columns are taken one at a time and
-    dropped once their floats are copied out, so they may be read lazily.
+    emptied as their floats are copied out, so they may be read lazily.
     After a mismatch the remaining columns are still drawn, so an error
     raised while producing one comes before the mismatch."""
     columns = iter(columns)
-    ids: set[int] = set()
+    ids: set[int] | None = None  # made only when a second column is checked
     item_ids: tuple[int, ...] = ()
     reals, fakes = [], []
     mismatch = None
@@ -206,19 +206,18 @@ def _aligned(
         # hold the last column while the next one is read
         column = next(columns)
         if index == 0:
-            ids = set(column)
-            item_ids = tuple(sorted(ids))
-        elif mismatch is None and column.keys() != ids:
+            item_ids = tuple(sorted(column))
+        elif mismatch is None and column.keys() != (ids := ids or set(item_ids)):
             missing = sorted(ids - column.keys())[:3]
             extra = sorted(column.keys() - ids)[:3]
             mismatch = IdSetMismatch(
                 f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
             )
         if mismatch is None:
-            pairs = list(map(column.__getitem__, item_ids))
-            reals.append(tuple([pair[0] for pair in pairs]))
-            fakes.append(tuple([pair[1] for pair in pairs]))
-            del pairs
+            # no list of the floats beside each tuple, and each pair is
+            # freed as its second float is copied out
+            reals.append(tuple(map(operator.itemgetter(0), map(column.__getitem__, item_ids))))
+            fakes.append(tuple(map(operator.itemgetter(1), map(column.pop, item_ids))))
         del column  # not held while the next column is read
     if mismatch is not None:
         raise mismatch

@@ -8,9 +8,15 @@ inconsistent. The CLI maps these to exit codes 1 and 2 respectively.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # restored without __init__, whose parameters differ per subclass
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class UsageError(PipelineError):

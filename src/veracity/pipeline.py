@@ -1,22 +1,29 @@
 """End-to-end orchestration: stats, predictions, voting, post-processing,
 reports. Every artifact is written atomically and tagged with the config
 hash, and nothing here depends on wall-clock time, so a rerun with the
-same inputs is byte-identical. Every split is read in one pass, a batch
-of posts at a time; of an evaluation split a few numbers per item are
-kept, not its text. Each item is voted once and decided on its result.
+same inputs is byte-identical. Every split is read as a stream, and of
+an evaluation split a few numbers per item are kept, not its text. Each
+item is voted once and decided on its result.
+
+`pipeline` and `ablate` always run in two processes; nothing sets that.
+A child reads the URL cache, counts the attribute tables and looks up
+each evaluation split's attribute vectors, while this process trains the
+built-in model and predicts each split, or loads the prediction files.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from . import baseline
-from .attribute_stats import AttributeKind, AttributeStatsTable, TableCounter, save_tables
+from .attribute_stats import AttributeKind, build_tables, save_tables
 from .config import RunConfig, config_hash, require_paths
 from .corpus import Label, iter_dataset
 from .ensemble import (
@@ -28,7 +35,7 @@ from .ensemble import (
     vote_all,
     write_ensemble_tsv,
 )
-from .errors import UsageError
+from .errors import PipelineError, UsageError
 from .evaluation import EvalReport, evaluate
 from .fileio import atomic_write_text
 from .heuristic import (
@@ -55,62 +62,94 @@ class PipelineResult:
 #: Where a split's predictions come from: prediction files, or the built-in model.
 PredictionSource = PredictionMatrix | baseline.BowModel
 
-#: Posts read together. Adding a training batch to one set of counts and
-#: then to the other was about 10 % faster than alternating per post
-#: (bench corpus, fresh processes, 2 vCPUs); 2,048 posts hold about 1.7 MB.
-_BATCH = 2048
+
+def prediction_source(cfg: RunConfig) -> PredictionSource:
+    """The prediction files, read once, or else the built-in model,
+    trained on the training split as it is read."""
+    if cfg.prediction_paths:
+        return load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
+    return baseline.train(iter_dataset(cfg.train_path, has_labels=True), cfg.clean_policy, cfg.alpha)
 
 
-def _load_train_side(
-    cfg: RunConfig,
-) -> tuple[UrlExpansionCache, dict[AttributeKind, AttributeStatsTable], PredictionSource]:
-    """The URL expansion cache, the attribute tables built from the
-    training split and the prediction source: the configured prediction
-    files, read once, or else the built-in model trained on the split.
-    The split, the largest thing a run would hold, is read as a stream:
-    one pass adds each batch of posts to the table counts, then to the
-    model counts, then drops it. The cache is read first, because
-    extraction needs it."""
-    cache = load_cache(cfg.cache_path)
-    tables = TableCounter(cache)
-    trainer = None if cfg.prediction_paths else baseline.BowTrainer(cfg.clean_policy, cfg.alpha)
-    counters = [tables] if trainer is None else [tables, trainer]
-    items = iter_dataset(cfg.train_path, has_labels=True)
-    while batch := list(islice(items, _BATCH)):
-        for counter in counters:
-            for item in batch:
-                counter.add(item)
-        del batch  # not held while the next one is read
-    if trainer is None:
-        source = load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
-    else:
-        source = trainer.model()
-    return cache, tables.tables(), source
+def split_vectors(source: PredictionSource, path: Path) -> list[baseline.PredictionVector]:
+    """The built-in model's vectors for a split as it is read; none from files."""
+    if isinstance(source, baseline.BowModel):
+        return baseline.predict_dataset(source, iter_dataset(path))
+    return []
 
 
-def _read_split(
-    path: Path,
-    source: PredictionSource,
-    tables: dict[AttributeKind, AttributeStatsTable],
-    cache: UrlExpansionCache,
-) -> tuple[list[tuple], list[baseline.PredictionVector]]:
-    """One pass over an evaluation split, which is never held whole: per
-    item (id, username vector, domain vector, gold label) in id order, and
-    the built-in model's vectors if it is the source. The text of a batch
-    is dropped once the batch is predicted and looked up."""
+def split_records(path: Path, tables: dict, cache: UrlExpansionCache) -> list[tuple]:
+    """Per item of an evaluation split, read as a stream and never held
+    whole: (id, username vector, domain vector, gold label), in id order."""
     username_table, domain_table = tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN]
-    records, vectors = [], []
-    items = iter_dataset(path)
-    while batch := list(islice(items, _BATCH)):
-        if isinstance(source, baseline.BowModel):
-            vectors += baseline.predict_dataset(source, batch)
-        records += [
-            (item.id, *attr_vectors(item.text, username_table, domain_table, cache), item.label)
-            for item in batch
-        ]
-        del batch  # not held while the next one is read
+    records = [
+        (item.id, *attr_vectors(item.text, username_table, domain_table, cache), item.label)
+        for item in iter_dataset(path)
+    ]
     records.sort(key=itemgetter(0))
-    return records, vectors
+    return records
+
+
+def attribute_side(cache_path: Path | None, train_path: Path, split_paths: Sequence[Path]) -> Iterator:
+    """The tables counted from the training split as it is read, after
+    the URL cache that extraction needs, then each split's records."""
+    cache = load_cache(cache_path)
+    tables = build_tables(iter_dataset(train_path, has_labels=True), cache)
+    yield tables
+    for path in split_paths:
+        yield split_records(path, tables, cache)
+
+
+def _serve_attribute_side(writer, *args) -> None:
+    """A child process's work: send each of attribute_side(*args)'s
+    results, then the error that ends them, if one does."""
+    try:
+        for message in attribute_side(*args):
+            writer.send(message)
+            del message  # not held while the next split is read
+    except Exception as error:
+        writer.send(error)
+
+
+def _beside(reader, work, *args) -> tuple:
+    """work(*args)'s result, then the child's next message. An error the
+    child sent wins over one from work: the cache and the training split,
+    which the child reads, come first, and both sides read a split's rows."""
+    try:
+        result, failure = work(*args), None
+    except Exception as error:
+        result, failure = None, error
+    try:
+        message = reader.recv()
+    except EOFError:  # the child has ended
+        message = failure or PipelineError("the attribute-side process ended without a result")
+    for error in (message, failure):
+        if isinstance(error, BaseException):
+            raise error
+    return result, message
+
+
+@contextmanager
+def _attribute_process(cfg: RunConfig, split_paths: Sequence[Path]) -> Iterator:
+    """attribute_side run in a child process beside this one, which is
+    stopped on the way out; yields _beside for the child's messages."""
+    import multiprocessing  # only these two commands start a process
+
+    # a forked child does not import the package again
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    reader, writer = context.Pipe(duplex=False)
+    args = (writer, cfg.cache_path, cfg.train_path, tuple(split_paths))
+    child = context.Process(target=_serve_attribute_side, args=args, daemon=True)
+    child.start()
+    writer.close()  # else the end of the pipe is not seen if the child dies
+    try:
+        yield partial(_beside, reader)
+    finally:  # past its last message the child has nothing left to do
+        child.terminate()
+        child.join()
+        child.close()
+        reader.close()  # after the child, which would fail to write to it
 
 
 def build_matrix(
@@ -124,7 +163,7 @@ def build_matrix(
     return restrict_to(source, [r[0] for r in records], f"{files} do not cover the {split} split: ")
 
 
-def _decision_inputs(records: list[tuple], ensemble: list[EnsembleResult]) -> list[DecisionInput]:
+def decision_inputs(records: list[tuple], ensemble: list[EnsembleResult]) -> list[DecisionInput]:
     """The records' decision inputs; ensemble is vote_all's output for them."""
     return [DecisionInput(i, result, u, d) for (i, u, d, _), result in zip(records, ensemble)]
 
@@ -171,8 +210,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     out_dir = Path(cfg.output_dir)
     written: list[Path] = []
 
-    cache, tables, source = _load_train_side(cfg)
-    records, vectors = _read_split(cfg.test_path, source, tables, cache)
+    with _attribute_process(cfg, [cfg.test_path]) as beside:
+        source, tables = beside(prediction_source, cfg)
+        vectors, records = beside(split_vectors, source, cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
     if isinstance(source, baseline.BowModel):
@@ -191,7 +231,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
     written.append(ensemble_path)
 
-    decisions = decide_inputs(_decision_inputs(records, ensemble_results), cfg.heuristic)
+    decisions = decide_inputs(decision_inputs(records, ensemble_results), cfg.heuristic)
     decisions_path = out_dir / "decisions.tsv"
     write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
     written.append(decisions_path)
@@ -223,13 +263,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
     written.append(report_path)
 
-    return PipelineResult(
-        ensemble_results=ensemble_results,
-        decisions=decisions,
-        pre_report=pre_report,
-        post_report=post_report,
-        output_files=written,
-    )
+    return PipelineResult(ensemble_results, decisions, pre_report, post_report, written)
 
 
 def ablation_contexts(
@@ -244,16 +278,16 @@ def ablation_contexts(
     """
     require_paths(cfg, "train", "validation", "test")
     digest = config_hash(cfg)
-    cache, tables, source = _load_train_side(cfg)
-
     contexts = []
-    for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
-        records, vectors = _read_split(path, source, tables, cache)
-        gold = [record[3] for record in records]
-        if None in gold:
-            raise UsageError(f"the {name} split must be labeled for an ablation run")
-        ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))
-        contexts.append((_decision_inputs(records, ensemble), gold))
-        del records, vectors, ensemble  # not held beside the next split's
+    with _attribute_process(cfg, [cfg.validation_path, cfg.test_path]) as beside:
+        source, _ = beside(prediction_source, cfg)
+        for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
+            vectors, records = beside(split_vectors, source, path)
+            gold = [record[3] for record in records]
+            if None in gold:
+                raise UsageError(f"the {name} split must be labeled for an ablation run")
+            ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))
+            contexts.append((decision_inputs(records, ensemble), gold))
+            del records, vectors, ensemble  # not held beside the next split's
     (val_inputs, val_gold), (test_inputs, test_gold) = contexts
     return val_inputs, val_gold, test_inputs, test_gold, digest

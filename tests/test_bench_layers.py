@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import multiprocessing
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,19 +41,39 @@ def test_traced_layers_resolve():
         assert callable(getattr(module, function, None)), f"veracity.{module_name}.{function}"
 
 
-def _count_scans(monkeypatch) -> Counter:
+class _SharedCounts:
+    """Call counts in shared memory, which a forked child adds to as well."""
+
+    NAMES = ("extract_attributes", "clean_text", "soft_vote", "hard_vote")
+
+    def __init__(self) -> None:
+        self.array = multiprocessing.Array("q", len(self.NAMES))
+
+    def add(self, name: str) -> None:
+        with self.array.get_lock():
+            self.array[self.NAMES.index(name)] += 1
+
+    def __getitem__(self, name: str) -> int:
+        return self.array[self.NAMES.index(name)]
+
+    def clear(self) -> None:
+        self.array[:] = [0] * len(self.NAMES)
+
+
+def _count_scans(monkeypatch) -> _SharedCounts:
     """Wrap the two per-post scans and the two votes the way
     bench/tracing.py installs its wrappers: every `veracity` module
-    attribute bound to the original is rebound to a counting wrapper."""
-    calls: Counter = Counter()
+    attribute bound to the original is rebound to a counting wrapper.
+    `pipeline` and `ablate` scan in two processes, so the counts are
+    shared with the child, which inherits the wrappers."""
+    calls = _SharedCounts()
     modules = [m for key, m in sys.modules.items() if key == "veracity" or key.startswith("veracity.")]
-    counted = ((preprocess, "extract_attributes"), (preprocess, "clean_text"),
-               (ensemble, "soft_vote"), (ensemble, "hard_vote"))
-    for owner, name in counted:
+    owners = (preprocess, preprocess, ensemble, ensemble)
+    for owner, name in zip(owners, _SharedCounts.NAMES):
         original = getattr(owner, name)
 
         def wrapper(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
+            calls.add(_name)
             return _original(*args, **kwargs)
 
         for module in modules:

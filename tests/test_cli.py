@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,7 +188,8 @@ def test_postprocess_checks_every_path_before_reading_any(
     argv = ["postprocess", "--out", str(tmp_path / "d.tsv")]
     for flag, path in paths.items():
         argv += [flag, str(path)]
-    monkeypatch.setattr("veracity.cli.load_dataset", no_data)
+    for reader in ("load_predictions", "load_table", "load_cache", "split_records"):
+        monkeypatch.setattr(f"veracity.cli.{reader}", no_data)
     assert main(argv) == 1
     assert f"file not found: {tmp_path / 'absent.tsv'}" in capsys.readouterr().err
     assert not (tmp_path / "d.tsv").exists()
@@ -795,3 +799,99 @@ def test_pipeline_bad_test_record_writes_nothing(tiny_train, tmp_path, capsys, e
     assert main(["pipeline", "--config", str(config_path)]) == 2
     assert "duplicate item id 10 in test.tsv (line 4)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _with_cache(config_path: Path, cache: Path) -> None:
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(text.replace("cache = \n", f"cache = {cache}\n"), encoding="utf-8")
+
+
+def _one_class_train(tmp_path) -> None:
+    # ids apart from the other splits', every post labeled real
+    write_dataset_tsv(tmp_path / "train.tsv", [(1000 + i, f"post {i} via @who", "real") for i in range(30)])
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_one_class_train_and_malformed_cache_reports_the_cache(tmp_path, capsys, command):
+    # the cache is read before training can find one class; the
+    # attribute side meets it while the model side trains
+    config_path = _ablate_config(tmp_path)
+    _one_class_train(tmp_path)
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("https://t.co/a\n", encoding="utf-8")
+    _with_cache(config_path, cache)
+    assert main([command, "--config", str(config_path)]) == 2
+    assert "data error (BadRecord): bad record in cache.tsv (line 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_one_class_train_and_malformed_test_reports_the_training(tmp_path, capsys, command):
+    # training fails before the test split is read
+    config_path = _ablate_config(tmp_path)
+    _one_class_train(tmp_path)
+    test = tmp_path / "test.tsv"
+    test.write_text(test.read_text(encoding="utf-8") + "not an id\tword\treal\n", encoding="utf-8")
+    assert main([command, "--config", str(config_path)]) == 2
+    assert "data error (DegenerateTraining): cannot train:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_duplicate_test_id_is_reported_as_by_one_process(tmp_path, capsys, command, external):
+    # both sides read the test split; the error reported is the one the
+    # attribute side sent, unpickled, with the message a one-process run printed
+    config_path = _ablate_config(tmp_path)
+    test = tmp_path / "test.tsv"
+    lines = test.read_text(encoding="utf-8").splitlines(keepends=True)
+    test.write_text("".join(lines) + lines[1], encoding="utf-8")
+    item_id = int(lines[1].split("\t")[0])
+    if external:
+        predictions = tmp_path / "m.tsv"
+        _write_prediction_file(predictions, [(i, 0.6, 0.4) for i in range(150)])
+        config_path.write_text(
+            config_path.read_text(encoding="utf-8").replace("files = \n", f"files = {predictions}\n"),
+            encoding="utf-8",
+        )
+    assert main([command, "--config", str(config_path)]) == 2
+    expected = f"data error (DuplicateId): duplicate item id {item_id} in test.tsv (line {len(lines) + 1})\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("command, outcome", [
+    ("pipeline", "success"), ("pipeline", "data-error"),
+    ("ablate", "success"), ("ablate", "data-error"), ("ablate", "usage-error"),
+])
+def test_no_child_process_outlives_a_run(tmp_path, capsys, command, outcome):
+    config_path = _ablate_config(tmp_path)
+    if outcome == "data-error":
+        train = tmp_path / "train.tsv"
+        train.write_text(train.read_text(encoding="utf-8") + "not an id\tword\treal\n", encoding="utf-8")
+    elif outcome == "usage-error":  # found by this process while the child reads test
+        write_dataset_tsv(tmp_path / "val.tsv", [(2000, "an unlabeled post")], labeled=False)
+    exit_code = {"success": 0, "data-error": 2, "usage-error": 1}[outcome]
+    assert main([command, "--config", str(config_path)]) == exit_code
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_attribute_side_ending_without_a_result_is_an_error(tmp_path, monkeypatch, capsys, command):
+    def dies(*args, **kwargs):
+        os._exit(1)
+
+    # the forked child inherits the patched module
+    monkeypatch.setattr(pipeline, "attribute_side", dies)
+    config_path = _ablate_config(tmp_path)
+    assert main([command, "--config", str(config_path)]) == 3
+    assert capsys.readouterr().err == "error: the attribute-side process ended without a result\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only `pipeline` and `ablate` start a process; every other command's
+    # start-up does not pay for importing multiprocessing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, veracity.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -1,9 +1,9 @@
 """Every split is read as a stream: every command that learns from the
 training split makes one pass over the file and never holds it whole,
 `pipeline` and `ablate` read each evaluation split the same way and keep
-a few numbers per item instead of its text, `predict` and `evaluate`
-stream their dataset too, and the artifacts are the same as from splits
-loaded whole."""
+a few numbers per item instead of its text, as `postprocess` does with
+its dataset, `predict` and `evaluate` stream their dataset too, and the
+artifacts are the same as from splits loaded whole."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 
 from _synth import make_corpus, head, tail
 from veracity import baseline, corpus, pipeline
-from veracity.attribute_stats import AttrCounts, AttrProbVector
+from veracity.attribute_stats import AttrCounts, AttrProbVector, build_tables, save_tables
 from veracity.cli import main
 from veracity.config import RunConfig
 from veracity.corpus import Label, NewsItem, load_dataset, save_dataset
@@ -31,6 +31,7 @@ STREAMED = {
     "train-baseline": ("train",),
     "predict": ("test",),
     "evaluate": ("test",),
+    "postprocess": ("test",),
 }
 
 
@@ -76,6 +77,11 @@ def test_training_split_is_never_loaded_whole(tmp_path, monkeypatch, capsys, com
     model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
     baseline.save_model(baseline.train(head(data, 60)), model)
     pred.write_text("id\tlabel\n" + "".join(f"{i.id}\treal\n" for i in tail(data, 90)), encoding="utf-8")
+    tables, probabilities = tmp_path / "tables", tmp_path / "probabilities.tsv"
+    save_tables(build_tables(head(data, 60)), tables)
+    probabilities.write_text(
+        "id\tp_real\tp_fake\n" + "".join(f"{i.id}\t0.7\t0.3\n" for i in tail(data, 90)), encoding="utf-8"
+    )
     argv = {
         "pipeline": ["pipeline", "--config", str(config_path)],
         "ablate": ["ablate", "--config", str(config_path), "--tune-threshold"],
@@ -87,6 +93,9 @@ def test_training_split_is_never_loaded_whole(tmp_path, monkeypatch, capsys, com
                     "--out", str(out / "pred.tsv")],
         "evaluate": ["evaluate", "--gold", str(paths["test"]), "--pred", str(pred),
                      "--json-out", str(out / "eval.json")],
+        "postprocess": ["postprocess", "--data", str(paths["test"]), "--predictions", str(probabilities),
+                        "--username-table", str(tables / "username_stats.tsv"),
+                        "--domain-table", str(tables / "domain_stats.tsv"), "--out", str(out / "d.tsv")],
     }[command]
     runs = []
     for guarded in (False, True):
@@ -102,7 +111,8 @@ def test_training_split_is_never_loaded_whole(tmp_path, monkeypatch, capsys, com
 
 def test_training_pass_peaks_below_the_loaded_split(tmp_path):
     """The tables and the model are counted from a stream, so building
-    them peaks below what the split alone takes when loaded whole."""
+    them peaks below what the split alone takes when loaded whole. Each
+    side is run here in this process."""
     train = tmp_path / "train.tsv"
     save_dataset(make_corpus(10_000, seed=5), train)
     cfg = RunConfig(train_path=train, test_path=train, output_dir=tmp_path / "out")
@@ -113,21 +123,24 @@ def test_training_pass_peaks_below_the_loaded_split(tmp_path):
         del dataset
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        train_side = pipeline._load_train_side(cfg)
+        tables = next(pipeline.attribute_side(None, train, ()))
+        model = pipeline.prediction_source(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(train_side[1]) == 2
+    assert len(tables) == 2
+    assert isinstance(model, baseline.BowModel)
     assert peak - before < loaded
 
 
 @pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])
 def test_evaluation_pass_holds_no_split_text(tmp_path, external):
-    """An evaluation split is read a batch at a time and kept as per-item
-    records, so the pass holds no more than about a batch beyond what it
-    keeps; without model vectors, the records are smaller than the text
-    they replace, so the pass peaks below the split loaded whole. Posts
-    have 25 words, about the length of the paper's (bench/gen.py)."""
+    """An evaluation split is read a post at a time by each side and kept
+    as per-item records and, from the built-in model, vectors, so the
+    passes hold little beyond what they keep; without model vectors, the
+    records are smaller than the text they replace, so the passes peak
+    below the split loaded whole. Posts have 25 words, about the length
+    of the paper's (bench/gen.py). Each side is run here in this process."""
     data = make_corpus(12_000, seed=5, words_per_item=25)
     train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
     save_dataset(head(data, 2_000), train)
@@ -139,7 +152,9 @@ def test_evaluation_pass_holds_no_split_text(tmp_path, external):
         prediction_paths[0].write_text("id\tp_real\tp_fake\n" + rows, encoding="utf-8")
     cfg = RunConfig(train_path=train, test_path=test, prediction_paths=prediction_paths,
                     output_dir=tmp_path / "out")
-    cache, tables, source = pipeline._load_train_side(cfg)
+    attribute_side = pipeline.attribute_side(None, train, [test])
+    next(attribute_side)  # the tables
+    source = pipeline.prediction_source(cfg)
     tracemalloc.start()
     try:
         dataset = load_dataset(test)
@@ -147,13 +162,14 @@ def test_evaluation_pass_holds_no_split_text(tmp_path, external):
         del dataset
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        records, vectors = pipeline._read_split(test, source, tables, cache)
+        vectors = pipeline.split_vectors(source, test)
+        records = next(attribute_side)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [record[0] for record in records] == sorted(item.id for item in tail(data, 2_000))
     assert len(vectors) == (0 if external else 10_000)
-    assert peak - held < loaded / 2  # a batch is a fifth of the split
+    assert peak - held < loaded / 2
     if external:
         assert peak - before < loaded
 
