@@ -81,35 +81,6 @@ class AttrProbVector:
         return cls(0.0, 0.0, 0, False)
 
 
-class TableCounter:
-    """Attribute/class co-occurrence counts for every attribute kind,
-    added one labeled item at a time; see build_tables."""
-
-    def __init__(
-        self, cache: UrlExpansionCache | None = None, per_item_dedup: bool = False
-    ) -> None:
-        self.cache = cache
-        self.per_item_dedup = per_item_dedup
-        self.usernames: dict[str, list[int]] = {}
-        self.domains: dict[str, list[int]] = {}
-
-    def add(self, item: NewsItem) -> None:
-        if item.label is None:
-            raise UnlabeledItem(item.id)
-        attrs = extract_attributes(item.text, self.cache)
-        slot = 0 if item.label is Label.REAL else 1
-        for counts, values in ((self.usernames, attrs.usernames), (self.domains, attrs.domains)):
-            for value in dict.fromkeys(values) if self.per_item_dedup else values:
-                counts.setdefault(value, [0, 0])[slot] += 1
-
-    def tables(self) -> dict[AttributeKind, AttributeStatsTable]:
-        kinds = ((AttributeKind.USERNAME, self.usernames), (AttributeKind.DOMAIN, self.domains))
-        return {
-            kind: AttributeStatsTable(kind, {attr: AttrCounts(*n) for attr, n in counts.items()})
-            for kind, counts in kinds
-        }
-
-
 def build_tables(
     items: Iterable[NewsItem],
     cache: UrlExpansionCache | None = None,
@@ -126,10 +97,21 @@ def build_tables(
     Raises UnlabeledItem for any item without a gold label; this is the
     guard that keeps test-set labels out of the tables.
     """
-    counter = TableCounter(cache, per_item_dedup)
+    usernames: dict[str, list[int]] = {}
+    domains: dict[str, list[int]] = {}
     for item in items:
-        counter.add(item)
-    return counter.tables()
+        if item.label is None:
+            raise UnlabeledItem(item.id)
+        attrs = extract_attributes(item.text, cache)
+        slot = 0 if item.label is Label.REAL else 1
+        for counts, values in ((usernames, attrs.usernames), (domains, attrs.domains)):
+            for value in dict.fromkeys(values) if per_item_dedup else values:
+                counts.setdefault(value, [0, 0])[slot] += 1
+    kinds = ((AttributeKind.USERNAME, usernames), (AttributeKind.DOMAIN, domains))
+    return {
+        kind: AttributeStatsTable(kind, {attr: AttrCounts(*n) for attr, n in counts.items()})
+        for kind, counts in kinds
+    }
 
 
 def build_table(

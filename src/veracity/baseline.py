@@ -84,38 +84,6 @@ class BowModel:
         return self.pairs.keys()
 
 
-class BowTrainer:
-    """The class and token counts of labeled items, added one at a time;
-    see train."""
-
-    def __init__(
-        self,
-        policy: CleanPolicy | None = None,
-        alpha: float = 1.0,
-        model_name: str = DEFAULT_MODEL_NAME,
-    ) -> None:
-        self.policy = CleanPolicy() if policy is None else policy
-        self.alpha = alpha
-        self.model_name = model_name
-        self.class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
-        self.token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
-
-    def add(self, item: NewsItem) -> None:
-        if item.label is None:
-            raise DegenerateTraining(f"item {item.id} is unlabeled")
-        self.class_doc_counts[item.label] += 1
-        self.token_counts[item.label].update(tokenize(clean_text(item.text, self.policy)))
-
-    def model(self) -> BowModel:
-        return BowModel(
-            class_doc_counts=self.class_doc_counts,
-            token_counts=self.token_counts,
-            smoothing_alpha=self.alpha,
-            clean_policy=self.policy,
-            model_name=self.model_name,
-        )
-
-
 def train(
     items: Iterable[NewsItem],
     policy: CleanPolicy | None = None,
@@ -129,10 +97,15 @@ def train(
     is order-independent, so training is deterministic regardless of
     dataset order. Raises DegenerateTraining unless both classes occur.
     """
-    trainer = BowTrainer(policy, alpha, model_name)
+    policy = CleanPolicy() if policy is None else policy
+    class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
+    token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
     for item in items:
-        trainer.add(item)
-    return trainer.model()
+        if item.label is None:
+            raise DegenerateTraining(f"item {item.id} is unlabeled")
+        class_doc_counts[item.label] += 1
+        token_counts[item.label].update(tokenize(clean_text(item.text, policy)))
+    return BowModel(class_doc_counts, token_counts, alpha, policy, model_name)
 
 
 def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections import Counter
@@ -18,7 +17,9 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import RunConfig, load_config, override, parse_names, parse_positive, parse_priority
+from .config import (
+    RunConfig, config_hash, load_config, override, parse_names, parse_positive, parse_priority,
+)
 from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
 from .ensemble import VotingScheme, load_predictions, restrict_to, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -30,7 +31,7 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, data_lines, data_rows, open_lines, require_file
+from .fileio import atomic_write_text, data_lines, data_rows, open_lines, parse_id, require_file
 from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, write_decisions_tsv
 from .pipeline import ablation_contexts, decision_inputs, run_pipeline, split_records
 from .preprocess import extract_attributes, load_cache
@@ -41,8 +42,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _args_digest(*parts: object) -> str:
-    return hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).hexdigest()[:16]
+#: Parsed arguments that are not settings of what a command writes: its
+#: handler and the flags that name an output.
+_NOT_SETTINGS = {"func", "out", "out_dir", "summary_json", "json_out"}
+
+
+def _tag(args, *inputs: Path | None) -> str:
+    """The config hash of a stage command's artifacts: its flags, outputs
+    aside, and the bytes of the input files it reads."""
+    flags = {name: value for name, value in vars(args).items() if name not in _NOT_SETTINGS}
+    return config_hash(json.dumps(flags, sort_keys=True), inputs=inputs)
 
 
 def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> HeuristicConfig:
@@ -74,8 +83,9 @@ def _cache_path(args) -> Path | None:
 
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
-    cache = load_cache(_cache_path(args))
-    digest = _args_digest("stats", train_path.name, args.cache, args.dedup_per_item)
+    cache_path = _cache_path(args)
+    digest = _tag(args, train_path, cache_path)
+    cache = load_cache(cache_path)
     labels: Counter = Counter()
 
     def tallied(items):
@@ -107,33 +117,31 @@ def cmd_stats(args) -> int:
 
 def cmd_train_baseline(args) -> int:
     train_path = require_file(args.train, "training data")
+    digest = _tag(args, train_path)
     model = baseline.train(
         iter_dataset(train_path, has_labels=True), alpha=args.alpha, model_name=args.name
     )
-    baseline.save_model(
-        model, args.out, config_hash=_args_digest("train", train_path.name, args.alpha, args.name)
-    )
+    baseline.save_model(model, args.out, config_hash=digest)
     print(f"trained {model.model_name}: vocabulary {len(model.vocabulary)} tokens")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = baseline.load_model(require_file(args.model, "model"))
+    model_path = require_file(args.model, "model")
+    model = baseline.load_model(model_path)
     data_path = require_file(args.data, "data")
+    digest = _tag(args, model_path, data_path)
     vectors = baseline.predict_dataset(model, iter_dataset(data_path))
-    baseline.write_predictions(
-        vectors, args.out, header_comment=f"config: {_args_digest('predict', data_path.name, args.model)}"
-    )
+    baseline.write_predictions(vectors, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(vectors)} predictions to {args.out}")
     return 0
 
 
 def cmd_ensemble(args) -> int:
-    for pred in args.predictions:
-        require_file(pred, "prediction")
-    matrix = load_predictions(args.predictions, parse_names(args.names or "", "--names") or None)
+    prediction_paths = [require_file(pred, "prediction") for pred in args.predictions]
+    digest = _tag(args, *prediction_paths)
+    matrix = load_predictions(prediction_paths, parse_names(args.names or "", "--names") or None)
     results = vote_all(matrix, VotingScheme(args.scheme))
-    digest = _args_digest("ensemble", args.scheme, *(Path(p).name for p in args.predictions))
     write_ensemble_tsv(results, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(results)} {args.scheme}-voted results to {args.out}")
     return 0
@@ -146,6 +154,7 @@ def cmd_postprocess(args) -> int:
     domain_path = require_file(args.domain_table, "domain table")
     cache_path = _cache_path(args)
     cfg = _heuristic_from_args(args)
+    digest = _tag(args, data_path, *prediction_paths, username_path, domain_path, cache_path)
     matrix = load_predictions(prediction_paths)
     tables = {kind: load_table(path, kind) for kind, path in (
         (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
@@ -153,10 +162,6 @@ def cmd_postprocess(args) -> int:
     ensemble = vote_all(restrict_to(matrix, [record[0] for record in records]))
     del matrix
     decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
-    digest = _args_digest(
-        "postprocess", data_path.name, cfg.threshold, cfg.use_threshold,
-        ",".join(k.value for k in cfg.priority),
-    )
     write_decisions_tsv(decisions, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(decisions)} decisions to {args.out}")
     return 0
@@ -176,11 +181,9 @@ def _read_label_column(path: Path) -> dict[int, Label]:
         except ValueError:
             raise BadRecord(f"no id/label columns in header {header!r}") from None
         for row in rows:
-            try:
-                item_id = int(row[id_col])
-                label = row[label_col]
-            except (ValueError, IndexError):
-                raise BadRecord(f"expected an integer id and a label, found {row!r}") from None
+            if len(row) <= max(id_col, label_col):
+                raise BadRecord(f"expected an integer id and a label, found {row!r}")
+            item_id, label = parse_id(row[id_col]), row[label_col]
             if item_id in labels:
                 raise DuplicateId(item_id)
             labels[item_id] = Label.parse(label, item_id)
@@ -242,7 +245,9 @@ def _parse_orderings(values: list[str] | None) -> list[tuple[AttributeKind, ...]
 def cmd_ablate(args) -> int:
     orderings = _parse_orderings(args.ordering)
     cfg = _config_with_overrides(args)
-    val_inputs, val_gold, test_inputs, test_gold, digest = ablation_contexts(cfg)
+    own = {"ordering": [[k.value for k in o] for o in orderings], "tune_threshold": args.tune_threshold}
+    contexts = ablation_contexts(cfg, json.dumps(own, sort_keys=True))
+    val_inputs, val_gold, test_inputs, test_gold, digest = contexts
     extra: dict = {"config_hash": digest, "threshold": cfg.heuristic.threshold}
     if args.tune_threshold:
         tuned = tune_threshold(val_inputs, val_gold, DEFAULT_THRESHOLD_GRID, cfg.heuristic)

@@ -2,8 +2,8 @@
 
 Every pipeline run is described by one config file so results are
 reproducible from a single artifact. Unknown sections or keys are
-rejected outright (typo safety), the file round-trips losslessly, and
-its canonical serialization is hashed into every output file header.
+rejected outright (typo safety), and the file round-trips losslessly.
+config_hash is the one provenance tag of every artifact.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterable
 
 from .attribute_stats import AttributeKind
 from .ensemble import VotingScheme
 from .errors import UsageError
-from .fileio import atomic_write_text, open_lines, require_file
+from .fileio import atomic_write_text, file_sha256, open_lines, require_file
 from .heuristic import HeuristicConfig
 from .preprocess import CleanPolicy
 
@@ -151,10 +152,13 @@ class RunConfig:
             files, names = len(self.prediction_paths), len(self.prediction_names)
             raise UsageError(f"{files} prediction files but {names} names")
 
-    def to_text(self) -> str:
-        """Canonical serialization; the basis of the config hash."""
+    def to_text(self, outputs: bool = True) -> str:
+        """Canonical serialization; without the [output] section, the
+        settings that config_hash hashes."""
         sections: dict[str, str] = {}
         for section, key, name, _ in _KEYS:
+            if section == "output" and not outputs:
+                continue
             line = f"{key} = {_text(attrgetter(name)(self))}\n"
             sections[section] = sections.get(section, f"[{section}]\n") + line
         return "\n".join(sections.values())
@@ -163,8 +167,21 @@ class RunConfig:
         atomic_write_text(Path(path), self.to_text())
 
 
-def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(cfg.to_text().encode("utf-8")).hexdigest()[:16]
+def config_hash(settings: RunConfig | str, *more: str, inputs: Iterable[Path | None] = ()) -> str:
+    """The provenance tag of an artifact: its `# config:` line and its
+    config_hash field. A sha256 over the settings, none of which names an
+    output, then over the bytes of each input that is a file, in order.
+    A RunConfig's settings are its text without [output], and its splits,
+    cache and prediction files come ahead of the inputs given."""
+    if isinstance(settings, RunConfig):
+        cfg, settings = settings, settings.to_text(outputs=False)
+        inputs = [cfg.train_path, cfg.validation_path, cfg.test_path, cfg.cache_path,
+                  *cfg.prediction_paths, *inputs]
+    tag = hashlib.sha256("\n".join([settings, *more]).encode("utf-8"))
+    for path in inputs:
+        if path is not None and path.is_file():
+            tag.update(file_sha256(path))
+    return tag.hexdigest()[:16]
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

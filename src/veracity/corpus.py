@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import BadLabel, BadRecord, DuplicateId, EmptyText, UnlabeledItem
-from .fileio import atomic_write_text, open_lines
+from .fileio import atomic_write_text, open_lines, parse_id
 
 
 class Label(Enum):
@@ -147,12 +147,7 @@ def iter_dataset(path: Path | str, has_labels: bool | None = None) -> Iterator[N
                 continue
             if len(row) != width:
                 raise BadRecord(f"expected {width} columns, found {len(row)}")
-            try:
-                item_id = int(row[0].strip())
-            except ValueError:
-                raise BadRecord(f"id {row[0]!r} is not an integer") from None
-            if item_id < 0:
-                raise BadRecord(f"id {item_id} is negative")
+            item_id = parse_id(row[0])
             if item_id in seen:
                 raise DuplicateId(item_id)
             seen.add(item_id)

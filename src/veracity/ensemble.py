@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .baseline import PredictionVector
 from .corpus import Label
 from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
-from .fileio import data_rows, open_lines, write_tsv
+from .fileio import data_rows, open_lines, parse_id, write_tsv
 
 # The sums a prediction pair may have; anything further off is corrupt.
 _SUM_WINDOW = (0.99, 1.01)
@@ -173,8 +173,8 @@ def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float,
         for row in rows:
             if len(row) != 3:
                 raise BadRecord(f"expected 3 columns, found {len(row)}")
+            item_id = parse_id(row[0])
             try:
-                item_id = int(row[0])
                 p_real = float(row[1])
                 p_fake = float(row[2])
             except ValueError:

@@ -175,6 +175,25 @@ LOCATED = {
     ),
 }
 
+# an id is ASCII digits, once stripped, in every reader: int() would take
+# "1_0" as 10, "+7" as 7 and "٣" as 3
+_ID_READERS = {  # reader: (file name, text whose line 3 holds the id, role)
+    "dataset": ("ids.tsv", "id\ttweet\tlabel\n1\ta\treal\n{}\tb\tfake\n", "gold"),
+    "evaluate --pred": ("pred.tsv", "id\tlabel\n1\treal\n{}\tfake\n", "pred"),
+    "prediction file": ("m.tsv", "id\tp_real\tp_fake\n1\t0.5\t0.5\n{}\t0.5\t0.5\n", "models"),
+}
+_BAD_IDS = {
+    "1_0": "id '1_0' is not an integer",
+    "+7": "id '+7' is not an integer",
+    "\u0663": "id '\u0663' is not an integer",
+    "-3": "id -3 is negative",
+}
+LOCATED.update({
+    f"id {cell} in {reader}": (name, text.format(cell), role, f"bad record in {name} (line 3): {detail}")
+    for reader, (name, text, role) in _ID_READERS.items()
+    for cell, detail in _BAD_IDS.items()
+})
+
 
 @pytest.mark.parametrize("case", sorted(LOCATED))
 def test_data_errors_name_file_and_physical_line(inputs, capsys, case):
