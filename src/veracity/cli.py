@@ -246,8 +246,7 @@ def cmd_ablate(args) -> int:
     orderings = _parse_orderings(args.ordering)
     cfg = _config_with_overrides(args)
     own = {"ordering": [[k.value for k in o] for o in orderings], "tune_threshold": args.tune_threshold}
-    contexts = ablation_contexts(cfg, json.dumps(own, sort_keys=True))
-    val_inputs, val_gold, test_inputs, test_gold, digest = contexts
+    val_inputs, val_gold, test_inputs, test_gold, digest = ablation_contexts(cfg, json.dumps(own))
     extra: dict = {"config_hash": digest, "threshold": cfg.heuristic.threshold}
     if args.tune_threshold:
         tuned = tune_threshold(val_inputs, val_gold, DEFAULT_THRESHOLD_GRID, cfg.heuristic)

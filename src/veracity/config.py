@@ -152,13 +152,10 @@ class RunConfig:
             files, names = len(self.prediction_paths), len(self.prediction_names)
             raise UsageError(f"{files} prediction files but {names} names")
 
-    def to_text(self, outputs: bool = True) -> str:
-        """Canonical serialization; without the [output] section, the
-        settings that config_hash hashes."""
+    def to_text(self) -> str:
+        """Canonical serialization; the basis of the config hash."""
         sections: dict[str, str] = {}
         for section, key, name, _ in _KEYS:
-            if section == "output" and not outputs:
-                continue
             line = f"{key} = {_text(attrgetter(name)(self))}\n"
             sections[section] = sections.get(section, f"[{section}]\n") + line
         return "\n".join(sections.values())
@@ -167,17 +164,16 @@ class RunConfig:
         atomic_write_text(Path(path), self.to_text())
 
 
-def config_hash(settings: RunConfig | str, *more: str, inputs: Iterable[Path | None] = ()) -> str:
+def config_hash(settings: RunConfig | str, extra: str = "", inputs: Iterable[Path | None] = ()) -> str:
     """The provenance tag of an artifact: its `# config:` line and its
-    config_hash field. A sha256 over the settings, none of which names an
-    output, then over the bytes of each input that is a file, in order.
-    A RunConfig's settings are its text without [output], and its splits,
-    cache and prediction files come ahead of the inputs given."""
+    config_hash field. A sha256 over the settings and extra, none naming
+    an output, then over the bytes of each input that is a file, in order.
+    A RunConfig's settings are its text with the default output dir; its
+    train split, cache and prediction files precede the splits given."""
     if isinstance(settings, RunConfig):
-        cfg, settings = settings, settings.to_text(outputs=False)
-        inputs = [cfg.train_path, cfg.validation_path, cfg.test_path, cfg.cache_path,
-                  *cfg.prediction_paths, *inputs]
-    tag = hashlib.sha256("\n".join([settings, *more]).encode("utf-8"))
+        cfg, settings = settings, replace(settings, output_dir=RunConfig().output_dir).to_text()
+        inputs = [cfg.train_path, cfg.cache_path, *cfg.prediction_paths, *inputs]
+    tag = hashlib.sha256(f"{settings}\n{extra}".encode("utf-8"))
     for path in inputs:
         if path is not None and path.is_file():
             tag.update(file_sha256(path))

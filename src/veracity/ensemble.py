@@ -275,6 +275,8 @@ def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> Pred
     for name, vectors in named.items():
         pairs: dict[int, tuple[float, float]] = {}
         for item_id, p_real, p_fake, _ in vectors:
+            if item_id < 0:  # as parse_id rejects it in a file
+                raise BadRecord(f"id {item_id} is negative")
             if item_id in pairs:
                 raise DuplicateId(item_id, source=name)
             pairs[item_id] = _renormalized(item_id, name, p_real, p_fake)

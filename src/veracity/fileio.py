@@ -131,11 +131,14 @@ def data_rows(lines: Iterable[str]) -> Iterator[list[str]]:
 
 
 def parse_id(cell: str) -> int:
-    """An item id: ASCII digits, once stripped. Any other cell, such as
-    "1_0", "+7", "٣" or "-3", is a BadRecord."""
+    """An item id: ASCII digits, once stripped, that int() converts. Any
+    other cell, such as "1_0", "+7", "٣" or "-3", is a BadRecord."""
     text = cell.strip()
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past int()'s limit on digits; a try costs nothing per row
+            pass
     if text.startswith("-") and text[1:].isascii() and text[1:].isdigit():
         raise BadRecord(f"id {text} is negative")
     raise BadRecord(f"id {cell!r} is not an integer")

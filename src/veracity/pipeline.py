@@ -209,8 +209,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     out_dir = Path(cfg.output_dir)
     written: list[Path] = []
 
-    with _attribute_process(cfg, [cfg.test_path]) as beside:
-        digest = config_hash(cfg)  # while the child reads
+    splits = [cfg.test_path]
+    with _attribute_process(cfg, splits) as beside:
+        digest = config_hash(cfg, inputs=splits)  # while the child reads
         source, tables = beside(prediction_source, cfg)
         vectors, records = beside(split_vectors, source, cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
@@ -267,10 +268,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 
 def ablation_contexts(
-    cfg: RunConfig, *settings: str
+    cfg: RunConfig, extra: str = ""
 ) -> tuple[list[DecisionInput], list[Label], list[DecisionInput], list[Label], str]:
     """Read the splits and build decision inputs for the ablation grid,
-    and the config hash of cfg and the ablation's own settings.
+    and the config hash of cfg and extra, the ablation's own settings.
 
     Both validation and test must be labeled. External prediction files,
     when configured, must cover the union of the two splits' ids;
@@ -279,8 +280,9 @@ def ablation_contexts(
     """
     require_paths(cfg, "train", "validation", "test")
     contexts = []
-    with _attribute_process(cfg, [cfg.validation_path, cfg.test_path]) as beside:
-        digest = config_hash(cfg, *settings)  # while the child reads
+    splits = [cfg.validation_path, cfg.test_path]
+    with _attribute_process(cfg, splits) as beside:
+        digest = config_hash(cfg, extra, inputs=splits)  # while the child reads
         source, _ = beside(prediction_source, cfg)
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)

@@ -306,7 +306,8 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
         assert (out_dir / name).is_file(), name
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["post_processed"]["f1"] >= report["ensemble_only"]["f1"]
-    digest = config_hash(load_config(config_path))
+    cfg = load_config(config_path)
+    digest = config_hash(cfg, inputs=[cfg.test_path])
     assert (out_dir / "ensemble.tsv").read_text(encoding="utf-8").startswith(f"# config: {digest}")
 
 

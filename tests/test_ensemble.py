@@ -495,7 +495,7 @@ IN_WINDOW = st.builds(lambda p, total: (p * total, (1.0 - p) * total), UNIT, st.
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.integers(0, 10**6), st.one_of(NEAR_ONE, IN_WINDOW), max_size=16))
+@given(st.dictionaries(st.integers(-3, 10**6), st.one_of(NEAR_ONE, IN_WINDOW), max_size=16))
 def test_vectors_enter_a_matrix_as_their_file_does(tmp_path_factory, pairs):
     vectors = [PredictionVector(i, r, f, "m") for i, (r, f) in sorted(pairs.items())]
     path = tmp_path_factory.mktemp("vectors") / "m.tsv"
@@ -507,6 +507,11 @@ def test_vectors_enter_a_matrix_as_their_file_does(tmp_path_factory, pairs):
         with pytest.raises(BadProbabilities) as from_file:
             load_predictions([path])
         assert str(from_file.value) == f"{exc} in m.tsv (line {line})"
+        return
+    except BadRecord as exc:  # a negative id, which sorts first
+        with pytest.raises(BadRecord) as from_file:
+            load_predictions([path])
+        assert str(from_file.value) == str(BadRecord(exc.detail, "m.tsv", 2))
         return
     assert load_predictions([path]) == expected
 

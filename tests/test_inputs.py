@@ -187,9 +187,10 @@ _BAD_IDS = {
     "+7": "id '+7' is not an integer",
     "\u0663": "id '\u0663' is not an integer",
     "-3": "id -3 is negative",
+    "1" * 5000: f"id '{'1' * 5000}' is not an integer",  # past int()'s digit limit
 }
 LOCATED.update({
-    f"id {cell} in {reader}": (name, text.format(cell), role, f"bad record in {name} (line 3): {detail}")
+    f"id {cell:.8} in {reader}": (name, text.format(cell), role, f"bad record in {name} (line 3): {detail}")
     for reader, (name, text, role) in _ID_READERS.items()
     for cell, detail in _BAD_IDS.items()
 })

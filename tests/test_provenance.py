@@ -175,3 +175,13 @@ def test_every_input_byte_is_in_the_tag(template, tmp_path, monkeypatch, name, c
     assert old in data
     (inputs / changed).write_bytes(data.replace(old, new, 1))
     assert _tag(_run(tmp_path / "out", name)) != before
+
+
+def test_a_split_the_run_does_not_read_is_not_in_the_tag(template, tmp_path, monkeypatch):
+    """pipeline reads no validation split, though the config names one."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(template, inputs)
+    monkeypatch.chdir(inputs)
+    before = _tag(_run(tmp_path / "out", "pipeline"))
+    (inputs / "validation.tsv").write_bytes(b"not read\n")
+    assert _tag(_run(tmp_path / "out", "pipeline")) == before
