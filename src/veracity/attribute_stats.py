@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Label, NewsItem
 from .errors import BadRecord, UnlabeledItem, ZeroSupport
-from .fileio import data_lines, open_lines, write_tsv
+from .fileio import data_lines, open_lines, parse_id, write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
 
 
@@ -79,6 +79,10 @@ class AttrProbVector:
     @cache  # one instance, shared by every item without a known attribute
     def absent(cls) -> "AttrProbVector":
         return cls(0.0, 0.0, 0, False)
+
+    def __reduce__(self):
+        # unpickled by the constructor, about twice as fast as a slotted dataclass's __setstate__
+        return AttrProbVector, (self.p_real, self.p_fake, self.support, self.present)
 
 
 def build_tables(
@@ -184,13 +188,8 @@ def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
             parts = raw.rstrip("\r\n").split("\t")
             if len(parts) != 3:
                 raise BadRecord("expected 3 columns")
-            try:
-                real_count, fake_count = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise BadRecord(
-                    f"counts must be integers, found {parts[1]!r}/{parts[2]!r}"
-                ) from None
-            if real_count < 0 or fake_count < 0 or real_count + fake_count == 0:
+            real_count, fake_count = (parse_id(part, "count") for part in parts[1:])
+            if real_count + fake_count == 0:
                 raise BadRecord(f"attribute {parts[0]!r} has invalid counts")
             if parts[0] in entries:
                 raise BadRecord(f"repeated attribute {parts[0]!r}")

@@ -155,10 +155,10 @@ def save_model(model: BowModel, path: Path | str, config_hash: str | None = None
 
 
 def _count(value) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"negative count {value!r}")
-    return count
+    """A JSON integer that is not negative; not a float, string or boolean."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"count {value!r} is not a non-negative integer")
+    return value
 
 
 def load_model(path: Path | str) -> BowModel:

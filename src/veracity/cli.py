@@ -17,9 +17,7 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import (
-    RunConfig, config_hash, load_config, override, parse_names, parse_positive, parse_priority,
-)
+from .config import RunConfig, config_hash, load_config, override, parse_positive, parse_priority
 from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
 from .ensemble import VotingScheme, load_predictions, restrict_to, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -32,8 +30,10 @@ from .evaluation import (
     tune_threshold,
 )
 from .fileio import atomic_write_text, data_lines, data_rows, open_lines, parse_id, require_file
-from .heuristic import DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, write_decisions_tsv
-from .pipeline import ablation_contexts, decision_inputs, run_pipeline, split_records
+from .heuristic import (
+    DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, decision_inputs, write_decisions_tsv,
+)
+from .pipeline import ablation_contexts, run_pipeline, split_records
 from .preprocess import extract_attributes, load_cache
 
 
@@ -59,21 +59,15 @@ def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> Heuristic
         base or HeuristicConfig(),
         threshold=args.threshold,
         priority=None if args.priority is None else parse_priority(args.priority, "--priority"),
-        use_threshold=False if args.no_threshold else None,
     )
 
 
 def _add_heuristic_flags(sub) -> None:
-    sub.add_argument("--threshold", type=float, default=None, help="override rule threshold")
+    sub.add_argument("--threshold", type=float, default=None, help="rule threshold; 0 drops it")
     sub.add_argument(
         "--priority",
         default=None,
         help="attribute priority order, e.g. 'username,domain' or 'domain'",
-    )
-    sub.add_argument(
-        "--no-threshold",
-        action="store_true",
-        help="drop the threshold conjunct; attribute majority alone decides",
     )
 
 
@@ -140,7 +134,7 @@ def cmd_predict(args) -> int:
 def cmd_ensemble(args) -> int:
     prediction_paths = [require_file(pred, "prediction") for pred in args.predictions]
     digest = _tag(args, *prediction_paths)
-    matrix = load_predictions(prediction_paths, parse_names(args.names or "", "--names") or None)
+    matrix = load_predictions(prediction_paths)
     results = vote_all(matrix, VotingScheme(args.scheme))
     write_ensemble_tsv(results, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(results)} {args.scheme}-voted results to {args.out}")
@@ -322,7 +316,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ensemble", help="vote over per-model prediction files")
     p.add_argument("--predictions", nargs="+", required=True)
-    p.add_argument("--names", default=None, help="comma-separated model names")
     p.add_argument("--scheme", choices=["soft", "hard"], default="soft")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)

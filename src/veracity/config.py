@@ -72,21 +72,18 @@ def _parse_scheme(value: str, where: str) -> VotingScheme:
         raise UsageError(f"{where} must be soft or hard, got {value!r}") from None
 
 
-def _list_of(kind):
-    """A parser of comma-separated values; blank parts are dropped."""
-    return lambda value, where: tuple(kind(part.strip()) for part in value.split(",") if part.strip())
-
-
-#: Model names, as [predictions] names and --names spell them.
-parse_names = _list_of(str)
-
-
 def _unless_blank(parse):
     """parse, with a blank value keeping the default."""
     return lambda value, where: parse(value, where) if value.strip() else None
 
 
 _path = _unless_blank(lambda value, where: Path(value.strip()))
+
+
+def _paths(value: str, where: str) -> tuple[Path, ...]:
+    """Comma-separated paths; blank parts are dropped."""
+    return tuple(Path(part.strip()) for part in value.split(",") if part.strip())
+
 
 # One row per config key, in file order: (section, key, RunConfig field,
 # parser). A parser gets the raw value and "section.key" for its error
@@ -96,8 +93,7 @@ _KEYS = (
     ("data", "validation", "validation_path", _path),
     ("data", "test", "test_path", _path),
     ("data", "cache", "cache_path", _path),
-    ("predictions", "files", "prediction_paths", _list_of(Path)),
-    ("predictions", "names", "prediction_names", parse_names),
+    ("predictions", "files", "prediction_paths", _paths),
     ("baseline", "alpha", "alpha", _unless_blank(parse_positive)),
     ("clean", "remove_urls", "clean_policy.remove_urls", _parse_bool),
     ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),
@@ -106,7 +102,6 @@ _KEYS = (
     ("ensemble", "scheme", "scheme", _unless_blank(_parse_scheme)),
     ("heuristic", "threshold", "heuristic.threshold", _unless_blank(_parse_number)),
     ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
-    ("heuristic", "use_threshold", "heuristic.use_threshold", _parse_bool),
     ("output", "dir", "output_dir", _path),
 )
 
@@ -140,17 +135,11 @@ class RunConfig:
     test_path: Path | None = None
     cache_path: Path | None = None
     prediction_paths: tuple[Path, ...] = ()
-    prediction_names: tuple[str, ...] = ()
     alpha: float = 1.0
     clean_policy: CleanPolicy = field(default_factory=CleanPolicy)
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")
-
-    def __post_init__(self) -> None:
-        if self.prediction_names and len(self.prediction_names) != len(self.prediction_paths):
-            files, names = len(self.prediction_paths), len(self.prediction_names)
-            raise UsageError(f"{files} prediction files but {names} names")
 
     def to_text(self) -> str:
         """Canonical serialization; the basis of the config hash."""

@@ -224,26 +224,17 @@ def _aligned(
     return PredictionMatrix(tuple(names), item_ids, tuple(reals), tuple(fakes))
 
 
-def load_predictions(
-    paths: Sequence[Path | str], model_names: Sequence[str] | None = None
-) -> PredictionMatrix:
+def load_predictions(paths: Sequence[Path | str]) -> PredictionMatrix:
     """Read per-model prediction files into an aligned matrix.
 
-    Model names default to the file name stems. All files must cover
-    exactly the same id set; rows are renormalized when their sum is
-    within 1% of 1 and rejected otherwise.
+    Each model is named by its file's stem. All files must cover exactly
+    the same id set; rows are renormalized when their sum is within 1%
+    of 1 and rejected otherwise.
     """
     resolved = [Path(p) for p in paths]
     if not resolved:
         raise UsageError("at least one prediction file is required")
-    if model_names is None:
-        names = [p.stem for p in resolved]
-    else:
-        names = list(model_names)
-        if len(names) != len(resolved):
-            raise UsageError(
-                f"{len(resolved)} prediction files but {len(names)} model names"
-            )
+    names = [p.stem for p in resolved]
     columns = (_read_prediction_file(p, name) for p, name in zip(resolved, names))
     return _aligned(names, columns, [p.name for p in resolved])
 

@@ -134,7 +134,7 @@ def _sweep(
     if len(gold) != len(inputs) or len(gold) == 0:
         raise LengthMismatch(len(gold), len(inputs))
     priority = cfgs[0].priority
-    points = sorted({cfg.cutoff for cfg in cfgs})
+    points = sorted({cfg.threshold for cfg in cfgs})
     diffs = [[0] * (len(points) + 1) for _ in range(4)]  # gold x predicted, real first
     for entry, label in zip(inputs, gold):
         row = 2 if label is Label.FAKE else 0
@@ -153,7 +153,7 @@ def _sweep(
         point: _report_from_confusion(((rr, rf), (fr, ff)))
         for point, rr, rf, fr, ff in zip(points, *counts)
     }
-    return [reports[cfg.cutoff] for cfg in cfgs]
+    return [reports[cfg.threshold] for cfg in cfgs]
 
 
 def tune_threshold(
@@ -165,8 +165,8 @@ def tune_threshold(
     """Pick the grid threshold maximizing accuracy on validation data.
 
     Ties break toward the larger threshold (the more conservative
-    override). cfg supplies the priority ordering and threshold flag;
-    its own threshold value is ignored.
+    override). cfg supplies the priority ordering; its own threshold
+    value is ignored.
     """
     if not grid:
         raise ValueError("threshold grid must be non-empty")
@@ -213,7 +213,8 @@ def run_ablation(
     orderings: Sequence[Sequence],
     threshold: float = 0.88,
 ) -> list[AblationRow]:
-    """Evaluate every priority ordering with and without the threshold.
+    """Evaluate every priority ordering with and without the threshold;
+    without it is threshold 0.0, where only the majority comparison is left.
 
     Returns one row per ordering, in input order, each carrying weighted
     F1 on the validation and test splits for both threshold modes.
@@ -221,10 +222,7 @@ def run_ablation(
     rows: list[AblationRow] = []
     for ordering in orderings:
         priority = tuple(ordering)
-        cfgs = [
-            HeuristicConfig(threshold=threshold, priority=priority, use_threshold=use_threshold)
-            for use_threshold in (True, False)
-        ]
+        cfgs = [HeuristicConfig(threshold=t, priority=priority) for t in (threshold, 0.0)]
         val = _sweep(val_inputs, val_gold, cfgs)
         test = _sweep(test_inputs, test_gold, cfgs)
         rows.append(

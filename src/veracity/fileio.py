@@ -130,9 +130,10 @@ def data_rows(lines: Iterable[str]) -> Iterator[list[str]]:
     return csv.reader(data_lines(lines), delimiter="\t")
 
 
-def parse_id(cell: str) -> int:
-    """An item id: ASCII digits, once stripped, that int() converts. Any
-    other cell, such as "1_0", "+7", "٣" or "-3", is a BadRecord."""
+def parse_id(cell: str, what: str = "id") -> int:
+    """An item id, or the count that what names: ASCII digits, once
+    stripped, that int() converts. Any other cell, such as "1_0", "+7",
+    "٣" or "-3", is a BadRecord."""
     text = cell.strip()
     if text.isascii() and text.isdigit():
         try:
@@ -140,5 +141,5 @@ def parse_id(cell: str) -> int:
         except ValueError:  # past int()'s limit on digits; a try costs nothing per row
             pass
     if text.startswith("-") and text[1:].isascii() and text[1:].isdigit():
-        raise BadRecord(f"id {text} is negative")
-    raise BadRecord(f"id {cell!r} is not an integer")
+        raise BadRecord(f"{what} {text} is negative")
+    raise BadRecord(f"{what} {cell!r} is not an integer")

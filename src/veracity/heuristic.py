@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .attribute_stats import AttributeKind, AttributeStatsTable, AttrProbVector, tweet_attr_vector
-from .corpus import Dataset, Label
+from .corpus import Dataset, Label, NewsItem
 from .ensemble import EnsembleResult, PredictionMatrix, restrict_to, vote_all
 from .errors import IdSetMismatch
 from .fileio import write_tsv
@@ -40,16 +41,16 @@ class DecidedBy(Enum):
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Threshold, attribute priority order, threshold-enabled flag.
+    """Threshold and attribute priority order.
 
     priority may be a subset of the two attribute kinds (for
     single-attribute ablations) but entries must be unique. With
-    use_threshold=False only the majority comparison remains.
+    threshold 0.0 only the majority comparison remains, since
+    p_win > p_lose >= 0 implies p_win > 0.
     """
 
     threshold: float = DEFAULT_THRESHOLD
     priority: tuple[AttributeKind, ...] = DEFAULT_PRIORITY
-    use_threshold: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -59,13 +60,6 @@ class HeuristicConfig:
 
     def with_threshold(self, threshold: float) -> "HeuristicConfig":
         return replace(self, threshold=threshold)
-
-    @property
-    def cutoff(self) -> float:
-        """The threshold the rules compare against. Without the threshold
-        conjunct only the majority comparison is left; a 0.0 threshold is
-        the same rule, since p_win > p_lose >= 0 implies p_win > 0."""
-        return self.threshold if self.use_threshold else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +126,9 @@ def decide(
     """
     if cfg is None:
         cfg = HeuristicConfig()
-    cutoff = cfg.cutoff
+    threshold = cfg.threshold
     for w, label, decided_by in reachable_rules(ens, username_vec, domain_vec, cfg.priority):
-        if w > cutoff:  # the ensemble's w = inf always is
+        if w > threshold:  # the ensemble's w = inf always is
             break
     return HeuristicDecision(ens.item_id, label, decided_by, username_vec, domain_vec, ens.p_real)
 
@@ -150,14 +144,27 @@ class DecisionInput:
     domain_vec: AttrProbVector
 
 
-def attr_vectors(
-    text: str, username_table: AttributeStatsTable, domain_table: AttributeStatsTable,
-    cache: UrlExpansionCache | None = None,
-) -> tuple[AttrProbVector, AttrProbVector]:
-    """The username and domain vectors of the attributes in one post."""
-    attrs = extract_attributes(text, cache)
-    usernames, domains = attrs.usernames, attrs.domains
-    return tweet_attr_vector(usernames, username_table), tweet_attr_vector(domains, domain_table)
+def item_records(
+    items: Iterable[NewsItem], username_table: AttributeStatsTable,
+    domain_table: AttributeStatsTable, cache: UrlExpansionCache | None = None,
+) -> list[tuple]:
+    """Per item, which may come from a stream: (id, the username and
+    domain vectors of the attributes in its post, gold label), in id order."""
+    records = []
+    for item in items:
+        attrs = extract_attributes(item.text, cache)
+        records.append((item.id, tweet_attr_vector(attrs.usernames, username_table),
+                        tweet_attr_vector(attrs.domains, domain_table), item.label))
+    records.sort(key=itemgetter(0))
+    return records
+
+
+def decision_inputs(records: Sequence[tuple], ensemble: Sequence[EnsembleResult]) -> list[DecisionInput]:
+    """The records' decision inputs. ensemble is vote_all's output for
+    exactly the records' ids, in the same order; else an IdSetMismatch."""
+    if list(map(itemgetter(0), records)) != [result.item_id for result in ensemble]:
+        raise IdSetMismatch(f"{len(ensemble)} ensemble results do not match {len(records)} items")
+    return [DecisionInput(i, result, u, d) for (i, u, d, _), result in zip(records, ensemble)]
 
 
 def prepare_inputs(
@@ -171,13 +178,7 @@ def prepare_inputs(
     nothing is voted here. ensemble is vote_all's output for exactly the
     dataset's ids, so the inputs are in id order.
     """
-    items = sorted(dataset, key=lambda i: i.id)
-    if [result.item_id for result in ensemble] != [item.id for item in items]:
-        raise IdSetMismatch(f"{len(ensemble)} ensemble results do not match {len(items)} items")
-    return [
-        DecisionInput(item.id, result, *attr_vectors(item.text, username_table, domain_table, cache))
-        for item, result in zip(items, ensemble)
-    ]
+    return decision_inputs(item_records(dataset, username_table, domain_table, cache), ensemble)
 
 
 def decide_inputs(

@@ -18,7 +18,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -41,8 +40,9 @@ from .fileio import atomic_write_text
 from .heuristic import (
     DecisionInput,
     HeuristicDecision,
-    attr_vectors,
     decide_inputs,
+    decision_inputs,
+    item_records,
     write_decisions_tsv,
 )
 from .preprocess import UrlExpansionCache, load_cache
@@ -67,7 +67,7 @@ def prediction_source(cfg: RunConfig) -> PredictionSource:
     """The prediction files, read once, or else the built-in model,
     trained on the training split as it is read."""
     if cfg.prediction_paths:
-        return load_predictions(cfg.prediction_paths, cfg.prediction_names or None)
+        return load_predictions(cfg.prediction_paths)
     return baseline.train(iter_dataset(cfg.train_path, has_labels=True), cfg.clean_policy, cfg.alpha)
 
 
@@ -79,15 +79,9 @@ def split_vectors(source: PredictionSource, path: Path) -> list[baseline.Predict
 
 
 def split_records(path: Path, tables: dict, cache: UrlExpansionCache) -> list[tuple]:
-    """Per item of an evaluation split, read as a stream and never held
-    whole: (id, username vector, domain vector, gold label), in id order."""
+    """item_records of an evaluation split, read as a stream and never held whole."""
     username_table, domain_table = tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN]
-    records = [
-        (item.id, *attr_vectors(item.text, username_table, domain_table, cache), item.label)
-        for item in iter_dataset(path)
-    ]
-    records.sort(key=itemgetter(0))
-    return records
+    return item_records(iter_dataset(path), username_table, domain_table, cache)
 
 
 def attribute_side(cache_path: Path | None, train_path: Path, split_paths: Sequence[Path]) -> Iterator:
@@ -161,11 +155,6 @@ def build_matrix(
         return matrix_from_vectors({source.model_name: vectors})
     files = ", ".join(path.name for path in cfg.prediction_paths)
     return restrict_to(source, [r[0] for r in records], f"{files} do not cover the {split} split: ")
-
-
-def decision_inputs(records: list[tuple], ensemble: list[EnsembleResult]) -> list[DecisionInput]:
-    """The records' decision inputs; ensemble is vote_all's output for them."""
-    return [DecisionInput(i, result, u, d) for (i, u, d, _), result in zip(records, ensemble)]
 
 
 def _decided_by_counts(decisions: list[HeuristicDecision]) -> Counter:
@@ -248,7 +237,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "scheme": cfg.scheme.value,
             "threshold": cfg.heuristic.threshold,
             "priority": [kind.value for kind in cfg.heuristic.priority],
-            "use_threshold": cfg.heuristic.use_threshold,
+            "use_threshold": cfg.heuristic.threshold > 0.0,  # a fact of the threshold, not a setting
             "decided_by": dict(_decided_by_counts(decisions)),
             "ensemble_only": pre_report.as_dict(),
             "post_processed": post_report.as_dict(),

@@ -271,7 +271,7 @@ def test_decision_rule_oracle():
                 for priority, chain in _ORDERINGS:
                     for use_threshold in (True, False):
                         cfg = HeuristicConfig(
-                            threshold=0.88, priority=priority, use_threshold=use_threshold
+                            threshold=0.88 if use_threshold else 0.0, priority=priority
                         )
                         expected = chain(u, d, e_real, 0.88, use_threshold)
                         got = decide(ens, username_vec, domain_vec, cfg)

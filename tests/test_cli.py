@@ -126,19 +126,6 @@ def test_ensemble_command_id_mismatch_exit_2(tmp_path, capsys):
     assert "a.tsv" in err and "b.tsv" in err
 
 
-@pytest.mark.parametrize("names", ["a,", ",a", " a , , "])
-def test_ensemble_names_drop_blank_parts(tmp_path, capsys, names):
-    """--names reads like [predictions] names: blank parts name no model."""
-    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    _write_prediction_file(a, [(1, 0.6, 0.4)])
-    _write_prediction_file(b, [(1, 0.9, 0.1)])
-    argv = ["ensemble", "--predictions", str(a), str(b), "--out", str(tmp_path / "o.tsv")]
-    assert main(argv + ["--names", names]) == 1
-    assert "usage error: 2 prediction files but 1 model names" in capsys.readouterr().err
-    with pytest.raises(UsageError, match="2 prediction files but 1 names"):
-        parse_config_text(f"[predictions]\nfiles = {a}, {b}\nnames = {names}\n")
-
-
 def test_postprocess_command(tiny_train, tmp_path):
     stats_dir = tmp_path / "stats"
     main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)])
@@ -591,7 +578,6 @@ def test_config_round_trip(tmp_path):
         test_path=Path("data/test.tsv"),
         cache_path=Path("data/cache.tsv"),
         prediction_paths=(Path("p/a.tsv"), Path("p/b.tsv")),
-        prediction_names=("a", "b"),
         alpha=0.5,
         output_dir=Path("runs/x"),
     )
@@ -609,13 +595,38 @@ def test_config_unknown_key_rejected():
 
 def test_config_heuristic_values():
     cfg = parse_config_text(
-        "[heuristic]\nthreshold = 0.5\npriority = domain\nuse_threshold = false\n"
+        "[heuristic]\nthreshold = 0.5\npriority = domain\n"
     )
     assert cfg.heuristic.threshold == 0.5
     assert [k.value for k in cfg.heuristic.priority] == ["domain"]
-    assert cfg.heuristic.use_threshold is False
     with pytest.raises(UsageError):
         parse_config_text("[heuristic]\nthreshold = 1.5\n")
+
+
+@pytest.mark.parametrize("section, key", [("heuristic", "use_threshold"), ("predictions", "names")])
+def test_retired_config_keys_are_usage_errors(tmp_path, capsys, section, key):
+    # "without the threshold" is threshold = 0; a model is named by its file's stem
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\n{key} = a\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(config)]) == 1
+    assert f"unknown config key {key!r} in [{section}]" in capsys.readouterr().err
+
+
+# "command retired flags": the rest of an otherwise valid command line
+_RETIRED_FLAGS = {
+    "postprocess --no-threshold": ["--data", "d.tsv", "--predictions", "m.tsv", "--username-table",
+                                   "u.tsv", "--domain-table", "d.tsv", "--out", "o.tsv"],
+    "pipeline --no-threshold": ["--config", "run.ini"],
+    "ablate --no-threshold": ["--config", "run.ini"],
+    "ensemble --names a": ["--predictions", "m.tsv", "--out", "o.tsv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RETIRED_FLAGS))
+def test_retired_flags_are_usage_errors(capsys, case):
+    command, retired = case.split(" ", 1)
+    assert main([command, *_RETIRED_FLAGS[case], *retired.split()]) == 1
+    assert f"usage error: unrecognized arguments: {retired}" in capsys.readouterr().err
 
 
 def test_expand_urls_with_injected_resolver(tmp_path, monkeypatch, capsys):

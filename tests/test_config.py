@@ -28,7 +28,6 @@ VALID = {
     "test": ["test.csv", "./a//test.tsv"],
     "cache": ["cache.tsv"],
     "files": ["a.tsv", "a.tsv, b.tsv", " a.tsv ,, b.tsv "],
-    "names": ["a", "a, b", "m1,m2"],
     "alpha": ["1", "0.5", "1e-3", "2_0", "1e-320"],
     "scheme": ["soft", "HARD"],
     "threshold": ["0.88", "0", "1", "-0.0", ".5"],
@@ -73,7 +72,6 @@ CHANGED = {
     "test_path": Path("test.tsv"),
     "cache_path": Path("cache.tsv"),
     "prediction_paths": (Path("b.tsv"),),
-    "prediction_names": ("m",),
     "alpha": 0.5,
     "clean_policy.remove_urls": False,
     "clean_policy.remove_mentions": False,
@@ -81,7 +79,6 @@ CHANGED = {
     "clean_policy.remove_hashmark_only": False,
     "heuristic.threshold": 0.5,
     "heuristic.priority": (AttributeKind.DOMAIN, AttributeKind.USERNAME),
-    "heuristic.use_threshold": False,
     "scheme": VotingScheme.HARD,
     "output_dir": Path("elsewhere"),
 }

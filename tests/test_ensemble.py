@@ -227,14 +227,6 @@ def test_load_predictions_skips_comments(tmp_path):
     assert load_predictions([path]).item_ids == (1,)
 
 
-def test_load_predictions_explicit_names(tmp_path):
-    path = tmp_path / "whatever.tsv"
-    _write_predictions(path, [(1, 0.6, 0.4)])
-    matrix = load_predictions([path], ["fancy"])
-    assert matrix.model_names == ("fancy",)
-    assert matrix.rows[1][0].model_name == "fancy"
-
-
 def test_matrix_from_vectors_alignment():
     vectors_a = [pv(0.6, item_id=1, name="a"), pv(0.2, item_id=2, name="a")]
     vectors_b = [pv(0.8, item_id=2, name="b"), pv(0.4, item_id=1, name="b")]

@@ -144,9 +144,6 @@ def _perfect_attr_context():
 def test_tune_threshold_prefers_larger_among_optima():
     inputs, gold = _perfect_attr_context()
     assert tune_threshold(inputs, gold, [0.5, 0.88, 1.0]) == 0.88
-    # without the threshold every grid value scores alike
-    no_threshold = HeuristicConfig(use_threshold=False)
-    assert tune_threshold(inputs, gold, [0.6, 1.0, 0.5], no_threshold) == 1.0
 
 
 def test_tune_threshold_single_option():
@@ -263,14 +260,13 @@ def _brute_force_report(inputs, gold, cfg):
     val=_SPLITS,
     test=_SPLITS,
     priority=st.lists(st.sampled_from(list(AttributeKind)), unique=True, max_size=2),
-    use_threshold=st.booleans(),
     grid=st.lists(_GRID_VALUES, min_size=1, max_size=8),
 )
-def test_sweep_matches_deciding_every_threshold(val, test, priority, use_threshold, grid):
+def test_sweep_matches_deciding_every_threshold(val, test, priority, grid):
     """Tuning and the ablation grid score exactly what deciding each item
     at each threshold and evaluating the labels scores."""
     (val_inputs, val_gold), (test_inputs, test_gold) = val, test
-    cfg = HeuristicConfig(priority=tuple(priority), use_threshold=use_threshold)
+    cfg = HeuristicConfig(priority=tuple(priority))
     scores = {
         t: _brute_force_report(val_inputs, val_gold, cfg.with_threshold(t)).accuracy
         for t in grid
@@ -285,5 +281,5 @@ def test_sweep_matches_deciding_every_threshold(val, test, priority, use_thresho
         (False, val_inputs, val_gold, row.without_threshold_val_f1),
         (False, test_inputs, test_gold, row.without_threshold_test_f1),
     ):
-        cell_cfg = HeuristicConfig(expected, tuple(priority), use)
+        cell_cfg = HeuristicConfig(expected if use else 0.0, tuple(priority))
         assert cell == _brute_force_report(split_inputs, split_gold, cell_cfg).f1

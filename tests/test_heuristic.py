@@ -22,6 +22,7 @@ from veracity.heuristic import (
     HeuristicConfig,
     decide,
     decide_batch,
+    decision_inputs,
     prepare_inputs,
     write_decisions_tsv,
 )
@@ -89,14 +90,14 @@ def test_single_attribute_priority_subset():
 
 
 def test_without_threshold_majority_decides():
-    cfg = HeuristicConfig(use_threshold=False)
+    cfg = HeuristicConfig(threshold=0.0)
     decision = decide(ens(0.3), vec(0.6), ABSENT, cfg)
     assert decision.label is Label.REAL
     assert decision.decided_by is DecidedBy.USERNAME_RULE
 
 
 def test_tied_vector_falls_through():
-    decision = decide(ens(0.2), vec(0.5), ABSENT, HeuristicConfig(use_threshold=False))
+    decision = decide(ens(0.2), vec(0.5), ABSENT, HeuristicConfig(threshold=0.0))
     assert decision.decided_by is DecidedBy.ENSEMBLE
     assert decision.label is Label.FAKE
 
@@ -244,6 +245,15 @@ def test_prepare_inputs_needs_results_for_exactly_the_dataset_ids(result_ids):
     assert [entry.item_id for entry in inputs] == [0, 1, 2]
     with pytest.raises(IdSetMismatch):
         prepare_inputs(dataset, [ens(0.7, item_id) for item_id in result_ids], *tables)
+
+
+@pytest.mark.parametrize("result_ids", [(0, 1), (0, 1, 2, 3), (0, 1, 3), (2, 1, 0)])
+def test_decision_inputs_need_results_for_the_records_ids_in_order(result_ids):
+    records = [(item_id, vec(0.9), ABSENT, Label.REAL) for item_id in range(3)]
+    inputs = decision_inputs(records, [ens(0.7, item_id) for item_id in range(3)])
+    assert [(entry.item_id, entry.ensemble.item_id) for entry in inputs] == [(0, 0), (1, 1), (2, 2)]
+    with pytest.raises(IdSetMismatch):
+        decision_inputs(records, [ens(0.7, item_id) for item_id in result_ids])
 
 
 def test_decisions_tsv_shape(tmp_path):

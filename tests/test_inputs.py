@@ -130,6 +130,10 @@ BAD_MODELS = {
     "negative token count": lambda model: model["token_counts"]["real"].update(icmr=-1),
     "negative document count": lambda model: model["class_doc_counts"].update(real=-1),
     "token counts a list": lambda model: model.update(token_counts=[]),
+    # a count is a JSON integer: int() would truncate 2.9 and read "1" and true as 1
+    "token count a fraction": lambda model: model["token_counts"]["real"].update(icmr=2.9),
+    "document count a string": lambda model: model["class_doc_counts"].update(real="1"),
+    "document count a boolean": lambda model: model["class_doc_counts"].update(real=True),
 }
 
 
@@ -194,6 +198,14 @@ LOCATED.update({
     for reader, (name, text, role) in _ID_READERS.items()
     for cell, detail in _BAD_IDS.items()
 })
+# an attribute table's counts follow the same rule
+LOCATED.update({
+    f"count {cell:.8} in a table": (
+        "username_stats.tsv", f"attribute\treal_count\tfake_count\nicmr\t1\t0\nhoax\t0\t{cell}\n",
+        "table", f"bad record in username_stats.tsv (line 3): {detail.replace('id', 'count', 1)}",
+    )
+    for cell, detail in _BAD_IDS.items()
+})
 
 
 @pytest.mark.parametrize("case", sorted(LOCATED))
@@ -205,6 +217,7 @@ def test_data_errors_name_file_and_physical_line(inputs, capsys, case):
         "gold": ["evaluate", "--gold", str(path), "--pred", str(inputs / "pred.tsv")],
         "pred": ["evaluate", "--gold", str(inputs / "train.tsv"), "--pred", str(path)],
         "models": ["ensemble", "--predictions", str(path), "--out", str(inputs / "e.tsv")],
+        "table": _argv("table", inputs),
     }[role]
     assert main(argv) == 2
     assert expected in capsys.readouterr().err

@@ -44,14 +44,14 @@ CASES = {
     "ensemble": (
         ["ensemble", "--predictions", "m1.tsv", "m2.tsv", "--out", "{out}/e.tsv"],
         ["m1.tsv", "m2.tsv"],
-        [["--scheme", "hard"], ["--names", "a,b"], ["--predictions", "m2.tsv", "m1.tsv"]],
+        [["--scheme", "hard"], ["--predictions", "m2.tsv", "m1.tsv"]],
     ),
     "postprocess": (
         ["postprocess", "--data", "test.tsv", "--predictions", "m1.tsv", "m2.tsv",
          "--username-table", "username_stats.tsv", "--domain-table", "domain_stats.tsv",
          "--cache", "cache.tsv", "--out", "{out}/d.tsv"],
         ["test.tsv", "m1.tsv", "m2.tsv", "username_stats.tsv", "domain_stats.tsv", "cache.tsv"],
-        [["--threshold", "0.7"], ["--priority", "domain"], ["--no-threshold"],
+        [["--threshold", "0.7"], ["--priority", "domain"], ["--threshold", "0"],
          ["--data", "copy/test.tsv"], ["--predictions", "m2.tsv", "m1.tsv"],
          ["--username-table", "copy/username_stats.tsv"],
          ["--domain-table", "copy/domain_stats.tsv"], ["--cache", "copy/cache.tsv"]],
@@ -60,7 +60,7 @@ CASES = {
         ["pipeline", "--config", "run.ini", "--out-dir", "{out}"],
         ["train.tsv", "test.tsv", "cache.tsv"],
         [["--scheme", "hard"], ["--threshold", "0.7"], ["--priority", "domain"],
-         ["--no-threshold"], ["--config", "alpha.ini"], ["--config", "copy.ini"]],
+         ["--threshold", "0"], ["--config", "alpha.ini"], ["--config", "copy.ini"]],
     ),
     "pipeline with prediction files": (
         ["pipeline", "--config", "files.ini", "--out-dir", "{out}"],
@@ -71,7 +71,7 @@ CASES = {
         ["ablate", "--config", "run.ini", "--out-dir", "{out}"],
         ["train.tsv", "validation.tsv", "test.tsv", "cache.tsv"],
         [["--ordering", "username"], ["--tune-threshold"], ["--threshold", "0.7"],
-         ["--priority", "domain"], ["--no-threshold"], ["--config", "alpha.ini"],
+         ["--priority", "domain"], ["--threshold", "0"], ["--config", "alpha.ini"],
          ["--config", "copy.ini"]],
     ),
 }

@@ -7,6 +7,7 @@ artifacts are the same as from splits loaded whole."""
 
 from __future__ import annotations
 
+import pickle
 import sys
 import tracemalloc
 from pathlib import Path
@@ -195,3 +196,14 @@ def test_per_item_records_have_slots(instance):
     # one is kept per post or per attribute, so none carries an instance dict
     assert type(instance).__slots__
     assert not hasattr(instance, "__dict__")
+
+
+def test_attribute_vectors_survive_the_pipe():
+    """The attribute-side child pickles its records, present and absent
+    vectors alike, and this process reads back equal ones."""
+    records = [(1, _VEC, AttrProbVector.absent(), Label.REAL), (2, AttrProbVector.absent(), _VEC, None)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(records, protocol))
+        assert copy == records
+        assert copy[0][2] is copy[1][1]  # one absent vector per message, as sent
+        assert all(type(vector) is AttrProbVector for record in copy for vector in record[1:3])
