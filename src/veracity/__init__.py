@@ -16,7 +16,7 @@ from .attribute_stats import (
     tweet_attr_vector,
 )
 from .baseline import BowModel, PredictionVector, predict, predict_dataset, train
-from .corpus import Dataset, Label, NewsItem, iter_dataset, load_dataset, save_dataset, summarize
+from .corpus import Label, NewsItem, iter_dataset, load_dataset, summarize
 from .ensemble import (
     EnsembleResult,
     PredictionMatrix,
@@ -51,7 +51,6 @@ __all__ = [
     "AttrProbVector",
     "BowModel",
     "CleanPolicy",
-    "Dataset",
     "DecidedBy",
     "EnsembleResult",
     "EvalReport",
@@ -79,7 +78,6 @@ __all__ = [
     "predict",
     "predict_dataset",
     "run_ablation",
-    "save_dataset",
     "soft_vote",
     "summarize",
     "train",

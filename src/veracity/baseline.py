@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, KeysView, NamedTuple, Sequence
@@ -144,7 +144,7 @@ def save_model(model: BowModel, path: Path | str, config_hash: str | None = None
     document = {
         "model_name": model.model_name,
         "smoothing_alpha": model.smoothing_alpha,
-        "clean_policy": model.clean_policy.as_dict(),
+        "clean_policy": asdict(model.clean_policy),
         "class_doc_counts": {c.value: model.class_doc_counts[c] for c in LABELS},
         "token_counts": {c.value: model.token_counts[c] for c in LABELS},
     }

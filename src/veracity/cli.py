@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from . import baseline
@@ -104,7 +105,7 @@ def cmd_stats(args) -> int:
     if args.summary_json:
         atomic_write_text(
             Path(args.summary_json),
-            json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
         )
     return 0
 
@@ -200,7 +201,7 @@ def cmd_evaluate(args) -> int:
     )
     print(report.format_text(f"{pred_path.name} vs {gold_path.name}"), end="")
     if args.json_out:
-        atomic_write_text(Path(args.json_out), json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        atomic_write_text(Path(args.json_out), json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 from .attribute_stats import AttributeKind
 from .ensemble import VotingScheme
 from .errors import UsageError
-from .fileio import atomic_write_text, file_sha256, open_lines, require_file
+from .fileio import file_sha256, open_lines, require_file
 from .heuristic import HeuristicConfig
 from .preprocess import CleanPolicy
 
@@ -148,9 +148,6 @@ class RunConfig:
             line = f"{key} = {_text(attrgetter(name)(self))}\n"
             sections[section] = sections.get(section, f"[{section}]\n") + line
         return "\n".join(sections.values())
-
-    def save(self, path: Path | str) -> None:
-        atomic_write_text(Path(path), self.to_text())
 
 
 def config_hash(settings: RunConfig | str, extra: str = "", inputs: Iterable[Path | None] = ()) -> str:

@@ -9,15 +9,14 @@ newlines, in which case the csv quoting rules apply.
 from __future__ import annotations
 
 import csv
-import io
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .errors import BadLabel, BadRecord, DuplicateId, EmptyText, UnlabeledItem
-from .fileio import atomic_write_text, open_lines, parse_id
+from .errors import BadLabel, BadRecord, DuplicateId, EmptyText
+from .fileio import open_lines, parse_id
 
 
 class Label(Enum):
@@ -52,27 +51,6 @@ class NewsItem:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """An ordered, id-unique collection of NewsItems."""
-
-    items: tuple[NewsItem, ...]
-    split_name: str = ""
-
-    def __iter__(self) -> Iterator[NewsItem]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def fully_labeled(self) -> bool:
-        return all(item.label is not None for item in self.items)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(item.id for item in self.items)
-
-
-@dataclass(frozen=True)
 class CorpusSummary:
     """Headline statistics for one dataset.
 
@@ -85,15 +63,6 @@ class CorpusSummary:
     fake_fraction: float | None
     unique_usernames: int
     unique_domains: int
-
-    def as_dict(self) -> dict:
-        return {
-            "item_count": self.item_count,
-            "real_fraction": self.real_fraction,
-            "fake_fraction": self.fake_fraction,
-            "unique_usernames": self.unique_usernames,
-            "unique_domains": self.unique_domains,
-        }
 
 
 _HEADER_LABELED = ["id", "tweet", "label"]
@@ -157,39 +126,10 @@ def iter_dataset(path: Path | str, has_labels: bool | None = None) -> Iterator[N
             yield NewsItem(item_id, text, Label.parse(row[2], item_id) if labeled else None)
 
 
-def load_dataset(
-    path: Path | str, has_labels: bool | None = None, split_name: str | None = None
-) -> Dataset:
+def load_dataset(path: Path | str, has_labels: bool | None = None) -> tuple[NewsItem, ...]:
     """Load a dataset file whole, preserving record order; see
     iter_dataset for the checks and errors."""
-    path = Path(path)
-    items = tuple(iter_dataset(path, has_labels))
-    return Dataset(items, split_name if split_name is not None else path.stem)
-
-
-def save_dataset(
-    dataset: Dataset,
-    path: Path | str,
-    delimiter: str = "\t",
-    include_labels: bool | None = None,
-) -> None:
-    """Write a dataset back to disk in the same shape load_dataset reads.
-
-    include_labels defaults to "write labels iff every item has one".
-    """
-    if include_labels is None:
-        include_labels = dataset.fully_labeled
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(_HEADER_LABELED if include_labels else _HEADER_UNLABELED)
-    for item in dataset:
-        if include_labels:
-            if item.label is None:
-                raise UnlabeledItem(item.id)
-            writer.writerow([item.id, item.text, item.label.value])
-        else:
-            writer.writerow([item.id, item.text])
-    atomic_write_text(Path(path), buffer.getvalue())
+    return tuple(iter_dataset(path, has_labels))
 
 
 def label_fractions(n_real: int, n_items: int) -> tuple[float, float] | None:
@@ -200,7 +140,7 @@ def label_fractions(n_real: int, n_items: int) -> tuple[float, float] | None:
     return n_real / n_items, (n_items - n_real) / n_items
 
 
-def summarize(dataset: Dataset, cache=None) -> CorpusSummary:
+def summarize(dataset: Sequence[NewsItem], cache=None) -> CorpusSummary:
     """Compute item count, class balance and distinct attribute counts.
 
     The expansion cache is only needed to resolve shortened URLs to their
@@ -218,7 +158,7 @@ def summarize(dataset: Dataset, cache=None) -> CorpusSummary:
         domains.update(attrs.domains)
     fractions = (
         label_fractions(sum(1 for item in dataset if item.label is Label.REAL), len(dataset))
-        if dataset.fully_labeled
+        if all(item.label is not None for item in dataset)
         else None
     )
     real_fraction, fake_fraction = fractions if fractions else (None, None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Sequence
 
@@ -41,16 +41,6 @@ class EvalReport:
     f1: float
     confusion: tuple[tuple[int, int], tuple[int, int]]
     n_items: int
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": [list(row) for row in self.confusion],
-            "n_items": self.n_items,
-        }
 
     def format_text(self, title: str = "") -> str:
         head = f"{title}\n" if title else ""
@@ -172,7 +162,7 @@ def tune_threshold(
         raise ValueError("threshold grid must be non-empty")
     if cfg is None:
         cfg = HeuristicConfig()
-    reports = _sweep(inputs, gold, [cfg.with_threshold(threshold) for threshold in grid])
+    reports = _sweep(inputs, gold, [replace(cfg, threshold=threshold) for threshold in grid])
     return max(zip((report.accuracy for report in reports), grid))[1]
 
 

@@ -16,14 +16,14 @@ as they are and votes nothing itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .attribute_stats import AttributeKind, AttributeStatsTable, AttrProbVector, tweet_attr_vector
-from .corpus import Dataset, Label, NewsItem
+from .corpus import Label, NewsItem
 from .ensemble import EnsembleResult, PredictionMatrix, restrict_to, vote_all
 from .errors import IdSetMismatch
 from .fileio import write_tsv
@@ -57,9 +57,6 @@ class HeuristicConfig:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if len(set(self.priority)) != len(self.priority):
             raise ValueError("priority entries must be unique")
-
-    def with_threshold(self, threshold: float) -> "HeuristicConfig":
-        return replace(self, threshold=threshold)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +165,7 @@ def decision_inputs(records: Sequence[tuple], ensemble: Sequence[EnsembleResult]
 
 
 def prepare_inputs(
-    dataset: Dataset,
+    dataset: Sequence[NewsItem],
     ensemble: Sequence[EnsembleResult],
     username_table: AttributeStatsTable,
     domain_table: AttributeStatsTable,
@@ -190,7 +187,7 @@ def decide_inputs(
 
 
 def decide_batch(
-    dataset: Dataset,
+    dataset: Sequence[NewsItem],
     matrix: PredictionMatrix,
     username_table: AttributeStatsTable,
     domain_table: AttributeStatsTable,
@@ -199,7 +196,7 @@ def decide_batch(
 ) -> list[HeuristicDecision]:
     """Full per-item post-processing pass over a dataset, ordered by id:
     soft-vote the matrix rows of the dataset's ids, then decide."""
-    ensemble = vote_all(restrict_to(matrix, dataset.ids()))
+    ensemble = vote_all(restrict_to(matrix, [item.id for item in dataset]))
     return decide_inputs(
         prepare_inputs(dataset, ensemble, username_table, domain_table, cache), cfg
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -26,7 +26,6 @@ from .attribute_stats import AttributeKind, build_tables, save_tables
 from .config import RunConfig, config_hash, require_paths
 from .corpus import Label, iter_dataset
 from .ensemble import (
-    EnsembleResult,
     PredictionMatrix,
     load_predictions,
     matrix_from_vectors,
@@ -52,8 +51,6 @@ from .preprocess import UrlExpansionCache, load_cache
 class PipelineResult:
     """Everything a pipeline run produced, for callers and tests."""
 
-    ensemble_results: list[EnsembleResult]
-    decisions: list[HeuristicDecision]
     pre_report: EvalReport | None
     post_report: EvalReport | None
     output_files: list[Path]
@@ -239,8 +236,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             "priority": [kind.value for kind in cfg.heuristic.priority],
             "use_threshold": cfg.heuristic.threshold > 0.0,  # a fact of the threshold, not a setting
             "decided_by": dict(_decided_by_counts(decisions)),
-            "ensemble_only": pre_report.as_dict(),
-            "post_processed": post_report.as_dict(),
+            "ensemble_only": asdict(pre_report),
+            "post_processed": asdict(post_report),
         }
         json_path = out_dir / "report.json"
         atomic_write_text(json_path, json.dumps(report_json, indent=2, sort_keys=True) + "\n")
@@ -253,7 +250,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
     written.append(report_path)
 
-    return PipelineResult(ensemble_results, decisions, pre_report, post_report, written)
+    return PipelineResult(pre_report, post_report, written)
 
 
 def ablation_contexts(

@@ -135,14 +135,6 @@ class CleanPolicy:
     remove_emoji: bool = True
     remove_hashmark_only: bool = True
 
-    def as_dict(self) -> dict:
-        return {
-            "remove_urls": self.remove_urls,
-            "remove_mentions": self.remove_mentions,
-            "remove_emoji": self.remove_emoji,
-            "remove_hashmark_only": self.remove_hashmark_only,
-        }
-
 
 def normalize_domain(url: str) -> str:
     """Reduce a URL to its bare host.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from veracity.corpus import Dataset, Label, NewsItem
+from veracity.corpus import Label, NewsItem
 
 REAL_WORDS = [
     "official", "update", "guidelines", "cases", "vaccine", "study",
@@ -40,8 +40,7 @@ def make_corpus(
     cross_noise: float = 0.30,
     neutral_rate: float = 0.25,
     words_per_item: int = 8,
-    split_name: str = "synthetic",
-) -> Dataset:
+) -> tuple[NewsItem, ...]:
     rng = random.Random(seed)
     items = []
     counters = {Label.REAL: 0, Label.FAKE: 0}
@@ -69,12 +68,12 @@ def make_corpus(
                 handle = FAKE_HANDLE_TEMPLATE.format(k=k % n_fake_handles)
                 text += f" @{handle}"
         items.append(NewsItem(i, text, label))
-    return Dataset(tuple(items), split_name)
+    return tuple(items)
 
 
-def head(dataset: Dataset, n: int, split_name: str | None = None) -> Dataset:
-    return Dataset(dataset.items[:n], split_name or dataset.split_name)
+def head(items: tuple[NewsItem, ...], n: int) -> tuple[NewsItem, ...]:
+    return items[:n]
 
 
-def tail(dataset: Dataset, n_skip: int, split_name: str | None = None) -> Dataset:
-    return Dataset(dataset.items[n_skip:], split_name or dataset.split_name)
+def tail(items: tuple[NewsItem, ...], n_skip: int) -> tuple[NewsItem, ...]:
+    return items[n_skip:]

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from _synth import make_corpus, head, tail
+from conftest import write_dataset_tsv
 from veracity.attribute_stats import (
     AttrCounts,
     AttributeKind,
@@ -28,7 +29,7 @@ from veracity.attribute_stats import (
 from veracity.baseline import PredictionVector, predict_dataset, train
 from veracity.cli import main as cli_main
 from veracity.config import RunConfig
-from veracity.corpus import Label, load_dataset, save_dataset
+from veracity.corpus import Label, load_dataset
 from veracity.ensemble import hard_vote, matrix_from_vectors, soft_vote, vote_all
 from veracity.evaluation import evaluate
 from veracity.heuristic import DecidedBy, HeuristicConfig, decide, decide_batch
@@ -288,7 +289,7 @@ def test_decision_rule_oracle():
 # --------------------------------------------------------------------------
 
 def _single_model_setup(corpus, train_count):
-    train_slice = head(corpus, train_count, "train")
+    train_slice = head(corpus, train_count)
     model = train(train_slice)
     vectors = predict_dataset(model, corpus)
     matrix = matrix_from_vectors({model.model_name: vectors})
@@ -341,8 +342,8 @@ def test_degenerate_equivalences():
 def test_end_to_end_attribute_corrections():
     with criterion("end-to-end synthetic corrections (1000 items)"):
         corpus = make_corpus(1000, seed=20260808, attribute_fraction=0.6)
-        train_slice = head(corpus, 100, "train")          # deliberately weak: 10%
-        eval_slice = tail(corpus, 100, "eval")
+        train_slice = head(corpus, 100)          # deliberately weak: 10%
+        eval_slice = tail(corpus, 100)
         username_table = build_table(train_slice, AttributeKind.USERNAME)
         domain_table = build_table(train_slice, AttributeKind.DOMAIN)
         # all 10 planted handles and 10 planted domains were seen in training
@@ -411,8 +412,8 @@ def test_pipeline_determinism(tmp_path):
         corpus = make_corpus(160, seed=31)
         train_path = tmp_path / "train.tsv"
         test_path = tmp_path / "test.tsv"
-        save_dataset(head(corpus, 80, "train"), train_path)
-        save_dataset(tail(corpus, 80, "test"), test_path)
+        write_dataset_tsv(train_path, head(corpus, 80))
+        write_dataset_tsv(test_path, tail(corpus, 80))
         cache_path = tmp_path / "cache.tsv"
         cache_path.write_text("# no entries\n", encoding="utf-8")
         cfg = RunConfig(
@@ -422,7 +423,7 @@ def test_pipeline_determinism(tmp_path):
             output_dir=tmp_path / "out",
         )
         config_path = tmp_path / "run.ini"
-        cfg.save(config_path)
+        config_path.write_text(cfg.to_text(), encoding="utf-8")
 
         assert cli_main(["pipeline", "--config", str(config_path)]) == 0
         out_dir = tmp_path / "out"
@@ -467,7 +468,7 @@ def test_supplied_corpus_statistics():
         for path in data_files:
             dataset = load_dataset(path)
             item_count += len(dataset)
-            if dataset.fully_labeled:
+            if all(item.label is not None for item in dataset):
                 labeled_count += len(dataset)
                 real_count += sum(1 for item in dataset if item.label is R)
             for item in dataset:

@@ -18,7 +18,7 @@ from veracity.attribute_stats import (
     save_table,
     tweet_attr_vector,
 )
-from veracity.corpus import Dataset, Label, NewsItem
+from veracity.corpus import Label, NewsItem
 from veracity.errors import UnlabeledItem, ZeroSupport
 from veracity.preprocess import extract_attributes
 
@@ -58,7 +58,7 @@ def test_build_table_all_real_domain():
 
 
 def test_build_empty_dataset():
-    table = build_table(Dataset((), "empty"), AttributeKind.USERNAME)
+    table = build_table((), AttributeKind.USERNAME)
     assert len(table) == 0
 
 
@@ -96,7 +96,7 @@ def test_cond_prob_sums_to_one(real_count, fake_count):
     assert abs(p_real + p_fake - 1.0) <= 1e-12
 
 
-def _random_corpus(seed: int) -> Dataset:
+def _random_corpus(seed: int) -> tuple[NewsItem, ...]:
     rng = random.Random(seed)
     handles = ["a", "b", "c", "d"]
     items = []
@@ -104,7 +104,7 @@ def _random_corpus(seed: int) -> Dataset:
         mentions = " ".join(f"@{rng.choice(handles)}" for _ in range(rng.randrange(0, 4)))
         label = Label.REAL if rng.random() < 0.5 else Label.FAKE
         items.append(NewsItem(i, mentions or "plain", label))
-    return Dataset(tuple(items), "rand")
+    return tuple(items)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -18,7 +18,7 @@ from veracity.baseline import (
     tokenize,
     train,
 )
-from veracity.corpus import LABELS, Dataset, Label, NewsItem
+from veracity.corpus import LABELS, Label, NewsItem
 from veracity.errors import DegenerateTraining
 from veracity.preprocess import CleanPolicy, clean_text
 
@@ -71,7 +71,7 @@ def test_training_sentences_favor_their_own_class():
 
 def test_empty_dataset_degenerate():
     with pytest.raises(DegenerateTraining):
-        train(Dataset((), "empty"))
+        train(())
 
 
 def test_single_class_degenerate():
@@ -133,10 +133,7 @@ def test_brute_force_oracle_small_corpora(seed):
         )
         tokens = [rng.choice(WORDS) for _ in range(rng.randrange(1, 5))]
         corpus.append((tokens, label))
-    dataset = Dataset(
-        tuple(NewsItem(i, " ".join(t), label) for i, (t, label) in enumerate(corpus)),
-        "oracle",
-    )
+    dataset = tuple(NewsItem(i, " ".join(t), label) for i, (t, label) in enumerate(corpus))
     alpha = rng.choice([0.5, 1.0, 2.0])
     model = train(dataset, alpha=alpha)
     for _ in range(5):
@@ -257,7 +254,12 @@ def oracle_model_text(fit, policy, alpha, model_name):
     document = {
         "model_name": model_name,
         "smoothing_alpha": alpha,
-        "clean_policy": policy.as_dict(),
+        "clean_policy": {
+            "remove_urls": policy.remove_urls,
+            "remove_mentions": policy.remove_mentions,
+            "remove_emoji": policy.remove_emoji,
+            "remove_hashmark_only": policy.remove_hashmark_only,
+        },
         "class_doc_counts": {c.value: class_doc_counts[c] for c in LABELS},
         "token_counts": {c.value: dict(sorted(token_counts[c].items())) for c in LABELS},
     }
@@ -281,9 +283,7 @@ CLEAN_POLICIES = st.sampled_from(
     st.lists(st.one_of(BIT_TEXTS, st.text(max_size=20)), max_size=6),
 )
 def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, policy, alpha, queries):
-    dataset = Dataset(
-        tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows)), "bits"
-    )
+    dataset = tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows))
     model = train(dataset, policy, alpha)
     fit = oracle_fit(dataset, policy, alpha)
     assert model.token_counts == fit[1]

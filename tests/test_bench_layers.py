@@ -16,10 +16,10 @@ from pathlib import Path
 import pytest
 
 from _synth import make_corpus, head, tail
+from conftest import write_dataset_tsv
 from veracity import baseline, ensemble, fileio, preprocess
 from veracity.cli import main
 from veracity.config import RunConfig
-from veracity.corpus import save_dataset
 from veracity.heuristic import write_decisions_tsv
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -86,14 +86,14 @@ def _count_scans(monkeypatch) -> _SharedCounts:
 def _split_paths(tmp_path):
     corpus = make_corpus(90, seed=21)
     splits = {
-        "train": head(corpus, 40, "train"),
-        "validation": head(tail(corpus, 40), 20, "validation"),
-        "test": tail(corpus, 60, "test"),
+        "train": head(corpus, 40),
+        "validation": head(tail(corpus, 40), 20),
+        "test": tail(corpus, 60),
     }
     paths = {}
     for name, split in splits.items():
         paths[name] = tmp_path / f"{name}.tsv"
-        save_dataset(split, paths[name])
+        write_dataset_tsv(paths[name], split)
     return paths, {name: len(split) for name, split in splits.items()}
 
 
@@ -115,7 +115,7 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
         output_dir=tmp_path / "out",
     )
     config_path = tmp_path / "run.ini"
-    cfg.save(config_path)
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
     calls = _count_scans(monkeypatch)
     argv = [command, "--config", str(config_path)]
     if command == "ablate":
@@ -165,11 +165,12 @@ def test_traced_streamed_writes_record_their_size(tmp_path, monkeypatch):
                     monkeypatch.setattr(module, attr, wrapped)
     corpus = make_corpus(40, seed=3)
     model = baseline.train(corpus)
-    paths = [tmp_path / name for name in ("model.json", "predictions.tsv", "decisions.tsv", "data.tsv")]
+    vectors = baseline.predict_dataset(model, corpus)
+    paths = [tmp_path / name for name in ("model.json", "predictions.tsv", "decisions.tsv", "ensemble.tsv")]
     baseline.save_model(model, paths[0])
-    baseline.write_predictions(baseline.predict_dataset(model, corpus), paths[1], "config: x")
+    baseline.write_predictions(vectors, paths[1], "config: x")
     write_decisions_tsv([], paths[2])
-    save_dataset(corpus, paths[3])
+    ensemble.write_ensemble_tsv(ensemble.vote_all(ensemble.matrix_from_vectors({"m": vectors})), paths[3])
     assert [span["name"] for span in tracer.spans] == ["fileio.atomic_write_text"] * 4
     assert [span["bytes"] for span in tracer.spans] == [path.stat().st_size for path in paths]
     assert all(path.stat().st_size > 0 for path in paths)

@@ -15,7 +15,6 @@ from conftest import write_dataset_tsv
 from veracity import pipeline, urlexpand
 from veracity.cli import main
 from veracity.config import RunConfig, config_hash, load_config, parse_config_text
-from veracity.corpus import save_dataset
 from veracity.errors import UsageError
 
 
@@ -261,12 +260,12 @@ def test_postprocess_repeated_table_row_exit_2(tiny_train, tmp_path, capsys):
 
 def _pipeline_config(tmp_path, corpus_seed=77, n=120, **overrides) -> Path:
     corpus = make_corpus(n, seed=corpus_seed)
-    train = head(corpus, n // 2, "train")
-    test = tail(corpus, n // 2, "test")
+    train = head(corpus, n // 2)
+    test = tail(corpus, n // 2)
     train_path = tmp_path / "train.tsv"
     test_path = tmp_path / "test.tsv"
-    save_dataset(train, train_path)
-    save_dataset(test, test_path)
+    write_dataset_tsv(train_path, train)
+    write_dataset_tsv(test_path, test)
     cache_path = tmp_path / "cache.tsv"
     cache_path.write_text("# empty cache\n", encoding="utf-8")
     cfg = RunConfig(
@@ -277,7 +276,7 @@ def _pipeline_config(tmp_path, corpus_seed=77, n=120, **overrides) -> Path:
         **overrides,
     )
     config_path = tmp_path / "run.ini"
-    cfg.save(config_path)
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
     return config_path
 
 
@@ -310,11 +309,11 @@ def test_pipeline_deterministic_reruns(tmp_path):
 
 def test_pipeline_with_external_predictions(tmp_path):
     corpus = make_corpus(40, seed=13)
-    train = head(corpus, 20, "train")
-    test = tail(corpus, 20, "test")
+    train = head(corpus, 20)
+    test = tail(corpus, 20)
     train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
-    save_dataset(train, train_path)
-    save_dataset(test, test_path)
+    write_dataset_tsv(train_path, train)
+    write_dataset_tsv(test_path, test)
     ids = [item.id for item in test]
     pred_paths = []
     # four agreeing external models: ensemble must follow them
@@ -349,8 +348,8 @@ def test_pipeline_with_external_predictions(tmp_path):
 def test_pipeline_external_predictions_superset_trimmed(tmp_path):
     corpus = make_corpus(30, seed=21)
     train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
-    save_dataset(head(corpus, 20, "train"), train_path)
-    save_dataset(tail(corpus, 20, "test"), test_path)
+    write_dataset_tsv(train_path, head(corpus, 20))
+    write_dataset_tsv(test_path, tail(corpus, 20))
     preds = tmp_path / "wide.tsv"
     _write_prediction_file(preds, [(i, 0.6, 0.4) for i in range(30)])  # covers train too
     config_path = tmp_path / "run.ini"
@@ -413,8 +412,8 @@ def test_pipeline_tie_rules_in_ensemble_and_decisions(tmp_path):
 def test_pipeline_id_mismatch_exit_2(tmp_path, capsys):
     corpus = make_corpus(10, seed=1)
     train_path, test_path = tmp_path / "train.tsv", tmp_path / "test.tsv"
-    save_dataset(head(corpus, 5, "train"), train_path)
-    save_dataset(tail(corpus, 5, "test"), test_path)
+    write_dataset_tsv(train_path, head(corpus, 5))
+    write_dataset_tsv(test_path, tail(corpus, 5))
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     _write_prediction_file(a, [(i, 0.6, 0.4) for i in range(5, 10)])
     _write_prediction_file(b, [(i, 0.6, 0.4) for i in range(4, 9)])
@@ -444,13 +443,13 @@ def test_pipeline_flag_overrides_config(tmp_path):
 
 def _ablate_config(tmp_path) -> Path:
     corpus = make_corpus(150, seed=5)
-    train = head(corpus, 50, "train")
+    train = head(corpus, 50)
     val = Path(tmp_path / "val.tsv")
     test = Path(tmp_path / "test.tsv")
-    save_dataset(head(tail(corpus, 50), 50, "val"), val)
-    save_dataset(tail(corpus, 100, "test"), test)
+    write_dataset_tsv(val, head(tail(corpus, 50), 50))
+    write_dataset_tsv(test, tail(corpus, 100))
     train_path = tmp_path / "train.tsv"
-    save_dataset(train, train_path)
+    write_dataset_tsv(train_path, train)
     cfg = RunConfig(
         train_path=train_path,
         validation_path=val,
@@ -458,7 +457,7 @@ def _ablate_config(tmp_path) -> Path:
         output_dir=tmp_path / "out",
     )
     config_path = tmp_path / "ablate.ini"
-    cfg.save(config_path)
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
     return config_path
 
 
@@ -496,15 +495,15 @@ def test_ablate_unlabeled_test_refused(tmp_path, capsys):
     train_path = tmp_path / "train.tsv"
     val_path = tmp_path / "val.tsv"
     test_path = tmp_path / "test.tsv"
-    save_dataset(head(corpus, 20, "train"), train_path)
-    save_dataset(head(tail(corpus, 20), 20, "val"), val_path)
-    save_dataset(tail(corpus, 40, "test"), test_path, include_labels=False)
+    write_dataset_tsv(train_path, head(corpus, 20))
+    write_dataset_tsv(val_path, head(tail(corpus, 20), 20))
+    write_dataset_tsv(test_path, tail(corpus, 40), labeled=False)
     cfg = RunConfig(
         train_path=train_path, validation_path=val_path, test_path=test_path,
         output_dir=tmp_path / "out",
     )
     config_path = tmp_path / "cfg.ini"
-    cfg.save(config_path)
+    config_path.write_text(cfg.to_text(), encoding="utf-8")
     rc = main(["ablate", "--config", str(config_path)])
     assert rc == 1
     assert "must be labeled" in capsys.readouterr().err
@@ -516,18 +515,18 @@ def test_ablate_prediction_files_must_cover_both_splits(tmp_path, capsys, valida
     # and the files, and an unlabeled split is refused before any id check
     corpus = make_corpus(60, seed=6)
     paths = {name: tmp_path / f"{name}.tsv" for name in ("train", "val", "test")}
-    test = tail(corpus, 40, "test")
-    save_dataset(head(corpus, 20, "train"), paths["train"])
-    save_dataset(head(tail(corpus, 20), 20, "val"), paths["val"], include_labels=validation_labeled)
-    save_dataset(test, paths["test"])
+    test = tail(corpus, 40)
+    write_dataset_tsv(paths["train"], head(corpus, 20))
+    write_dataset_tsv(paths["val"], head(tail(corpus, 20), 20), labeled=validation_labeled)
+    write_dataset_tsv(paths["test"], test)
     files = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
     for path in files:
-        _write_prediction_file(path, [(item_id, 0.6, 0.4) for item_id in test.ids()])
+        _write_prediction_file(path, [(item.id, 0.6, 0.4) for item in test])
     config_path = tmp_path / "cfg.ini"
-    RunConfig(
+    config_path.write_text(RunConfig(
         train_path=paths["train"], validation_path=paths["val"], test_path=paths["test"],
         prediction_paths=tuple(files), output_dir=tmp_path / "out",
-    ).save(config_path)
+    ).to_text(), encoding="utf-8")
     rc = main(["ablate", "--config", str(config_path)])
     err = capsys.readouterr().err
     if not validation_labeled:

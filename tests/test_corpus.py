@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import dataset_of, write_dataset_tsv
-from veracity.corpus import (
-    Dataset,
-    Label,
-    NewsItem,
-    load_dataset,
-    save_dataset,
-    sniff_has_labels,
-    summarize,
-)
-from veracity.errors import BadLabel, BadRecord, DuplicateId, EmptyText, UnlabeledItem
+from veracity.corpus import Label, NewsItem, load_dataset, sniff_has_labels, summarize
+from veracity.errors import BadLabel, BadRecord, DuplicateId, EmptyText
 from veracity.preprocess import UrlExpansionCache
 
 
@@ -21,7 +13,7 @@ def test_load_two_rows(tiny_labeled):
     dataset = load_dataset(tiny_labeled, has_labels=True)
     assert len(dataset) == 2
     assert [item.label for item in dataset] == [Label.REAL, Label.FAKE]
-    assert dataset.ids() == (1, 2)
+    assert [item.id for item in dataset] == [1, 2]
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
@@ -29,8 +21,8 @@ def test_byte_order_mark_is_skipped(tmp_path):
     path.write_text("\ufeffid\ttweet\tlabel\n1\thello\treal\n", encoding="utf-8")
     assert sniff_has_labels(path)
     dataset = load_dataset(path, has_labels=True)
-    assert dataset.ids() == (1,)
-    assert dataset.items[0].label is Label.REAL
+    assert [item.id for item in dataset] == [1]
+    assert dataset[0].label is Label.REAL
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -93,17 +85,17 @@ def test_csv_variant(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text('id,tweet,label\n1,"hello, there",real\n', encoding="utf-8")
     dataset = load_dataset(path, has_labels=True)
-    assert dataset.items[0].text == "hello, there"
+    assert dataset[0].text == "hello, there"
 
 
 def test_order_preserved(tmp_path):
     path = tmp_path / "order.tsv"
     write_dataset_tsv(path, [(5, "e", "real"), (2, "b", "fake"), (9, "j", "real")])
     dataset = load_dataset(path, has_labels=True)
-    assert dataset.ids() == (5, 2, 9)
+    assert [item.id for item in dataset] == [5, 2, 9]
 
 
-def test_save_load_round_trip(tmp_path):
+def test_quoted_fields_load_as_written(tmp_path):
     original = dataset_of(
         (1, "plain text", "real"),
         (2, "tab\there and, comma", "fake"),
@@ -111,26 +103,11 @@ def test_save_load_round_trip(tmp_path):
         (4, "quote \" inside", "fake"),
     )
     path = tmp_path / "round.tsv"
-    save_dataset(original, path)
+    write_dataset_tsv(path, original)
     loaded = load_dataset(path, has_labels=True)
     assert [(i.id, i.text, i.label) for i in loaded] == [
         (i.id, i.text, i.label) for i in original
     ]
-
-
-def test_save_unlabeled_round_trip(tmp_path):
-    original = dataset_of((1, "a", None), (2, "b", None))
-    path = tmp_path / "round2.tsv"
-    save_dataset(original, path)
-    assert sniff_has_labels(path) is False
-    loaded = load_dataset(path, has_labels=False)
-    assert [(i.id, i.text) for i in loaded] == [(1, "a"), (2, "b")]
-
-
-def test_save_labeled_with_gap_raises(tmp_path):
-    with pytest.raises(UnlabeledItem):
-        save_dataset(dataset_of((1, "a", "real"), (2, "b", None)), tmp_path / "x.tsv",
-                     include_labels=True)
 
 
 def test_nfc_normalization_applied(tmp_path):
@@ -139,7 +116,7 @@ def test_nfc_normalization_applied(tmp_path):
     path = tmp_path / "nfc.tsv"
     write_dataset_tsv(path, [(1, decomposed, "real")])
     dataset = load_dataset(path, has_labels=True)
-    assert dataset.items[0].text == "café"
+    assert dataset[0].text == "café"
 
 
 def test_summarize_trivial():
@@ -172,8 +149,6 @@ def test_summarize_unlabeled_fractions_absent():
 
 @given(st.lists(st.sampled_from([Label.REAL, Label.FAKE]), min_size=1, max_size=60))
 def test_fractions_sum_to_one(labels):
-    dataset = Dataset(
-        tuple(NewsItem(i, "t", label) for i, label in enumerate(labels)), "gen"
-    )
+    dataset = tuple(NewsItem(i, "t", label) for i, label in enumerate(labels))
     summary = summarize(dataset)
     assert abs(summary.real_fraction + summary.fake_fraction - 1.0) <= 1e-12

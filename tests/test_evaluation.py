@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,7 +269,7 @@ def test_sweep_matches_deciding_every_threshold(val, test, priority, grid):
     (val_inputs, val_gold), (test_inputs, test_gold) = val, test
     cfg = HeuristicConfig(priority=tuple(priority))
     scores = {
-        t: _brute_force_report(val_inputs, val_gold, cfg.with_threshold(t)).accuracy
+        t: _brute_force_report(val_inputs, val_gold, replace(cfg, threshold=t)).accuracy
         for t in grid
     }
     expected = max(grid, key=lambda t: (scores[t], t))  # ties go to the larger threshold

@@ -14,7 +14,7 @@ from veracity.attribute_stats import (
     build_table,
 )
 from veracity.baseline import PredictionVector
-from veracity.corpus import Dataset, Label, NewsItem
+from veracity.corpus import Label, NewsItem
 from veracity.ensemble import EnsembleResult, VotingScheme, matrix_from_vectors, vote_all
 from veracity.errors import IdSetMismatch
 from veracity.heuristic import (
@@ -166,10 +166,9 @@ def _single_model_matrix(dataset, p_real_by_id):
 
 def test_batch_all_real_domain_dominates_random_ensemble():
     rng = random.Random(11)
-    items = tuple(
+    dataset = tuple(
         NewsItem(i, f"whatever https://alwaysreal.org/{i}", Label.REAL) for i in range(30)
     )
-    dataset = Dataset(items, "batch")
     table = build_table(dataset, DOMAIN)
     matrix = _single_model_matrix(dataset, {i: rng.random() for i in range(30)})
     decisions = decide_batch(dataset, matrix, AttributeStatsTable(USERNAME, {}), table)
@@ -179,11 +178,10 @@ def test_batch_all_real_domain_dominates_random_ensemble():
 
 def test_batch_no_attributes_equals_soft_vote():
     rng = random.Random(5)
-    items = tuple(
+    dataset = tuple(
         NewsItem(i, "plain text only", Label.REAL if i % 2 else Label.FAKE)
         for i in range(40)
     )
-    dataset = Dataset(items, "plain")
     matrix = _single_model_matrix(dataset, {i: rng.random() for i in range(40)})
     empty_u = AttributeStatsTable(USERNAME, {})
     empty_d = AttributeStatsTable(DOMAIN, {})
@@ -199,8 +197,7 @@ def test_batch_planted_fake_handle_flips_exactly_its_items():
     train_items = tuple(
         NewsItem(i, "story by @shadyhandle", Label.FAKE) for i in range(5)
     ) + (NewsItem(5, "calm text", Label.REAL),)
-    train_set = Dataset(train_items, "train")
-    username_table = build_table(train_set, USERNAME)
+    username_table = build_table(train_items, USERNAME)
     assert username_table.entries["shadyhandle"] == AttrCounts(0, 5)
 
     eval_items = tuple(
@@ -213,11 +210,10 @@ def test_batch_planted_fake_handle_flips_exactly_its_items():
             NewsItem(15, "nothing here", Label.FAKE),
         ]
     )
-    eval_set = Dataset(eval_items, "eval")
     # ensemble believes everything is real
-    matrix = _single_model_matrix(eval_set, {i: 0.9 for i in (10, 11, 12, 13, 14, 15)})
+    matrix = _single_model_matrix(eval_items, {i: 0.9 for i in (10, 11, 12, 13, 14, 15)})
     decisions = decide_batch(
-        eval_set, matrix, username_table, AttributeStatsTable(DOMAIN, {})
+        eval_items, matrix, username_table, AttributeStatsTable(DOMAIN, {})
     )
     by_id = {d.item_id: d for d in decisions}
     assert by_id[11].label is Label.FAKE and by_id[11].decided_by is DecidedBy.USERNAME_RULE
@@ -229,7 +225,7 @@ def test_batch_planted_fake_handle_flips_exactly_its_items():
 
 def test_batch_output_ordered_by_id():
     corpus = make_corpus(25, seed=3)
-    shuffled = Dataset(tuple(reversed(corpus.items)), "rev")
+    shuffled = corpus[::-1]
     matrix = _single_model_matrix(corpus, {i: 0.4 for i in range(25)})
     table_u = build_table(corpus, USERNAME)
     table_d = build_table(corpus, DOMAIN)
@@ -239,7 +235,7 @@ def test_batch_output_ordered_by_id():
 
 @pytest.mark.parametrize("result_ids", [(0, 1), (0, 1, 2, 3), (0, 1, 3), (2, 1, 0)])
 def test_prepare_inputs_needs_results_for_exactly_the_dataset_ids(result_ids):
-    dataset = Dataset(tuple(NewsItem(i, "plain text", Label.REAL) for i in range(3)), "d")
+    dataset = tuple(NewsItem(i, "plain text", Label.REAL) for i in range(3))
     tables = AttributeStatsTable(USERNAME, {}), AttributeStatsTable(DOMAIN, {})
     inputs = prepare_inputs(dataset, [ens(0.7, item_id) for item_id in range(3)], *tables)
     assert [entry.item_id for entry in inputs] == [0, 1, 2]

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from _synth import head, make_corpus, tail
+from conftest import write_dataset_tsv
 from veracity.cli import main
-from veracity.corpus import save_dataset
 
 _CONFIG = (
     "[data]\ntrain = train.tsv\nvalidation = validation.tsv\ntest = test.tsv\ncache = cache.tsv\n"
@@ -98,9 +98,9 @@ def template(tmp_path_factory) -> Path:
     each under copy/."""
     root = tmp_path_factory.mktemp("inputs")
     corpus = make_corpus(120, seed=5)
-    save_dataset(head(corpus, 60, "train"), root / "train.tsv")
-    save_dataset(tail(head(corpus, 90), 60, "validation"), root / "validation.tsv")
-    save_dataset(tail(corpus, 90, "test"), root / "test.tsv")
+    write_dataset_tsv(root / "train.tsv", head(corpus, 60))
+    write_dataset_tsv(root / "validation.tsv", tail(head(corpus, 90), 60))
+    write_dataset_tsv(root / "test.tsv", tail(corpus, 90))
     links = sorted({word for item in corpus for word in item.text.split() if "://" in word})
     (root / "cache.tsv").write_text(
         "".join(f"{url}\thttps://mirror{k % 3}.example/\n" for k, url in enumerate(links[::3])),
@@ -108,7 +108,7 @@ def template(tmp_path_factory) -> Path:
     )
     for name, shift in (("m1.tsv", 0), ("m2.tsv", 1)):
         p_real = ((0.375, 0.625)[(n + shift) % 2] for n in range(60))
-        rows = "".join(f"{item.id}\t{p}\t{1 - p}\n" for item, p in zip(corpus.items[60:], p_real))
+        rows = "".join(f"{item.id}\t{p}\t{1 - p}\n" for item, p in zip(corpus[60:], p_real))
         (root / name).write_text("id\tp_real\tp_fake\n" + rows, encoding="utf-8")
     assert main(["stats", "--train", str(root / "train.tsv"), "--out-dir", str(root)]) == 0
     assert main(["train-baseline", "--train", str(root / "train.tsv"),

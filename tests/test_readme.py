@@ -1,11 +1,14 @@
-"""The README's CLI and config examples parse as they read, the
-package exports only names it defines, and it imports nothing beyond
-the standard library: a flag or name removed from the program cannot
-stay in the docs or in `veracity.__all__`, and a dependency cannot
-creep in."""
+"""The README's CLI and config examples parse as they read, every
+`veracity.` name it spells resolves, the package exports only names it
+defines, it imports nothing beyond the standard library, and no module
+keeps an import it does not use: a flag or name removed from the
+program cannot stay in the docs or in `veracity.__all__`, a dependency
+cannot creep in, and a deletion cannot leave its imports behind."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import shlex
 import subprocess
@@ -46,6 +49,69 @@ def test_readme_config_example_parses():
     assert block, "README has no ini code block"
     cfg = parse_config_text(block.group(1), source="README.md")
     assert cfg.prediction_paths == (Path("preds/a.tsv"), Path("preds/b.tsv"))
+
+
+def _dotted_names(text: str) -> list[str]:
+    """Every backticked `veracity.a.b` in text, a call's arguments cut off."""
+    return re.findall(r"`(veracity(?:\.\w+)+)(?:\([^`]*\))?`", text)
+
+
+def _unresolved(names: list[str]) -> list[str]:
+    """The names that do not resolve: the longest prefix that is a module
+    is imported, and getattr walks the rest."""
+    missing = []
+    for name in names:
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                found = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ModuleNotFoundError:
+                continue
+        for part in parts[cut:]:
+            found = getattr(found, part, None)
+        if found is None:
+            missing.append(name)
+    return missing
+
+
+def test_readme_dotted_names_resolve():
+    names = _dotted_names(README.read_text(encoding="utf-8"))
+    assert len(names) >= 7
+    assert _unresolved(names) == []
+
+
+def test_a_deleted_name_in_the_readme_is_caught():
+    text = README.read_text(encoding="utf-8") + "\n`veracity.corpus.save_dataset(dataset, path)`\n"
+    assert _unresolved(_dotted_names(text)) == ["veracity.corpus.save_dataset"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, at any depth."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "module",
+    # __init__.py imports to re-export
+    sorted(p.name for p in Path(veracity.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_unused_imports(module):
+    source = (Path(veracity.__file__).parent / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+
+
+def test_an_unused_import_is_caught():
+    source = "from .ensemble import (\n    EnsembleResult,\n    vote_all,\n)\nimport json\n\nvote_all(json.dumps)\n"
+    assert _unused_imports(source) == ["EnsembleResult"]
 
 
 def test_package_exports_resolve():

@@ -15,8 +15,8 @@ import re
 import pytest
 
 from _synth import head, make_corpus, tail
+from conftest import write_dataset_tsv
 from veracity.cli import main
-from veracity.corpus import save_dataset
 
 _PROVENANCE = re.compile(rb'^(# config: .*| *"config_hash": .*)\n', re.M)
 _SHARED = ("username_stats.tsv", "domain_stats.tsv", "ensemble.tsv", "decisions.tsv")
@@ -30,9 +30,9 @@ def _content(path) -> bytes:
 def inputs(tmp_path):
     corpus = make_corpus(160, seed=31)
     train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
-    test_split = tail(corpus, 100, "test")
-    save_dataset(head(corpus, 100, "train"), train)
-    save_dataset(test_split, test)
+    test_split = tail(corpus, 100)
+    write_dataset_tsv(train, head(corpus, 100))
+    write_dataset_tsv(test, test_split)
     # some of the corpus's links expand to another host
     links = sorted({word for item in corpus for word in item.text.split() if "://" in word})
     cache = tmp_path / "cache.tsv"

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from _synth import make_corpus, head, tail
+from conftest import write_dataset_tsv
 from veracity import baseline, corpus, pipeline
 from veracity.attribute_stats import AttrCounts, AttrProbVector, build_tables, save_tables
 from veracity.cli import main
 from veracity.config import RunConfig
-from veracity.corpus import Label, NewsItem, load_dataset, save_dataset
+from veracity.corpus import Label, NewsItem, load_dataset
 from veracity.ensemble import EnsembleResult, VotingScheme
 from veracity.heuristic import DecidedBy, DecisionInput, HeuristicDecision
 from veracity.preprocess import TweetAttributes
@@ -64,16 +65,16 @@ def test_training_split_is_never_loaded_whole(tmp_path, monkeypatch, capsys, com
     # and neither is any evaluation split the command reads
     data = make_corpus(120, seed=13)
     paths = {name: tmp_path / f"{name}.tsv" for name in ("train", "validation", "test")}
-    save_dataset(head(data, 60, "train"), paths["train"])
-    save_dataset(head(tail(data, 60), 30, "validation"), paths["validation"])
-    save_dataset(tail(data, 90, "test"), paths["test"])
+    write_dataset_tsv(paths["train"], head(data, 60))
+    write_dataset_tsv(paths["validation"], head(tail(data, 60), 30))
+    write_dataset_tsv(paths["test"], tail(data, 90))
     config_path = tmp_path / "run.ini"
-    RunConfig(
+    config_path.write_text(RunConfig(
         train_path=paths["train"],
         validation_path=paths["validation"],
         test_path=paths["test"],
         output_dir=tmp_path / "out",
-    ).save(config_path)
+    ).to_text(), encoding="utf-8")
     out = tmp_path / "out"
     model, pred = tmp_path / "model.json", tmp_path / "pred.tsv"
     baseline.save_model(baseline.train(head(data, 60)), model)
@@ -115,7 +116,7 @@ def test_training_pass_peaks_below_the_loaded_split(tmp_path):
     them peaks below what the split alone takes when loaded whole. Each
     side is run here in this process."""
     train = tmp_path / "train.tsv"
-    save_dataset(make_corpus(10_000, seed=5), train)
+    write_dataset_tsv(train, make_corpus(10_000, seed=5))
     cfg = RunConfig(train_path=train, test_path=train, output_dir=tmp_path / "out")
     tracemalloc.start()
     try:
@@ -144,8 +145,8 @@ def test_evaluation_pass_holds_no_split_text(tmp_path, external):
     of the paper's (bench/gen.py). Each side is run here in this process."""
     data = make_corpus(12_000, seed=5, words_per_item=25)
     train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
-    save_dataset(head(data, 2_000), train)
-    save_dataset(tail(data, 2_000), test)
+    write_dataset_tsv(train, head(data, 2_000))
+    write_dataset_tsv(test, tail(data, 2_000))
     prediction_paths = ()
     if external:
         prediction_paths = (tmp_path / "model.tsv",)
