@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, KeysView, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 from .corpus import Label, LABELS, NewsItem
 from .errors import BadRecord, DataError, DegenerateTraining
@@ -26,6 +26,9 @@ from .preprocess import CleanPolicy, clean_text
 _TOKEN_RE = re.compile(r"\w+")
 
 DEFAULT_MODEL_NAME = "baseline-bow"
+#: Posts per chunk of training text that `pipeline` and `ablate` share out (see count_text).
+CHUNK_POSTS = 512
+Claim = Callable[[int], bool]  # true for each chunk number that this process is to count
 
 
 def tokenize(text: str) -> list[str]:
@@ -84,27 +87,43 @@ class BowModel:
         return self.pairs.keys()
 
 
+def count_text(
+    items: Iterable[NewsItem], policy: CleanPolicy, counts: dict, claim: Claim | None = None
+) -> Iterator[NewsItem]:
+    """Yield labeled items, having counted into counts[label] the tokens of
+    each one's cleaned text, or with claim, of the chunks of CHUNK_POSTS it grants."""
+    for n, item in enumerate(items):
+        if item.label is None:
+            raise DegenerateTraining(f"item {item.id} is unlabeled")
+        if n % CHUNK_POSTS == 0:
+            counted = claim is None or claim(n // CHUNK_POSTS)
+        if counted:
+            counts[item.label].update(tokenize(clean_text(item.text, policy)))
+        yield item
+
+
 def train(
     items: Iterable[NewsItem],
     policy: CleanPolicy | None = None,
     alpha: float = 1.0,
     model_name: str = DEFAULT_MODEL_NAME,
+    claim: Claim | None = None,
+    rest: Callable[[], dict[Label, Counter[str]]] = dict,
 ) -> BowModel:
     """Fit the model on labeled items, which may be a stream.
 
     Text is cleaned per the policy first (attribute noise never enters
     the vocabulary under the default policy), then tokenized. Counting
     is order-independent, so training is deterministic regardless of
-    dataset order. Raises DegenerateTraining unless both classes occur.
+    dataset order, and rest() adds the chunks claim does not grant (see
+    count_text). Raises DegenerateTraining unless both classes occur.
     """
     policy = CleanPolicy() if policy is None else policy
-    class_doc_counts: dict[Label, int] = {c: 0 for c in LABELS}
     token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
-    for item in items:
-        if item.label is None:
-            raise DegenerateTraining(f"item {item.id} is unlabeled")
-        class_doc_counts[item.label] += 1
-        token_counts[item.label].update(tokenize(clean_text(item.text, policy)))
+    class_doc_counts = Counter(item.label for item in count_text(items, policy, token_counts, claim))
+    for label, counts in rest().items():  # integers, so the sums are exact in any order
+        counts.update(token_counts[label])  # summed into the received counts: fewer heap holes
+        token_counts[label] = counts
     return BowModel(class_doc_counts, token_counts, alpha, policy, model_name)
 
 

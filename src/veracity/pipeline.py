@@ -9,6 +9,7 @@ item is voted once and decided on its result.
 A child reads the URL cache, counts the attribute tables and looks up
 each evaluation split's attribute vectors, while this process trains the
 built-in model and predicts each split, or loads the prediction files.
+Each chunk of the training split's text is counted by whichever reaches it first.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class PipelineResult:
 PredictionSource = PredictionMatrix | baseline.BowModel
 
 
-def prediction_source(cfg: RunConfig) -> PredictionSource:
+def prediction_source(cfg: RunConfig, claim=None, rest=dict) -> PredictionSource:
     """The prediction files, read once, or else the built-in model,
-    trained on the training split as it is read."""
+    trained on the training split as it is read (see baseline.train)."""
     if cfg.prediction_paths:
         return load_predictions(cfg.prediction_paths)
-    return baseline.train(iter_dataset(cfg.train_path, has_labels=True), cfg.clean_policy, cfg.alpha)
+    items = iter_dataset(cfg.train_path, has_labels=True)
+    return baseline.train(items, cfg.clean_policy, cfg.alpha, claim=claim, rest=rest)
 
 
 def split_vectors(source: PredictionSource, path: Path) -> list[baseline.PredictionVector]:
@@ -81,11 +83,18 @@ def split_records(path: Path, tables: dict, cache: UrlExpansionCache) -> list[tu
     return item_records(iter_dataset(path), username_table, domain_table, cache)
 
 
-def attribute_side(cache_path: Path | None, train_path: Path, split_paths: Sequence[Path]) -> Iterator:
-    """The tables counted from the training split as it is read, after
-    the URL cache that extraction needs, then each split's records."""
-    cache = load_cache(cache_path)
-    tables = build_tables(iter_dataset(train_path, has_labels=True), cache)
+def attribute_side(cfg: RunConfig, split_paths: Sequence[Path], claim=None) -> Iterator:
+    """With claim, the token counts of the chunks it grants, then the tables
+    counted in that pass over the training split, then each split's records."""
+    cache = load_cache(cfg.cache_path)
+    counts = {label: Counter() for label in Label}
+    items = iter_dataset(cfg.train_path, has_labels=True)
+    if claim is not None:
+        items = baseline.count_text(items, cfg.clean_policy, counts, claim)
+    tables = build_tables(items, cache)
+    if claim is not None:
+        yield counts  # alone: pickled with the tables, it would raise this process's peak
+    del counts
     yield tables
     for path in split_paths:
         yield split_records(path, tables, cache)
@@ -102,7 +111,7 @@ def _serve_attribute_side(writer, *args) -> None:
         writer.send(error)
 
 
-def _beside(reader, work, *args) -> tuple:
+def _beside(reader, work=tuple, *args) -> tuple:
     """work(*args)'s result, then the child's next message. An error the
     child sent wins over one from work: the cache and the training split,
     which the child reads, come first, and both sides read a split's rows."""
@@ -120,22 +129,34 @@ def _beside(reader, work, *args) -> tuple:
     return result, message
 
 
+def _claim(claimed, lock, chunk: int) -> bool:
+    """True for the first process to ask for chunk: each asks in order; claimed counts claims."""
+    with lock:
+        if int.from_bytes(claimed, "little") != chunk:
+            return False
+        claimed[:] = (chunk + 1).to_bytes(8, "little")
+        return True
+
+
 @contextmanager
 def _attribute_process(cfg: RunConfig, split_paths: Sequence[Path]) -> Iterator:
     """attribute_side run in a child process beside this one, which is
-    stopped on the way out; yields _beside for the child's messages."""
+    stopped on the way out; yields _beside, and prediction_source's claim and rest."""
+    import mmap
     import multiprocessing  # only these two commands start a process
 
     # a forked child does not import the package again
     fork = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if fork else None)
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    share = fork and not cfg.prediction_paths  # with a forked child, for the built-in model only
+    claim = partial(_claim, mmap.mmap(-1, 8), context.Lock()) if share else None
     reader, writer = context.Pipe(duplex=False)
-    args = (writer, cfg.cache_path, cfg.train_path, tuple(split_paths))
+    args = (writer, cfg, tuple(split_paths), claim)
     child = context.Process(target=_serve_attribute_side, args=args, daemon=True)
     child.start()
     writer.close()  # else the end of the pipe is not seen if the child dies
     try:
-        yield partial(_beside, reader)
+        yield partial(_beside, reader), claim, (lambda: _beside(reader)[1]) if share else dict
     finally:  # past its last message the child has nothing left to do
         child.terminate()
         child.join()
@@ -196,9 +217,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     written: list[Path] = []
 
     splits = [cfg.test_path]
-    with _attribute_process(cfg, splits) as beside:
+    with _attribute_process(cfg, splits) as (beside, claim, rest):
         digest = config_hash(cfg, inputs=splits)  # while the child reads
-        source, tables = beside(prediction_source, cfg)
+        source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
@@ -267,9 +288,9 @@ def ablation_contexts(
     require_paths(cfg, "train", "validation", "test")
     contexts = []
     splits = [cfg.validation_path, cfg.test_path]
-    with _attribute_process(cfg, splits) as beside:
+    with _attribute_process(cfg, splits) as (beside, claim, rest):
         digest = config_hash(cfg, extra, inputs=splits)  # while the child reads
-        source, _ = beside(prediction_source, cfg)
+        source, _ = beside(prediction_source, cfg, claim, rest)  # the tables, drained all the same
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)
             gold = [record[3] for record in records]

@@ -4,19 +4,24 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dataset_of
+from veracity import baseline
 from veracity.baseline import (
+    count_text,
     load_model,
     predict,
     predict_dataset,
     save_model,
     tokenize,
     train,
+    write_predictions,
 )
 from veracity.corpus import LABELS, Label, NewsItem
 from veracity.errors import DegenerateTraining
@@ -295,3 +300,34 @@ def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, policy, alpha, 
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
     assert path.read_text(encoding="utf-8") == oracle_model_text(fit, policy, alpha, model.model_name)
+
+
+#: 11 posts, not a multiple of the chunk size 4 the examples use.
+SHARED_ROWS = [("seed real", Label.REAL), ("seed fake", Label.FAKE)] + [
+    (f"{BIT_WORDS[i % len(BIT_WORDS)]} {BIT_WORDS[i * 7 % len(BIT_WORDS)]}", LABELS[i % 3 % 2])
+    for i in range(9)
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(BIT_CORPORA, CLEAN_POLICIES, st.integers(1, 4), st.lists(st.booleans(), min_size=1, max_size=6))
+@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[True])  # every chunk on this side
+@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[False])  # every chunk on the other
+@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[False, True])
+def test_sharing_the_text_work_does_not_change_the_model(tmp_path_factory, rows, policy, chunk, sides):
+    """However the chunks are shared between two counting sides, the
+    merged model writes the bytes of one trained alone. Chunk k is this
+    side's when sides[k % len(sides)] is true, the other's otherwise."""
+    dataset = tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows))
+    other: dict[Label, Counter] = {c: Counter() for c in LABELS}
+    with mock.patch.object(baseline, "CHUNK_POSTS", chunk):
+        for _ in count_text(dataset, policy, other, lambda k: not sides[k % len(sides)]):
+            pass
+        shared = train(dataset, policy, claim=lambda k: sides[k % len(sides)], rest=lambda: other)
+    out = tmp_path_factory.mktemp("shared")
+    written = []
+    for name, model in (("alone", train(dataset, policy)), ("shared", shared)):
+        save_model(model, out / f"{name}.json")
+        write_predictions(predict_dataset(model, dataset), out / f"{name}.tsv", "config: x")
+        written.append([(out / f"{name}{suffix}").read_bytes() for suffix in (".json", ".tsv")])
+    assert written[1] == written[0]

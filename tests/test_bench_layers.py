@@ -44,7 +44,7 @@ def test_traced_layers_resolve():
 class _SharedCounts:
     """Call counts in shared memory, which a forked child adds to as well."""
 
-    NAMES = ("extract_attributes", "clean_text", "soft_vote", "hard_vote")
+    NAMES = ("extract_attributes", "clean_text", "soft_vote", "hard_vote", "tokenize")
 
     def __init__(self) -> None:
         self.array = multiprocessing.Array("q", len(self.NAMES))
@@ -61,14 +61,14 @@ class _SharedCounts:
 
 
 def _count_scans(monkeypatch) -> _SharedCounts:
-    """Wrap the two per-post scans and the two votes the way
+    """Wrap the per-post scans and the two votes the way
     bench/tracing.py installs its wrappers: every `veracity` module
     attribute bound to the original is rebound to a counting wrapper.
     `pipeline` and `ablate` scan in two processes, so the counts are
     shared with the child, which inherits the wrappers."""
     calls = _SharedCounts()
     modules = [m for key, m in sys.modules.items() if key == "veracity" or key.startswith("veracity.")]
-    owners = (preprocess, preprocess, ensemble, ensemble)
+    owners = (preprocess, preprocess, ensemble, ensemble, baseline)
     for owner, name in zip(owners, _SharedCounts.NAMES):
         original = getattr(owner, name)
 
@@ -117,6 +117,8 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
     config_path = tmp_path / "run.ini"
     config_path.write_text(cfg.to_text(), encoding="utf-8")
     calls = _count_scans(monkeypatch)
+    # many chunks of training text for the two processes to share; the forked child inherits this
+    monkeypatch.setattr(baseline, "CHUNK_POSTS", 3)
     argv = [command, "--config", str(config_path)]
     if command == "ablate":
         argv.append("--tune-threshold")
@@ -130,6 +132,8 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
         assert calls["clean_text"] == (0 if external else loaded)
         assert calls["soft_vote"] + calls["hard_vote"] == voted
         assert calls[f"{scheme}_vote"] == voted
+        # by whichever process counts a training post's chunk, or this one predicting
+        assert calls["tokenize"] == (0 if external else loaded)
 
 
 def test_traced_row_count_builds_no_vectors(monkeypatch):

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import mmap
 import multiprocessing
 import os
+import shutil
 import stat
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from _synth import make_corpus, head, tail
 from conftest import write_dataset_tsv
-from veracity import pipeline, urlexpand
+from veracity import baseline, pipeline, urlexpand
 from veracity.cli import main
 from veracity.config import RunConfig, config_hash, load_config, parse_config_text
+from veracity.corpus import Label, iter_dataset
 from veracity.errors import UsageError
 
 
@@ -898,11 +903,113 @@ def test_attribute_side_ending_without_a_result_is_an_error(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-def test_importing_the_cli_leaves_multiprocessing_out():
-    # only `pipeline` and `ablate` start a process; every other command's
-    # start-up does not pay for importing multiprocessing
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_a_child_that_ends_after_claiming_chunks_stops_the_run(tmp_path, monkeypatch, capsys, command):
+    """The child counts a chunk of the training text, then ends before
+    its first message: the run stops, and no model is built from the
+    counts this process holds. Here every chunk is the child's to claim."""
+    main_pid, real_claim, built = os.getpid(), pipeline._claim, []
+    counted = tmp_path / "counted"
+
+    def only_the_child(*args):
+        return os.getpid() != main_pid and real_claim(*args)
+
+    def counts_then_dies(cfg, split_paths, claim):
+        counts = {label: Counter() for label in Label}
+        posts = iter_dataset(cfg.train_path, has_labels=True)
+        items = baseline.count_text(posts, cfg.clean_policy, counts, claim)
+        for _ in zip(range(baseline.CHUNK_POSTS), items):
+            pass
+        counted.write_text(str(sum(sum(c.values()) for c in counts.values())), encoding="utf-8")
+        os._exit(1)
+
+    def bow_model(*args, **kwargs):
+        built.append(args)
+        return real_model(*args, **kwargs)
+
+    real_model = baseline.BowModel
+    monkeypatch.setattr(baseline, "CHUNK_POSTS", 5)
+    monkeypatch.setattr(baseline, "BowModel", bow_model)
+    monkeypatch.setattr(pipeline, "_claim", only_the_child)
+    monkeypatch.setattr(pipeline, "attribute_side", counts_then_dies)  # the forked child inherits these
+    config_path = _ablate_config(tmp_path)
+    assert main([command, "--config", str(config_path)]) == 3
+    assert capsys.readouterr().err == "error: the attribute-side process ended without a result\n"
+    assert int(counted.read_text(encoding="utf-8")) > 0  # the tokens of the first chunk
+    assert built == []
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "ablate"])
+def test_a_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, capsys, command):
+    """Where fork is not offered, the child is spawned and counts no
+    training text, and the run writes what a forked run writes."""
+    config_path = _ablate_config(tmp_path)
+    out = tmp_path / "out"
+    runs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.setattr(pipeline, "_claim", None)  # a claim fails the run: no chunk is shared
+        assert main([command, "--config", str(config_path)]) == 0
+        runs.append((capsys.readouterr(), {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+        shutil.rmtree(out)
+    assert runs[0][1]
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_each_chunk_is_claimed_once_under_contention():
+    """More claimants than cores, each asking for every chunk in order:
+    a lost update of the shared count would grant a chunk twice."""
+    context = multiprocessing.get_context("fork")
+    claim = partial(pipeline._claim, mmap.mmap(-1, 8), context.Lock())
+    chunks, start = range(20_000), context.Event()
+
+    def claimant(writer):
+        start.wait(60)  # all at once
+        writer.send([chunk for chunk in chunks if claim(chunk)])
+
+    pipes = [context.Pipe(duplex=False) for _ in range(min((os.cpu_count() or 1) + 1, 17))]
+    claimants = [context.Process(target=claimant, args=(writer,)) for _, writer in pipes]
+    for process, (_, writer) in zip(claimants, pipes):
+        process.start()
+        writer.close()
+    start.set()
+    granted = []
+    for reader, _ in pipes:
+        assert reader.poll(60)
+        granted += reader.recv()
+        reader.close()
+    for process in claimants:
+        process.join(60)
+        assert process.exitcode == 0
+    assert sorted(granted) == list(chunks)
+
+
+def _fresh_interpreter(code: str) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, veracity.cli; print('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only `pipeline` and `ablate` start a process and share a count with
+    # it; every other command's start-up does not pay for those imports
+    code = (
+        "import sys, veracity.cli; veracity.cli.build_parser(); "
+        "print(sorted({'multiprocessing', 'mmap', 'ctypes'} & set(sys.modules)))"
+    )
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_a_pipeline_run_leaves_ctypes_out(tmp_path):
+    # the count of claimed chunks is an mmap, not a multiprocessing.Value, which imports ctypes
+    config_path = _ablate_config(tmp_path)
+    code = (
+        "import sys; from veracity.cli import main; "
+        f"assert main(['pipeline', '--config', {str(config_path)!r}]) == 0; print('ctypes' in sys.modules)"
+    )
+    assert _fresh_interpreter(code).endswith("\nFalse\n")

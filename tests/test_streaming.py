@@ -125,7 +125,7 @@ def test_training_pass_peaks_below_the_loaded_split(tmp_path):
         del dataset
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        tables = next(pipeline.attribute_side(None, train, ()))
+        tables = next(pipeline.attribute_side(cfg, ()))
         model = pipeline.prediction_source(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -154,7 +154,7 @@ def test_evaluation_pass_holds_no_split_text(tmp_path, external):
         prediction_paths[0].write_text("id\tp_real\tp_fake\n" + rows, encoding="utf-8")
     cfg = RunConfig(train_path=train, test_path=test, prediction_paths=prediction_paths,
                     output_dir=tmp_path / "out")
-    attribute_side = pipeline.attribute_side(None, train, [test])
+    attribute_side = pipeline.attribute_side(cfg, [test])
     next(attribute_side)  # the tables
     source = pipeline.prediction_source(cfg)
     tracemalloc.start()
