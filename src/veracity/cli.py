@@ -18,7 +18,9 @@ from pathlib import Path
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
-from .config import RunConfig, config_hash, load_config, override, parse_positive, parse_priority
+from .config import (
+    RunConfig, config_hash, load_config, override, parse_number, parse_positive, parse_priority, parse_scheme,
+)
 from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
 from .ensemble import VotingScheme, load_predictions, restrict_to, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
@@ -64,7 +66,8 @@ def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> Heuristic
 
 
 def _add_heuristic_flags(sub) -> None:
-    sub.add_argument("--threshold", type=float, default=None, help="rule threshold; 0 drops it")
+    sub.add_argument("--threshold", type=lambda value: parse_number(value, "--threshold"),
+                     default=None, help="rule threshold; 0 drops it")
     sub.add_argument(
         "--priority",
         default=None,
@@ -241,16 +244,13 @@ def cmd_ablate(args) -> int:
     orderings = _parse_orderings(args.ordering)
     cfg = _config_with_overrides(args)
     own = {"ordering": [[k.value for k in o] for o in orderings], "tune_threshold": args.tune_threshold}
-    val_inputs, val_gold, test_inputs, test_gold, digest = ablation_contexts(cfg, json.dumps(own))
-    extra: dict = {"config_hash": digest, "threshold": cfg.heuristic.threshold}
+    val_inputs, test_inputs, digest = ablation_contexts(cfg, json.dumps(own))
+    threshold = cfg.heuristic.threshold
+    extra: dict = {"config_hash": digest, "threshold": threshold}
     if args.tune_threshold:
-        tuned = tune_threshold(val_inputs, val_gold, DEFAULT_THRESHOLD_GRID, cfg.heuristic)
-        extra["tuned_threshold"] = tuned
-        extra["tuning_grid"] = list(DEFAULT_THRESHOLD_GRID)
-        threshold = tuned
-    else:
-        threshold = cfg.heuristic.threshold
-    rows = run_ablation(val_inputs, val_gold, test_inputs, test_gold, orderings, threshold)
+        threshold = tune_threshold(val_inputs, DEFAULT_THRESHOLD_GRID, cfg.heuristic)
+        extra.update(tuned_threshold=threshold, tuning_grid=list(DEFAULT_THRESHOLD_GRID))
+    rows = run_ablation(val_inputs, test_inputs, orderings, threshold)
     out_dir = Path(cfg.output_dir)
     text = f"# config: {digest}\n# threshold: {threshold!r}\n" + format_ablation_text(rows)
     atomic_write_text(out_dir / "ablation.txt", text)
@@ -317,7 +317,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ensemble", help="vote over per-model prediction files")
     p.add_argument("--predictions", nargs="+", required=True)
-    p.add_argument("--scheme", choices=["soft", "hard"], default="soft")
+    p.add_argument("--scheme", type=lambda value: parse_scheme(value, "--scheme").value,
+                   default="soft", metavar="{soft,hard}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
 
@@ -334,7 +335,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--scheme", choices=["soft", "hard"], default=None)
+    p.add_argument("--scheme", type=lambda value: parse_scheme(value, "--scheme").value,
+                   default=None, metavar="{soft,hard}")
     _add_heuristic_flags(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -34,7 +34,7 @@ def _parse_bool(value: str, where: str) -> bool:
         raise UsageError(f"{where}: expected a boolean, got {value!r}") from None
 
 
-def _parse_number(value: str, where: str) -> float:
+def parse_number(value: str, where: str) -> float:
     try:
         return float(value)
     except ValueError:
@@ -43,9 +43,9 @@ def _parse_number(value: str, where: str) -> float:
 
 def parse_positive(value: str, where: str) -> float:
     """A finite, positive number, such as a smoothing strength or a timeout."""
-    number = _parse_number(value, where)
+    number = parse_number(value, where)
     if not 0 < number < math.inf:
-        raise UsageError(f"{where} must be {'finite' if number > 0 else 'positive'}")
+        raise UsageError(f"{where} must be a finite, positive number, got {value!r}")
     return number
 
 
@@ -65,7 +65,7 @@ def parse_priority(value: str, where: str) -> tuple[AttributeKind, ...]:
     return kinds
 
 
-def _parse_scheme(value: str, where: str) -> VotingScheme:
+def parse_scheme(value: str, where: str) -> VotingScheme:
     try:
         return VotingScheme(value.strip().lower())
     except ValueError:
@@ -99,8 +99,8 @@ _KEYS = (
     ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),
     ("clean", "remove_emoji", "clean_policy.remove_emoji", _parse_bool),
     ("clean", "remove_hashmark_only", "clean_policy.remove_hashmark_only", _parse_bool),
-    ("ensemble", "scheme", "scheme", _unless_blank(_parse_scheme)),
-    ("heuristic", "threshold", "heuristic.threshold", _unless_blank(_parse_number)),
+    ("ensemble", "scheme", "scheme", _unless_blank(parse_scheme)),
+    ("heuristic", "threshold", "heuristic.threshold", _unless_blank(parse_number)),
     ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
     ("output", "dir", "output_dir", _path),
 )

@@ -23,8 +23,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .corpus import Label, LABELS
-from .errors import LengthMismatch
-from .heuristic import DecisionInput, HeuristicConfig, reachable_rules
+from .errors import LengthMismatch, UnlabeledItem
+from .heuristic import DEFAULT_THRESHOLD, DecisionInput, HeuristicConfig, reachable_rules
 
 #: Default threshold sweep for tuning on validation data.
 DEFAULT_THRESHOLD_GRID = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -110,24 +110,26 @@ def _report_from_confusion(
 
 def _sweep(
     inputs: Sequence[DecisionInput],
-    gold: Sequence[Label],
     cfgs: Sequence[HeuristicConfig],
 ) -> list[EvalReport]:
-    """evaluate(gold, decide_inputs(inputs, cfg) labels) for each cfg, from
-    one pass over the inputs. The cfgs share a priority order.
+    """evaluate(each input's gold, decide_inputs(inputs, cfg) labels) for
+    each cfg, from one pass over the inputs, which must all be labeled.
+    The cfgs share a priority order.
 
     Each rule from reachable_rules decides the thresholds t with
     w_before <= t < w, w_before being the previous rule's w, so each
     item adds one to its gold x predicted cell over a run of the sorted
     thresholds; a difference array per cell and prefix sums count them.
     """
-    if len(gold) != len(inputs) or len(gold) == 0:
-        raise LengthMismatch(len(gold), len(inputs))
+    if not inputs:
+        raise LengthMismatch(0, 0)
     priority = cfgs[0].priority
     points = sorted({cfg.threshold for cfg in cfgs})
     diffs = [[0] * (len(points) + 1) for _ in range(4)]  # gold x predicted, real first
-    for entry, label in zip(inputs, gold):
-        row = 2 if label is Label.FAKE else 0
+    for entry in inputs:
+        if entry.gold is None:
+            raise UnlabeledItem(entry.ensemble.item_id)
+        row = 2 if entry.gold is Label.FAKE else 0
         start = 0
         for w, predicted, _ in reachable_rules(
             entry.ensemble, entry.username_vec, entry.domain_vec, priority
@@ -148,7 +150,6 @@ def _sweep(
 
 def tune_threshold(
     inputs: Sequence[DecisionInput],
-    gold: Sequence[Label],
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
     cfg: HeuristicConfig | None = None,
 ) -> float:
@@ -162,32 +163,13 @@ def tune_threshold(
         raise ValueError("threshold grid must be non-empty")
     if cfg is None:
         cfg = HeuristicConfig()
-    reports = _sweep(inputs, gold, [replace(cfg, threshold=threshold) for threshold in grid])
+    reports = _sweep(inputs, [replace(cfg, threshold=threshold) for threshold in grid])
     return max(zip((report.accuracy for report in reports), grid))[1]
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    """One priority ordering's F1 cells, with and without threshold."""
-
-    priority_description: str
-    with_threshold_val_f1: float
-    with_threshold_test_f1: float
-    without_threshold_val_f1: float
-    without_threshold_test_f1: float
-
-    def as_dict(self) -> dict:
-        return {
-            "priority": self.priority_description,
-            "with_threshold": {
-                "validation_f1": self.with_threshold_val_f1,
-                "test_f1": self.with_threshold_test_f1,
-            },
-            "without_threshold": {
-                "validation_f1": self.without_threshold_val_f1,
-                "test_f1": self.without_threshold_test_f1,
-            },
-        }
+#: An ablation row's two threshold modes, and format_ablation_text's cell columns.
+_MODES = ("with_threshold", "without_threshold")
+_COLUMNS = ("with_thr_val", "with_thr_test", "no_thr_val", "no_thr_test")
 
 
 def describe_priority(priority: Sequence) -> str:
@@ -197,58 +179,41 @@ def describe_priority(priority: Sequence) -> str:
 
 def run_ablation(
     val_inputs: Sequence[DecisionInput],
-    val_gold: Sequence[Label],
     test_inputs: Sequence[DecisionInput],
-    test_gold: Sequence[Label],
     orderings: Sequence[Sequence],
-    threshold: float = 0.88,
-) -> list[AblationRow]:
+    threshold: float = DEFAULT_THRESHOLD,
+) -> list[dict]:
     """Evaluate every priority ordering with and without the threshold;
     without it is threshold 0.0, where only the majority comparison is left.
 
-    Returns one row per ordering, in input order, each carrying weighted
-    F1 on the validation and test splits for both threshold modes.
+    Returns one row per ordering, in input order, as ablation.json holds
+    it: the ordering's "priority" description, and under "with_threshold"
+    and "without_threshold" the weighted F1 on each split, as
+    "validation_f1" and "test_f1".
     """
-    rows: list[AblationRow] = []
+    rows = []
     for ordering in orderings:
         priority = tuple(ordering)
         cfgs = [HeuristicConfig(threshold=t, priority=priority) for t in (threshold, 0.0)]
-        val = _sweep(val_inputs, val_gold, cfgs)
-        test = _sweep(test_inputs, test_gold, cfgs)
-        rows.append(
-            AblationRow(
-                priority_description=describe_priority(priority),
-                with_threshold_val_f1=val[0].f1,
-                with_threshold_test_f1=test[0].f1,
-                without_threshold_val_f1=val[1].f1,
-                without_threshold_test_f1=test[1].f1,
-            )
-        )
+        cells = zip(_MODES, _sweep(val_inputs, cfgs), _sweep(test_inputs, cfgs))
+        row = {mode: {"validation_f1": val.f1, "test_f1": test.f1} for mode, val, test in cells}
+        rows.append({"priority": describe_priority(priority), **row})
     return rows
 
 
-def format_ablation_text(rows: Sequence[AblationRow]) -> str:
+def format_ablation_text(rows: Sequence[dict]) -> str:
+    """The rows as a table: one column per cell, as wide as its name."""
     if not rows:
         return "(no ablation rows)\n"
-    name_width = max(len(row.priority_description) for row in rows)
-    header = (
-        f"{'priority':<{name_width}}  with_thr_val  with_thr_test"
-        "  no_thr_val  no_thr_test"
-    )
-    lines = [header]
+    name_width = max(len(row["priority"]) for row in rows)
+    lines = [f"{'priority':<{name_width}}" + "".join(f"  {column}" for column in _COLUMNS)]
     for row in rows:
-        lines.append(
-            f"{row.priority_description:<{name_width}}"
-            f"  {row.with_threshold_val_f1:>12.4f}"
-            f"  {row.with_threshold_test_f1:>13.4f}"
-            f"  {row.without_threshold_val_f1:>10.4f}"
-            f"  {row.without_threshold_test_f1:>11.4f}"
-        )
+        cells = (row[mode][split] for mode in _MODES for split in ("validation_f1", "test_f1"))
+        lines.append(f"{row['priority']:<{name_width}}"
+                     + "".join(f"  {cell:>{len(column)}.4f}" for column, cell in zip(_COLUMNS, cells)))
     return "\n".join(lines) + "\n"
 
 
-def ablation_to_json(rows: Sequence[AblationRow], extra: dict | None = None) -> str:
-    document: dict = {"rows": [row.as_dict() for row in rows]}
-    if extra:
-        document.update(extra)
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+def ablation_to_json(rows: Sequence[dict], extra: dict) -> str:
+    """ablation.json: the rows, beside extra's keys."""
+    return json.dumps({"rows": list(rows), **extra}, indent=2, sort_keys=True) + "\n"

@@ -9,7 +9,7 @@ the label is the ensemble's: real when its mean real probability is
 strictly higher, fake otherwise. All comparisons are strict, so a
 vector sitting exactly on the threshold, or an exactly tied vector,
 never decides. The rules read the ensemble's mean probabilities, which
-both voting schemes record, so prepare_inputs takes vote_all's results
+both voting schemes record, so decision_inputs takes vote_all's results
 as they are and votes nothing itself.
 """
 
@@ -133,12 +133,13 @@ def decide(
 @dataclass(frozen=True, slots=True)
 class DecisionInput:
     """Everything decide() needs for one item, precomputed once so that
-    threshold sweeps and ablations do not re-extract attributes."""
+    threshold sweeps and ablations do not re-extract attributes, and the
+    gold label they score it by, if any. The id is ensemble.item_id."""
 
-    item_id: int
     ensemble: EnsembleResult
     username_vec: AttrProbVector
     domain_vec: AttrProbVector
+    gold: Label | None
 
 
 def item_records(
@@ -161,7 +162,7 @@ def decision_inputs(records: Sequence[tuple], ensemble: Sequence[EnsembleResult]
     exactly the records' ids, in the same order; else an IdSetMismatch."""
     if list(map(itemgetter(0), records)) != [result.item_id for result in ensemble]:
         raise IdSetMismatch(f"{len(ensemble)} ensemble results do not match {len(records)} items")
-    return [DecisionInput(i, result, u, d) for (i, u, d, _), result in zip(records, ensemble)]
+    return [DecisionInput(result, u, d, gold) for (_, u, d, gold), result in zip(records, ensemble)]
 
 
 def prepare_inputs(

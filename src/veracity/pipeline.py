@@ -239,13 +239,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
     written.append(ensemble_path)
 
-    decisions = decide_inputs(decision_inputs(records, ensemble_results), cfg.heuristic)
+    inputs = decision_inputs(records, ensemble_results)
+    decisions = decide_inputs(inputs, cfg.heuristic)
     decisions_path = out_dir / "decisions.tsv"
     write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
     written.append(decisions_path)
 
     pre_report = post_report = None
-    gold = [record[3] for record in records]
+    gold = [entry.gold for entry in inputs]
     if None not in gold:
         pre_report = evaluate(gold, [result.label for result in ensemble_results])
         post_report = evaluate(gold, [decision.label for decision in decisions])
@@ -276,7 +277,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 def ablation_contexts(
     cfg: RunConfig, extra: str = ""
-) -> tuple[list[DecisionInput], list[Label], list[DecisionInput], list[Label], str]:
+) -> tuple[list[DecisionInput], list[DecisionInput], str]:
     """Read the splits and build decision inputs for the ablation grid,
     and the config hash of cfg and extra, the ablation's own settings.
 
@@ -293,11 +294,9 @@ def ablation_contexts(
         source, _ = beside(prediction_source, cfg, claim, rest)  # the tables, drained all the same
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)
-            gold = [record[3] for record in records]
-            if None in gold:
+            if any(record[3] is None for record in records):
                 raise UsageError(f"the {name} split must be labeled for an ablation run")
             ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))
-            contexts.append((decision_inputs(records, ensemble), gold))
+            contexts.append(decision_inputs(records, ensemble))
             del records, vectors, ensemble  # not held beside the next split's
-    (val_inputs, val_gold), (test_inputs, test_gold) = contexts
-    return val_inputs, val_gold, test_inputs, test_gold, digest
+    return *contexts, digest

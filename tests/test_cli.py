@@ -446,6 +446,53 @@ def test_pipeline_flag_overrides_config(tmp_path):
     assert report["priority"] == ["domain"]
 
 
+@pytest.mark.parametrize("command", ["ensemble", "pipeline"])
+def test_scheme_flag_takes_the_config_spellings(tmp_path, capsys, command):
+    """--scheme parses as [ensemble] scheme does, so HARD writes the bytes hard writes."""
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    _write_prediction_file(a, [(1, 0.6, 0.4), (2, 0.2, 0.8)])
+    _write_prediction_file(b, [(1, 0.9, 0.1), (2, 0.4, 0.6)])
+    config_path = _pipeline_config(tmp_path)
+    written = []
+    for spelling in ("hard", "HARD"):
+        out = tmp_path / spelling
+        out.mkdir()
+        if command == "ensemble":
+            argv = ["ensemble", "--predictions", str(a), str(b), "--scheme", spelling,
+                    "--out", str(out / "ens.tsv")]
+        else:
+            argv = ["pipeline", "--config", str(config_path), "--scheme", spelling, "--out-dir", str(out)]
+        assert main(argv) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    if command == "ensemble":
+        assert capsys.readouterr().out.count("2 hard-voted results") == 2
+    else:
+        assert b'"scheme": "hard"' in written[0]["report.json"]
+
+
+@pytest.mark.parametrize("setting, section, default, value, rule", [
+    ("scheme", "ensemble", "soft", "vote", " must be soft or hard"),
+    ("threshold", "heuristic", "0.88", "abc", ": expected a number"),
+])
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_flag_and_config_key_report_a_bad_value_alike(
+    tmp_path, capsys, setting, section, default, value, rule, given_by
+):
+    config_path = _pipeline_config(tmp_path)
+    argv = ["pipeline", "--config", str(config_path)]
+    if given_by == "flag":
+        argv += [f"--{setting}", value]
+        where = f"--{setting}"
+    else:
+        text = config_path.read_text(encoding="utf-8")
+        text = text.replace(f"{setting} = {default}\n", f"{setting} = {value}\n")
+        config_path.write_text(text, encoding="utf-8")
+        where = f"{section}.{setting}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {where}{rule}, got {value!r}\n"
+
+
 def _ablate_config(tmp_path) -> Path:
     corpus = make_corpus(150, seed=5)
     train = head(corpus, 50)
@@ -716,7 +763,7 @@ def test_alpha_must_be_finite_and_positive(tiny_train, tmp_path, capsys, given_b
         )
         argv = ["pipeline", "--config", str(config_path)]
     assert main(argv) == 1
-    assert "alpha must be" in capsys.readouterr().err
+    assert f"alpha must be a finite, positive number, got {alpha!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
@@ -731,7 +778,8 @@ def test_expand_urls_timeout_must_be_finite_and_positive(tmp_path, monkeypatch, 
     cache.write_text("https://t.co/x\thttps://news.sky/a\n", encoding="utf-8")
     argv = ["expand-urls", "--urls-file", str(urls_file), "--out", str(cache), "--timeout", timeout]
     assert main(argv) == 1
-    assert "usage error: --timeout must be" in capsys.readouterr().err
+    expected = f"usage error: --timeout must be a finite, positive number, got {timeout!r}"
+    assert expected in capsys.readouterr().err
     assert cache.read_text(encoding="utf-8") == "https://t.co/x\thttps://news.sky/a\n"
 
 

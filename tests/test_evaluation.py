@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from veracity.attribute_stats import AttrProbVector
 from veracity.corpus import Label
 from veracity.ensemble import EnsembleResult, VotingScheme
-from veracity.errors import LengthMismatch
+from veracity.errors import LengthMismatch, UnlabeledItem
 from veracity.evaluation import (
     DEFAULT_THRESHOLD_GRID,
-    AblationRow,
     ablation_to_json,
     describe_priority,
     evaluate,
@@ -71,13 +70,18 @@ def test_length_mismatch():
         evaluate([R, F], [R])
     with pytest.raises(LengthMismatch):
         evaluate([], [])
-    inputs, gold = _perfect_attr_context()
     with pytest.raises(LengthMismatch):
-        tune_threshold(inputs, gold[:-1])
-    with pytest.raises(LengthMismatch):
-        tune_threshold([], [])
-    with pytest.raises(LengthMismatch):
-        run_ablation(inputs, gold, inputs, gold + [R], [(AttributeKind.DOMAIN,)])
+        tune_threshold([])
+
+
+def test_sweeps_need_every_gold_label():
+    inputs = _perfect_attr_context()
+    inputs[2] = replace(inputs[2], gold=None)
+    with pytest.raises(UnlabeledItem) as exc_info:
+        tune_threshold(inputs)
+    assert exc_info.value.item_id == 2
+    with pytest.raises(UnlabeledItem):
+        run_ablation(_perfect_attr_context(), inputs, [(AttributeKind.DOMAIN,)])
 
 
 LABEL_LISTS = st.lists(st.sampled_from([R, F]), min_size=1, max_size=50)
@@ -116,15 +120,15 @@ def test_macro_averaging_flag():
         evaluate(gold, pred, average="median")
 
 
-def _input(item_id, ens_p_real, user=None, domain=None):
+def _input(item_id, ens_p_real, gold, user=None, domain=None):
     label = R if ens_p_real >= 0.5 else F
     return DecisionInput(
-        item_id=item_id,
         ensemble=EnsembleResult(
             item_id, ens_p_real, 1.0 - ens_p_real, 0, 0, label, VotingScheme.SOFT
         ),
         username_vec=user if user is not None else AttrProbVector.absent(),
         domain_vec=domain if domain is not None else AttrProbVector.absent(),
+        gold=gold,
     )
 
 
@@ -132,93 +136,91 @@ def _perfect_attr_context():
     """Attribute stats perfectly informative, ensemble wrong on two items."""
     strong_real = AttrProbVector(1.0, 0.0, 20, True)
     strong_fake = AttrProbVector(0.0, 1.0, 20, True)
-    inputs = [
-        _input(0, 0.2, domain=strong_real),   # ensemble wrong, rule can fix
-        _input(1, 0.9, user=strong_fake),     # ensemble wrong, rule can fix
-        _input(2, 0.8),                        # ensemble right
-        _input(3, 0.1),                        # ensemble right
+    return [
+        _input(0, 0.2, R, domain=strong_real),  # ensemble wrong, rule can fix
+        _input(1, 0.9, F, user=strong_fake),    # ensemble wrong, rule can fix
+        _input(2, 0.8, R),                      # ensemble right
+        _input(3, 0.1, F),                      # ensemble right
     ]
-    gold = [R, F, R, F]
-    return inputs, gold
 
 
 def test_tune_threshold_prefers_larger_among_optima():
-    inputs, gold = _perfect_attr_context()
-    assert tune_threshold(inputs, gold, [0.5, 0.88, 1.0]) == 0.88
+    inputs = _perfect_attr_context()
+    assert tune_threshold(inputs, [0.5, 0.88, 1.0]) == 0.88
 
 
 def test_tune_threshold_single_option():
-    inputs, gold = _perfect_attr_context()
-    assert tune_threshold(inputs, gold, [1.0]) == 1.0
-    assert tune_threshold(inputs, gold, [0.88]) == 0.88
+    inputs = _perfect_attr_context()
+    assert tune_threshold(inputs, [1.0]) == 1.0
+    assert tune_threshold(inputs, [0.88]) == 0.88
 
 
 def test_tune_threshold_default_grid():
-    inputs, gold = _perfect_attr_context()
-    best = tune_threshold(inputs, gold, DEFAULT_THRESHOLD_GRID)
+    inputs = _perfect_attr_context()
+    best = tune_threshold(inputs, DEFAULT_THRESHOLD_GRID)
     assert best == 0.95  # all thresholds < 1.0 tie at perfect; largest wins
     with pytest.raises(ValueError):
-        tune_threshold(inputs, gold, [])
+        tune_threshold(inputs, [])
     with pytest.raises(ValueError, match="threshold must be in"):
-        tune_threshold(inputs, gold, [0.5, 1.5])
+        tune_threshold(inputs, [0.5, 1.5])
 
 
 def test_run_ablation_grid_shape():
-    inputs, gold = _perfect_attr_context()
+    inputs = _perfect_attr_context()
     orderings = [
         (AttributeKind.USERNAME,),
         (AttributeKind.DOMAIN,),
         (AttributeKind.DOMAIN, AttributeKind.USERNAME),
         (AttributeKind.USERNAME, AttributeKind.DOMAIN),
     ]
-    rows = run_ablation(inputs, gold, inputs, gold, orderings)
+    rows = run_ablation(inputs, inputs, orderings)
     assert len(rows) == 4
-    assert rows[0].priority_description == "username, ensemble"
-    assert rows[3].priority_description == "username, domain, ensemble"
+    assert rows[0]["priority"] == "username, ensemble"
+    assert rows[3]["priority"] == "username, domain, ensemble"
     for row in rows:
-        for cell in (
-            row.with_threshold_val_f1,
-            row.with_threshold_test_f1,
-            row.without_threshold_val_f1,
-            row.without_threshold_test_f1,
-        ):
-            assert 0.0 <= cell <= 1.0
+        assert set(row) == {"priority", "with_threshold", "without_threshold"}
+        for mode in ("with_threshold", "without_threshold"):
+            assert set(row[mode]) == {"validation_f1", "test_f1"}
+            assert all(0.0 <= cell <= 1.0 for cell in row[mode].values())
     # both attributes together fix both mistakes; single-attribute rows fix one
-    assert rows[3].with_threshold_val_f1 == 1.0
-    assert rows[0].with_threshold_val_f1 < 1.0
-    assert rows[1].with_threshold_val_f1 < 1.0
+    assert rows[3]["with_threshold"]["validation_f1"] == 1.0
+    assert rows[0]["with_threshold"]["validation_f1"] < 1.0
+    assert rows[1]["with_threshold"]["validation_f1"] < 1.0
 
 
 def test_run_ablation_empty_orderings():
-    inputs, gold = _perfect_attr_context()
-    assert run_ablation(inputs, gold, inputs, gold, []) == []
+    inputs = _perfect_attr_context()
+    assert run_ablation(inputs, inputs, []) == []
 
 
 def test_domain_only_signal_favors_domain_rows():
     rng = random.Random(9)
     strong_real = AttrProbVector(1.0, 0.0, 50, True)
     strong_fake = AttrProbVector(0.0, 1.0, 50, True)
-    inputs, gold = [], []
+    inputs = []
     for i in range(60):
         g = R if rng.random() < 0.5 else F
         wrong = rng.random() < 0.4
         p = (0.2 if g is R else 0.8) if wrong else (0.8 if g is R else 0.2)
         domain = strong_real if g is R else strong_fake
-        inputs.append(_input(i, p, domain=domain))  # no username signal anywhere
-        gold.append(g)
-    rows = run_ablation(
-        inputs, gold, inputs, gold,
-        [(AttributeKind.USERNAME,), (AttributeKind.DOMAIN,)],
-    )
+        inputs.append(_input(i, p, g, domain=domain))  # no username signal anywhere
+    rows = run_ablation(inputs, inputs, [(AttributeKind.USERNAME,), (AttributeKind.DOMAIN,)])
     username_row, domain_row = rows
-    assert domain_row.with_threshold_val_f1 > username_row.with_threshold_val_f1
-    assert domain_row.with_threshold_test_f1 > username_row.with_threshold_test_f1
+    for split in ("validation_f1", "test_f1"):
+        assert domain_row["with_threshold"][split] > username_row["with_threshold"][split]
 
 
 def test_ablation_rendering():
+    def row(priority, with_val, with_test, without_val, without_test):
+        return {
+            "priority": priority,
+            "with_threshold": {"validation_f1": with_val, "test_f1": with_test},
+            "without_threshold": {"validation_f1": without_val, "test_f1": without_test},
+        }
+
     rows = [
-        AblationRow("domain, ensemble", 0.9917, 0.9878, 0.9635, 0.9523),
-        AblationRow("username, domain, ensemble", 0.9906, 0.9883, 0.9645, 0.9528),
+        row("domain, ensemble", 0.9917, 0.9878, 0.9635, 0.9523),
+        row("username, domain, ensemble", 0.9906, 0.9883, 0.9645, 0.9528),
     ]
     text = format_ablation_text(rows)
     assert "domain, ensemble" in text and "0.9883" in text
@@ -242,17 +244,15 @@ _VECTORS = st.one_of(
 _SPLITS = st.lists(
     st.tuples(_PROBS, _VECTORS, _VECTORS, st.sampled_from([R, F])), min_size=1, max_size=30
 ).map(
-    lambda rows: (
-        [_input(i, p, user, domain) for i, (p, user, domain, _) in enumerate(rows)],
-        [g for *_, g in rows],
-    )
+    lambda rows: [_input(i, p, g, user, domain) for i, (p, user, domain, g) in enumerate(rows)]
 )
 _GRID_VALUES = st.one_of(
     st.sampled_from(DEFAULT_THRESHOLD_GRID + (0.0, 22 / 25, 0.88, 1.0)), st.floats(0.0, 1.0)
 )
 
 
-def _brute_force_report(inputs, gold, cfg):
+def _brute_force_report(inputs, cfg):
+    gold = [entry.gold for entry in inputs]
     return evaluate(gold, [d.label for d in decide_inputs(inputs, cfg)])
 
 
@@ -266,21 +266,20 @@ def _brute_force_report(inputs, gold, cfg):
 def test_sweep_matches_deciding_every_threshold(val, test, priority, grid):
     """Tuning and the ablation grid score exactly what deciding each item
     at each threshold and evaluating the labels scores."""
-    (val_inputs, val_gold), (test_inputs, test_gold) = val, test
     cfg = HeuristicConfig(priority=tuple(priority))
     scores = {
-        t: _brute_force_report(val_inputs, val_gold, replace(cfg, threshold=t)).accuracy
+        t: _brute_force_report(val, replace(cfg, threshold=t)).accuracy
         for t in grid
     }
     expected = max(grid, key=lambda t: (scores[t], t))  # ties go to the larger threshold
-    assert tune_threshold(val_inputs, val_gold, grid, cfg) == expected
+    assert tune_threshold(val, grid, cfg) == expected
 
-    (row,) = run_ablation(val_inputs, val_gold, test_inputs, test_gold, [priority], expected)
-    for use, split_inputs, split_gold, cell in (
-        (True, val_inputs, val_gold, row.with_threshold_val_f1),
-        (True, test_inputs, test_gold, row.with_threshold_test_f1),
-        (False, val_inputs, val_gold, row.without_threshold_val_f1),
-        (False, test_inputs, test_gold, row.without_threshold_test_f1),
+    (row,) = run_ablation(val, test, [priority], expected)
+    for use, split_inputs, cell in (
+        (True, val, row["with_threshold"]["validation_f1"]),
+        (True, test, row["with_threshold"]["test_f1"]),
+        (False, val, row["without_threshold"]["validation_f1"]),
+        (False, test, row["without_threshold"]["test_f1"]),
     ):
         cell_cfg = HeuristicConfig(expected if use else 0.0, tuple(priority))
-        assert cell == _brute_force_report(split_inputs, split_gold, cell_cfg).f1
+        assert cell == _brute_force_report(split_inputs, cell_cfg).f1

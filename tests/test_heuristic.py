@@ -238,16 +238,18 @@ def test_prepare_inputs_needs_results_for_exactly_the_dataset_ids(result_ids):
     dataset = tuple(NewsItem(i, "plain text", Label.REAL) for i in range(3))
     tables = AttributeStatsTable(USERNAME, {}), AttributeStatsTable(DOMAIN, {})
     inputs = prepare_inputs(dataset, [ens(0.7, item_id) for item_id in range(3)], *tables)
-    assert [entry.item_id for entry in inputs] == [0, 1, 2]
+    assert [entry.ensemble.item_id for entry in inputs] == [0, 1, 2]
+    assert all(entry.gold is Label.REAL for entry in inputs)
     with pytest.raises(IdSetMismatch):
         prepare_inputs(dataset, [ens(0.7, item_id) for item_id in result_ids], *tables)
 
 
 @pytest.mark.parametrize("result_ids", [(0, 1), (0, 1, 2, 3), (0, 1, 3), (2, 1, 0)])
 def test_decision_inputs_need_results_for_the_records_ids_in_order(result_ids):
-    records = [(item_id, vec(0.9), ABSENT, Label.REAL) for item_id in range(3)]
+    golds = (Label.REAL, None, Label.FAKE)
+    records = [(item_id, vec(0.9), ABSENT, golds[item_id]) for item_id in range(3)]
     inputs = decision_inputs(records, [ens(0.7, item_id) for item_id in range(3)])
-    assert [(entry.item_id, entry.ensemble.item_id) for entry in inputs] == [(0, 0), (1, 1), (2, 2)]
+    assert [(entry.ensemble.item_id, entry.gold) for entry in inputs] == list(enumerate(golds))
     with pytest.raises(IdSetMismatch):
         decision_inputs(records, [ens(0.7, item_id) for item_id in result_ids])
 

@@ -1,6 +1,7 @@
 """The JSON documents the commands write, text for text, on a tiny fixed
 input: `stats --summary-json`, `train-baseline`, `pipeline`'s
-report.json and `evaluate --json-out`. Each is
+report.json, `evaluate --json-out` and `ablate`'s ablation.json, beside
+the ablation.txt table it writes with it. Each JSON document is
 `json.dumps(document, indent=2, sort_keys=True)` plus a newline, so a
 change in key order, nesting, indentation or a tuple's spelling shows
 here, not only in a reader that parses the file."""
@@ -75,6 +76,27 @@ REPORT = {
     "threshold": 0.88,
     "use_threshold": True,
 }
+# on these splits every vector's winning probability is 1.0, so the threshold
+# never matters, and item 11's exact tie goes to fake in the decisions: every
+# ordering fixes it, and every cell is the post-processed f1 above
+CELLS = {"test_f1": POST_PROCESSED["f1"], "validation_f1": POST_PROCESSED["f1"]}
+ORDERINGS = ["username, ensemble", "domain, ensemble", "domain, username, ensemble",
+             "username, domain, ensemble"]
+ABLATION = {
+    "rows": [{"priority": name, "with_threshold": CELLS, "without_threshold": CELLS}
+             for name in ORDERINGS],
+    "threshold": 0.88,
+    "tuned_threshold": 0.95,  # every grid point ties, and ties go to the larger
+    "tuning_grid": [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
+}
+ABLATION_TABLE = """\
+# threshold: 0.95
+priority                    with_thr_val  with_thr_test  no_thr_val  no_thr_test
+username, ensemble                0.7333         0.7333      0.7333       0.7333
+domain, ensemble                  0.7333         0.7333      0.7333       0.7333
+domain, username, ensemble        0.7333         0.7333      0.7333       0.7333
+username, domain, ensemble        0.7333         0.7333      0.7333       0.7333
+"""
 
 
 def _text(document: dict) -> str:
@@ -108,3 +130,19 @@ def test_json_documents_are_written_as_laid_out(tmp_path):
     assert model.read_text(encoding="utf-8") == _text(_tagged(model, MODEL))
     assert report.read_text(encoding="utf-8") == _text(_tagged(report, REPORT))
     assert evaluation.read_text(encoding="utf-8") == _text(POST_PROCESSED)
+
+
+def test_ablation_files_are_written_as_laid_out(tmp_path):
+    train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    write_dataset_tsv(train, TRAIN)
+    write_dataset_tsv(test, TEST)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[data]\ntrain = {train}\nvalidation = {test}\ntest = {test}\n\n"
+                      f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+
+    assert main(["ablate", "--config", str(config), "--tune-threshold"]) == 0
+
+    document, table = tmp_path / "out" / "ablation.json", tmp_path / "out" / "ablation.txt"
+    expected = _tagged(document, ABLATION)
+    assert document.read_text(encoding="utf-8") == _text(expected)
+    assert table.read_text(encoding="utf-8") == f"# config: {expected['config_hash']}\n" + ABLATION_TABLE

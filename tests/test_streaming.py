@@ -188,7 +188,7 @@ _VEC = AttrProbVector(0.9, 0.1, 10, True)
         _VEC,
         TweetAttributes(("bob",), (), ()),
         _ENS,
-        DecisionInput(1, _ENS, _VEC, AttrProbVector.absent()),
+        DecisionInput(_ENS, _VEC, AttrProbVector.absent(), Label.REAL),
         HeuristicDecision(1, Label.REAL, DecidedBy.USERNAME_RULE, _VEC, _VEC, 0.75),
     ],
     ids=lambda instance: type(instance).__name__,
