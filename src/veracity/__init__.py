@@ -34,7 +34,6 @@ from .heuristic import (
     decide_batch,
 )
 from .preprocess import (
-    CleanPolicy,
     TweetAttributes,
     UrlExpansionCache,
     clean_text,
@@ -50,7 +49,6 @@ __all__ = [
     "AttributeStatsTable",
     "AttrProbVector",
     "BowModel",
-    "CleanPolicy",
     "DecidedBy",
     "EnsembleResult",
     "EvalReport",

@@ -86,17 +86,14 @@ class AttrProbVector:
 
 
 def build_tables(
-    items: Iterable[NewsItem],
-    cache: UrlExpansionCache | None = None,
-    per_item_dedup: bool = False,
+    items: Iterable[NewsItem], cache: UrlExpansionCache | None = None
 ) -> dict[AttributeKind, AttributeStatsTable]:
     """Count attribute/class co-occurrences over labeled items, for every
     attribute kind in one pass over the items, which may be a stream.
 
-    By default every occurrence counts: a post naming a domain twice
-    increments that domain's class count twice, symmetric with how
-    multi-attribute averaging treats repeats at inference. Pass
-    per_item_dedup=True to count each attribute at most once per post.
+    Every occurrence counts: a post naming a domain twice increments
+    that domain's class count twice, symmetric with how multi-attribute
+    averaging treats repeats at inference.
 
     Raises UnlabeledItem for any item without a gold label; this is the
     guard that keeps test-set labels out of the tables.
@@ -109,7 +106,7 @@ def build_tables(
         attrs = extract_attributes(item.text, cache)
         slot = 0 if item.label is Label.REAL else 1
         for counts, values in ((usernames, attrs.usernames), (domains, attrs.domains)):
-            for value in dict.fromkeys(values) if per_item_dedup else values:
+            for value in values:
                 counts.setdefault(value, [0, 0])[slot] += 1
     kinds = ((AttributeKind.USERNAME, usernames), (AttributeKind.DOMAIN, domains))
     return {
@@ -119,13 +116,10 @@ def build_tables(
 
 
 def build_table(
-    items: Iterable[NewsItem],
-    kind: AttributeKind,
-    cache: UrlExpansionCache | None = None,
-    per_item_dedup: bool = False,
+    items: Iterable[NewsItem], kind: AttributeKind, cache: UrlExpansionCache | None = None
 ) -> AttributeStatsTable:
     """The table of one attribute kind; see build_tables."""
-    return build_tables(items, cache, per_item_dedup)[kind]
+    return build_tables(items, cache)[kind]
 
 
 def tweet_attr_vector(attrs: Sequence[str], table: AttributeStatsTable) -> AttrProbVector:

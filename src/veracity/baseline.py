@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Sequence
@@ -21,11 +21,10 @@ from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Sequence
 from .corpus import Label, LABELS, NewsItem
 from .errors import BadRecord, DataError, DegenerateTraining
 from .fileio import atomic_write_text, open_lines, write_tsv
-from .preprocess import CleanPolicy, clean_text
+from .preprocess import clean_text
 
 _TOKEN_RE = re.compile(r"\w+")
 
-DEFAULT_MODEL_NAME = "baseline-bow"
 #: Posts per chunk of training text that `pipeline` and `ablate` share out (see count_text).
 CHUNK_POSTS = 512
 Claim = Callable[[int], bool]  # true for each chunk number that this process is to count
@@ -55,8 +54,7 @@ class BowModel:
     class_doc_counts: dict[Label, int]
     token_counts: dict[Label, dict[str, int]]
     smoothing_alpha: float
-    clean_policy: CleanPolicy = field(default_factory=CleanPolicy)
-    model_name: str = DEFAULT_MODEL_NAME
+    model_name: str = "baseline-bow"
     class_log_priors: dict[Label, float] = field(init=False, repr=False)
     pairs: dict[str, tuple[float, float]] = field(init=False, repr=False)
 
@@ -87,9 +85,7 @@ class BowModel:
         return self.pairs.keys()
 
 
-def count_text(
-    items: Iterable[NewsItem], policy: CleanPolicy, counts: dict, claim: Claim | None = None
-) -> Iterator[NewsItem]:
+def count_text(items: Iterable[NewsItem], counts: dict, claim: Claim | None = None) -> Iterator[NewsItem]:
     """Yield labeled items, having counted into counts[label] the tokens of
     each one's cleaned text, or with claim, of the chunks of CHUNK_POSTS it grants."""
     for n, item in enumerate(items):
@@ -98,33 +94,30 @@ def count_text(
         if n % CHUNK_POSTS == 0:
             counted = claim is None or claim(n // CHUNK_POSTS)
         if counted:
-            counts[item.label].update(tokenize(clean_text(item.text, policy)))
+            counts[item.label].update(tokenize(clean_text(item.text)))
         yield item
 
 
 def train(
     items: Iterable[NewsItem],
-    policy: CleanPolicy | None = None,
     alpha: float = 1.0,
-    model_name: str = DEFAULT_MODEL_NAME,
     claim: Claim | None = None,
     rest: Callable[[], dict[Label, Counter[str]]] = dict,
 ) -> BowModel:
     """Fit the model on labeled items, which may be a stream.
 
-    Text is cleaned per the policy first (attribute noise never enters
-    the vocabulary under the default policy), then tokenized. Counting
-    is order-independent, so training is deterministic regardless of
-    dataset order, and rest() adds the chunks claim does not grant (see
-    count_text). Raises DegenerateTraining unless both classes occur.
+    Text is cleaned first (attribute noise never enters the vocabulary),
+    then tokenized. Counting is order-independent, so training is
+    deterministic regardless of dataset order, and rest() adds the chunks
+    claim does not grant (see count_text). Raises DegenerateTraining
+    unless both classes occur.
     """
-    policy = CleanPolicy() if policy is None else policy
     token_counts: dict[Label, Counter[str]] = {c: Counter() for c in LABELS}
-    class_doc_counts = Counter(item.label for item in count_text(items, policy, token_counts, claim))
+    class_doc_counts = Counter(item.label for item in count_text(items, token_counts, claim))
     for label, counts in rest().items():  # integers, so the sums are exact in any order
         counts.update(token_counts[label])  # summed into the received counts: fewer heap holes
         token_counts[label] = counts
-    return BowModel(class_doc_counts, token_counts, alpha, policy, model_name)
+    return BowModel(class_doc_counts, token_counts, alpha)
 
 
 def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:
@@ -137,7 +130,7 @@ def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:
     pairs = model.pairs
     score_real = model.class_log_priors[Label.REAL]
     score_fake = model.class_log_priors[Label.FAKE]
-    for token in tokenize(clean_text(text, model.clean_policy)):
+    for token in tokenize(clean_text(text)):
         pair = pairs.get(token)
         if pair is not None:
             score_real += pair[0]
@@ -163,7 +156,6 @@ def save_model(model: BowModel, path: Path | str, config_hash: str | None = None
     document = {
         "model_name": model.model_name,
         "smoothing_alpha": model.smoothing_alpha,
-        "clean_policy": asdict(model.clean_policy),
         "class_doc_counts": {c.value: model.class_doc_counts[c] for c in LABELS},
         "token_counts": {c.value: model.token_counts[c] for c in LABELS},
     }
@@ -180,14 +172,21 @@ def _count(value) -> int:
     return value
 
 
+#: The cleaning every model's tokens are counted from, as older model files record it.
+_CLEANING = dict.fromkeys(("remove_urls", "remove_mentions", "remove_emoji", "remove_hashmark_only"), True)
+
+
 def load_model(path: Path | str) -> BowModel:
     """Read a model written by save_model; anything else is a BadRecord
-    naming the file."""
+    naming the file. So is a model whose clean_policy records another
+    cleaning than clean_text's, as its tokens would not match."""
     path = Path(path)
     with open_lines(path) as lines:
         text = "".join(lines)
     try:
         document = json.loads(text)
+        if document.get("clean_policy", _CLEANING) != _CLEANING:
+            raise ValueError(f"clean_policy {document['clean_policy']!r} is not clean_text's cleaning")
         return BowModel(
             class_doc_counts={
                 Label.parse(name): _count(count)
@@ -198,7 +197,6 @@ def load_model(path: Path | str) -> BowModel:
                 for name, counts in document["token_counts"].items()
             },
             smoothing_alpha=float(document["smoothing_alpha"]),
-            clean_policy=CleanPolicy(**document["clean_policy"]),
             model_name=str(document["model_name"]),
         )
     except (ArithmeticError, AttributeError, DataError, KeyError, TypeError, ValueError) as exc:

@@ -92,7 +92,7 @@ def cmd_stats(args) -> int:
             yield item
 
     items = tallied(iter_dataset(train_path, has_labels=True))
-    tables = build_tables(items, cache, per_item_dedup=args.dedup_per_item)
+    tables = build_tables(items, cache)
     save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
     n_items = labels.total()
     summary = CorpusSummary(
@@ -116,9 +116,7 @@ def cmd_stats(args) -> int:
 def cmd_train_baseline(args) -> int:
     train_path = require_file(args.train, "training data")
     digest = _tag(args, train_path)
-    model = baseline.train(
-        iter_dataset(train_path, has_labels=True), alpha=args.alpha, model_name=args.name
-    )
+    model = baseline.train(iter_dataset(train_path, has_labels=True), alpha=args.alpha)
     baseline.save_model(model, args.out, config_hash=digest)
     print(f"trained {model.model_name}: vocabulary {len(model.vocabulary)} tokens")
     return 0
@@ -197,11 +195,7 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise DataError(f"predictions missing ids, e.g. {missing[:5]}")
     ordered_ids = sorted(gold_by_id)
-    report = evaluate(
-        [gold_by_id[i] for i in ordered_ids],
-        [predicted[i] for i in ordered_ids],
-        average=args.average,
-    )
+    report = evaluate([gold_by_id[i] for i in ordered_ids], [predicted[i] for i in ordered_ids])
     print(report.format_text(f"{pred_path.name} vs {gold_path.name}"), end="")
     if args.json_out:
         atomic_write_text(Path(args.json_out), json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
@@ -291,11 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="labeled training TSV")
     p.add_argument("--cache", default=None, help="URL expansion cache TSV")
     p.add_argument("--out-dir", required=True)
-    p.add_argument(
-        "--dedup-per-item",
-        action="store_true",
-        help="count each attribute at most once per item",
-    )
     p.add_argument("--summary-json", default=None, help="also write the summary as JSON")
     p.set_defaults(func=cmd_stats)
 
@@ -306,7 +295,6 @@ def build_parser() -> _Parser:
         "--alpha", type=lambda value: parse_positive(value, "--alpha"), default=1.0,
         help="additive smoothing strength",
     )
-    p.add_argument("--name", default=baseline.DEFAULT_MODEL_NAME)
     p.set_defaults(func=cmd_train_baseline)
 
     p = sub.add_parser("predict", help="emit prediction vectors for a dataset")
@@ -343,7 +331,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a prediction file against gold labels")
     p.add_argument("--gold", required=True, help="labeled dataset TSV")
     p.add_argument("--pred", required=True, help="any output TSV with id and label columns")
-    p.add_argument("--average", choices=["weighted", "macro"], default="weighted")
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_evaluate)
 

@@ -22,16 +22,6 @@ from .ensemble import VotingScheme
 from .errors import UsageError
 from .fileio import file_sha256, open_lines, require_file
 from .heuristic import HeuristicConfig
-from .preprocess import CleanPolicy
-
-_BOOL_STRINGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(value: str, where: str) -> bool:
-    try:
-        return _BOOL_STRINGS[value.strip().lower()]
-    except KeyError:
-        raise UsageError(f"{where}: expected a boolean, got {value!r}") from None
 
 
 def parse_number(value: str, where: str) -> float:
@@ -95,10 +85,6 @@ _KEYS = (
     ("data", "cache", "cache_path", _path),
     ("predictions", "files", "prediction_paths", _paths),
     ("baseline", "alpha", "alpha", _unless_blank(parse_positive)),
-    ("clean", "remove_urls", "clean_policy.remove_urls", _parse_bool),
-    ("clean", "remove_mentions", "clean_policy.remove_mentions", _parse_bool),
-    ("clean", "remove_emoji", "clean_policy.remove_emoji", _parse_bool),
-    ("clean", "remove_hashmark_only", "clean_policy.remove_hashmark_only", _parse_bool),
     ("ensemble", "scheme", "scheme", _unless_blank(parse_scheme)),
     ("heuristic", "threshold", "heuristic.threshold", _unless_blank(parse_number)),
     ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
@@ -119,8 +105,6 @@ def _text(value) -> str:
     """A setting as the config file spells it."""
     if isinstance(value, tuple):
         return ", ".join(map(_text, value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
     return "" if value is None else str(value)
@@ -136,7 +120,6 @@ class RunConfig:
     cache_path: Path | None = None
     prediction_paths: tuple[Path, ...] = ()
     alpha: float = 1.0
-    clean_policy: CleanPolicy = field(default_factory=CleanPolicy)
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")

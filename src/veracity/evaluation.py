@@ -4,8 +4,7 @@ Precision, recall and F1 are computed per class and then averaged with
 weights proportional to gold class support ("weighted" averaging). That
 scheme makes accuracy equal weighted recall by construction, which is
 why near-balanced binary result tables often show all four headline
-numbers agreeing to several decimals. Macro averaging is available
-behind a flag.
+numbers agreeing to several decimals.
 
 Threshold tuning and the ablation grid do not re-decide items per
 threshold: each item's label is a step function of the threshold, so
@@ -66,25 +65,16 @@ def confusion_matrix(
     return (counts[0][0], counts[0][1]), (counts[1][0], counts[1][1])
 
 
-def evaluate(
-    gold: Sequence[Label], pred: Sequence[Label], average: str = "weighted"
-) -> EvalReport:
-    """Score predictions against gold labels.
-
-    average is "weighted" (support-weighted per-class metrics) or
-    "macro" (plain mean over the two classes). Raises LengthMismatch on
-    unequal or empty inputs.
+def evaluate(gold: Sequence[Label], pred: Sequence[Label]) -> EvalReport:
+    """Score predictions against gold labels, with support-weighted
+    per-class metrics. Raises LengthMismatch on unequal or empty inputs.
     """
     if len(gold) != len(pred) or len(gold) == 0:
         raise LengthMismatch(len(gold), len(pred))
-    if average not in ("weighted", "macro"):
-        raise ValueError(f"unknown averaging scheme {average!r}")
-    return _report_from_confusion(confusion_matrix(gold, pred), average)
+    return _report_from_confusion(confusion_matrix(gold, pred))
 
 
-def _report_from_confusion(
-    confusion: tuple[tuple[int, int], tuple[int, int]], average: str = "weighted"
-) -> EvalReport:
+def _report_from_confusion(confusion: tuple[tuple[int, int], tuple[int, int]]) -> EvalReport:
     n = sum(confusion[0]) + sum(confusion[1])
     accuracy = (confusion[0][0] + confusion[1][1]) / n
 
@@ -98,10 +88,7 @@ def _report_from_confusion(
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[label] = (precision, recall, f1, support)
 
-    if average == "weighted":
-        weights = {label: per_class[label][3] / n for label in LABELS}
-    else:
-        weights = {label: 1 / len(LABELS) for label in LABELS}
+    weights = {label: per_class[label][3] / n for label in LABELS}
     precision = sum(per_class[label][0] * weights[label] for label in LABELS)
     recall = sum(per_class[label][1] * weights[label] for label in LABELS)
     f1 = sum(per_class[label][2] * weights[label] for label in LABELS)

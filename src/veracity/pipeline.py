@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -28,13 +28,14 @@ from .config import RunConfig, config_hash, require_paths
 from .corpus import Label, iter_dataset
 from .ensemble import (
     PredictionMatrix,
+    VotingScheme,
     load_predictions,
     matrix_from_vectors,
     restrict_to,
     vote_all,
     write_ensemble_tsv,
 )
-from .errors import PipelineError, UsageError
+from .errors import DataError, PipelineError, UsageError
 from .evaluation import EvalReport, evaluate
 from .fileio import atomic_write_text
 from .heuristic import (
@@ -67,7 +68,7 @@ def prediction_source(cfg: RunConfig, claim=None, rest=dict) -> PredictionSource
     if cfg.prediction_paths:
         return load_predictions(cfg.prediction_paths)
     items = iter_dataset(cfg.train_path, has_labels=True)
-    return baseline.train(items, cfg.clean_policy, cfg.alpha, claim=claim, rest=rest)
+    return baseline.train(items, cfg.alpha, claim, rest)
 
 
 def split_vectors(source: PredictionSource, path: Path) -> list[baseline.PredictionVector]:
@@ -90,7 +91,7 @@ def attribute_side(cfg: RunConfig, split_paths: Sequence[Path], claim=None) -> I
     counts = {label: Counter() for label in Label}
     items = iter_dataset(cfg.train_path, has_labels=True)
     if claim is not None:
-        items = baseline.count_text(items, cfg.clean_policy, counts, claim)
+        items = baseline.count_text(items, counts, claim)
     tables = build_tables(items, cache)
     if claim is not None:
         yield counts  # alone: pickled with the tables, it would raise this process's peak
@@ -221,6 +222,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         digest = config_hash(cfg, inputs=splits)  # while the child reads
         source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
+    if not records:  # checked before any artifact is written, as the split's own errors are
+        raise DataError(f"the test split {cfg.test_path.name} has no items to score")
     written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
 
     if isinstance(source, baseline.BowModel):
@@ -279,7 +282,8 @@ def ablation_contexts(
     cfg: RunConfig, extra: str = ""
 ) -> tuple[list[DecisionInput], list[DecisionInput], str]:
     """Read the splits and build decision inputs for the ablation grid,
-    and the config hash of cfg and extra, the ablation's own settings.
+    and the config hash of cfg and extra, the ablation's own settings;
+    cfg's scheme is hashed as soft, the one this grid uses.
 
     Both validation and test must be labeled. External prediction files,
     when configured, must cover the union of the two splits' ids;
@@ -290,7 +294,8 @@ def ablation_contexts(
     contexts = []
     splits = [cfg.validation_path, cfg.test_path]
     with _attribute_process(cfg, splits) as (beside, claim, rest):
-        digest = config_hash(cfg, extra, inputs=splits)  # while the child reads
+        soft = replace(cfg, scheme=VotingScheme.SOFT)
+        digest = config_hash(soft, extra, inputs=splits)  # while the child reads
         source, _ = beside(prediction_source, cfg, claim, rest)  # the tables, drained all the same
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)

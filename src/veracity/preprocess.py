@@ -113,27 +113,12 @@ def save_cache(cache: UrlExpansionCache, path: Path | str) -> None:
 class TweetAttributes:
     """Attributes captured from one post, in first-occurrence order.
 
-    Duplicates within a post are retained; deduplication (when wanted)
-    is a counting policy, not an extraction one.
+    Duplicates within a post are retained, and each one counts.
     """
 
     usernames: tuple[str, ...]
     urls: tuple[str, ...]
     domains: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CleanPolicy:
-    """Which noise classes to strip from text before classification.
-
-    remove_hashmark_only keeps the hashtag word and drops the '#'
-    itself, so topical content survives cleaning.
-    """
-
-    remove_urls: bool = True
-    remove_mentions: bool = True
-    remove_emoji: bool = True
-    remove_hashmark_only: bool = True
 
 
 def normalize_domain(url: str) -> str:
@@ -189,22 +174,21 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
     return TweetAttributes(tuple(usernames), urls, tuple(domains))
 
 
-def clean_text(text: str, policy: CleanPolicy | None = None) -> str:
-    """Strip noise per policy, collapse whitespace, trim.
+def clean_text(text: str) -> str:
+    """Strip URLs, mentions, emoji and hashmarks, collapse whitespace, trim.
 
-    Removed spans are replaced by a space rather than deleted, so that
-    stripping can never splice two fragments into a new token (a new
-    URL, mention, or word). That keeps cleaning idempotent and makes
-    extraction on cleaned text come up empty.
+    A hashtag keeps its word and loses only the '#', so topical content
+    survives cleaning. Removed spans are replaced by a space rather than
+    deleted, so that stripping can never splice two fragments into a new
+    token (a new URL, mention, or word). That keeps cleaning idempotent
+    and makes extraction on cleaned text come up empty.
     """
-    if policy is None:
-        policy = CleanPolicy()
-    if policy.remove_urls and "://" in text:
+    if "://" in text:
         text = _URL_RE.sub(" ", text)
-    if policy.remove_mentions and "@" in text:
+    if "@" in text:
         text = _MENTION_STRIP_RE.sub(" ", text)
-    if policy.remove_emoji and not text.isascii():
+    if not text.isascii():
         text = _EMOJI_RE.sub(" ", text)
-    if policy.remove_hashmark_only and "#" in text:
+    if "#" in text:
         text = _HASHMARK_RE.sub(" ", text)
     return " ".join(text.split())

@@ -72,8 +72,6 @@ def test_double_mention_counts_twice_by_default():
     dataset = dataset_of((1, "@who and @who again", "fake"))
     table = build_table(dataset, AttributeKind.USERNAME)
     assert table.entries["who"].fake_count == 2
-    deduped = build_table(dataset, AttributeKind.USERNAME, per_item_dedup=True)
-    assert deduped.entries["who"].fake_count == 1
 
 
 def test_build_table_permutation_invariant():
@@ -119,10 +117,7 @@ def test_real_count_conservation(seed):
         if item.label is Label.REAL
     )
     assert sum(c.real_count for c in table.entries.values()) == expected
-    for dedup in (False, True):
-        assert build_tables(dataset, per_item_dedup=dedup) == {
-            kind: build_table(dataset, kind, per_item_dedup=dedup) for kind in AttributeKind
-        }
+    assert build_tables(dataset) == {kind: build_table(dataset, kind) for kind in AttributeKind}
 
 
 TABLE_ONE_LIKE = AttributeStatsTable(

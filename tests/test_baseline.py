@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -25,7 +24,7 @@ from veracity.baseline import (
 )
 from veracity.corpus import LABELS, Label, NewsItem
 from veracity.errors import DegenerateTraining
-from veracity.preprocess import CleanPolicy, clean_text
+from veracity.preprocess import clean_text
 
 
 def posterior_oracle(corpus, text, alpha=1):
@@ -184,11 +183,11 @@ def test_save_load_round_trip(tmp_path):
         (2, "hoax cure exposed", "fake"),
         (3, "vaccine update", "real"),
     )
-    model = train(dataset, alpha=0.7, model_name="bow-test")
+    model = train(dataset, alpha=0.7)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.model_name == "bow-test"
+    assert loaded.model_name == "baseline-bow"
     assert loaded.smoothing_alpha == 0.7
     for text in ("vaccine", "hoax exposed", "nothing known"):
         assert predict(loaded, text) == predict(model, text, item_id=-1)
@@ -202,14 +201,14 @@ def test_predict_dataset_carries_item_ids():
 
 
 def test_cleaning_policy_applied_before_tokenizing():
-    # Mentions and URLs never reach the vocabulary under the default policy.
+    # Mentions and URLs never reach the vocabulary.
     dataset = dataset_of(
         (1, "good @handle https://x.com/a", "real"), (2, "bad stuff", "fake")
     )
     model = train(dataset)
     assert "handle" not in model.vocabulary
     assert "x" not in model.vocabulary
-    assert tokenize(clean_text("good @handle", CleanPolicy())) == ["good"]
+    assert tokenize(clean_text("good @handle")) == ["good"]
 
 
 # --------------------------------------------------------------------------
@@ -218,13 +217,13 @@ def test_cleaning_policy_applied_before_tokenizing():
 # lookup per token must reproduce its floats exactly, not approximately.
 # --------------------------------------------------------------------------
 
-def oracle_fit(dataset, policy, alpha):
+def oracle_fit(dataset, alpha):
     class_doc_counts = {c: 0 for c in LABELS}
     token_counts = {c: {} for c in LABELS}
     for item in dataset:
         class_doc_counts[item.label] += 1
         bucket = token_counts[item.label]
-        for token in tokenize(clean_text(item.text, policy)):
+        for token in tokenize(clean_text(item.text)):
             bucket[token] = bucket.get(token, 0) + 1
     total_docs = sum(class_doc_counts.values())
     vocabulary = frozenset(token for c in LABELS for token in token_counts[c])
@@ -239,9 +238,9 @@ def oracle_fit(dataset, policy, alpha):
     return class_doc_counts, token_counts, vocabulary, log_priors, likelihoods
 
 
-def oracle_predict(fit, policy, text):
+def oracle_predict(fit, text):
     _, _, vocabulary, log_priors, likelihoods = fit
-    tokens = [t for t in tokenize(clean_text(text, policy)) if t in vocabulary]
+    tokens = [t for t in tokenize(clean_text(text)) if t in vocabulary]
     log_scores = {}
     for c in LABELS:
         score = log_priors[c]
@@ -254,17 +253,11 @@ def oracle_predict(fit, policy, text):
     return unnormalized[Label.REAL] / z, unnormalized[Label.FAKE] / z
 
 
-def oracle_model_text(fit, policy, alpha, model_name):
+def oracle_model_text(fit, alpha, model_name):
     class_doc_counts, token_counts = fit[:2]
     document = {
         "model_name": model_name,
         "smoothing_alpha": alpha,
-        "clean_policy": {
-            "remove_urls": policy.remove_urls,
-            "remove_mentions": policy.remove_mentions,
-            "remove_emoji": policy.remove_emoji,
-            "remove_hashmark_only": policy.remove_hashmark_only,
-        },
         "class_doc_counts": {c.value: class_doc_counts[c] for c in LABELS},
         "token_counts": {c.value: dict(sorted(token_counts[c].items())) for c in LABELS},
     }
@@ -277,29 +270,26 @@ BIT_CORPORA = st.lists(st.tuples(BIT_TEXTS, st.sampled_from(LABELS)), max_size=1
     # both classes always present, as training requires
     lambda rows: [("seed real", Label.REAL), ("seed fake", Label.FAKE)] + rows
 )
-CLEAN_POLICIES = st.sampled_from(
-    [CleanPolicy(*flags) for flags in itertools.product((False, True), repeat=4)]
-)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    BIT_CORPORA, CLEAN_POLICIES, st.sampled_from([0.01, 0.5, 1.0, 2.0, 3.7]),
+    BIT_CORPORA, st.sampled_from([0.01, 0.5, 1.0, 2.0, 3.7]),
     st.lists(st.one_of(BIT_TEXTS, st.text(max_size=20)), max_size=6),
 )
-def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, policy, alpha, queries):
+def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, alpha, queries):
     dataset = tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows))
-    model = train(dataset, policy, alpha)
-    fit = oracle_fit(dataset, policy, alpha)
+    model = train(dataset, alpha)
+    fit = oracle_fit(dataset, alpha)
     assert model.token_counts == fit[1]
     assert model.vocabulary == fit[2]
     assert model.pairs == {token: tuple(fit[4][c][token] for c in LABELS) for token in fit[2]}
     for text in queries:
         got = predict(model, text)
-        assert (got.p_real, got.p_fake) == oracle_predict(fit, policy, text)
+        assert (got.p_real, got.p_fake) == oracle_predict(fit, text)
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
-    assert path.read_text(encoding="utf-8") == oracle_model_text(fit, policy, alpha, model.model_name)
+    assert path.read_text(encoding="utf-8") == oracle_model_text(fit, alpha, model.model_name)
 
 
 #: 11 posts, not a multiple of the chunk size 4 the examples use.
@@ -310,23 +300,23 @@ SHARED_ROWS = [("seed real", Label.REAL), ("seed fake", Label.FAKE)] + [
 
 
 @settings(max_examples=100, deadline=None)
-@given(BIT_CORPORA, CLEAN_POLICIES, st.integers(1, 4), st.lists(st.booleans(), min_size=1, max_size=6))
-@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[True])  # every chunk on this side
-@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[False])  # every chunk on the other
-@example(rows=SHARED_ROWS, policy=CleanPolicy(), chunk=4, sides=[False, True])
-def test_sharing_the_text_work_does_not_change_the_model(tmp_path_factory, rows, policy, chunk, sides):
+@given(BIT_CORPORA, st.integers(1, 4), st.lists(st.booleans(), min_size=1, max_size=6))
+@example(rows=SHARED_ROWS, chunk=4, sides=[True])  # every chunk on this side
+@example(rows=SHARED_ROWS, chunk=4, sides=[False])  # every chunk on the other
+@example(rows=SHARED_ROWS, chunk=4, sides=[False, True])
+def test_sharing_the_text_work_does_not_change_the_model(tmp_path_factory, rows, chunk, sides):
     """However the chunks are shared between two counting sides, the
     merged model writes the bytes of one trained alone. Chunk k is this
     side's when sides[k % len(sides)] is true, the other's otherwise."""
     dataset = tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows))
     other: dict[Label, Counter] = {c: Counter() for c in LABELS}
     with mock.patch.object(baseline, "CHUNK_POSTS", chunk):
-        for _ in count_text(dataset, policy, other, lambda k: not sides[k % len(sides)]):
+        for _ in count_text(dataset, other, lambda k: not sides[k % len(sides)]):
             pass
-        shared = train(dataset, policy, claim=lambda k: sides[k % len(sides)], rest=lambda: other)
+        shared = train(dataset, claim=lambda k: sides[k % len(sides)], rest=lambda: other)
     out = tmp_path_factory.mktemp("shared")
     written = []
-    for name, model in (("alone", train(dataset, policy)), ("shared", shared)):
+    for name, model in (("alone", train(dataset)), ("shared", shared)):
         save_model(model, out / f"{name}.json")
         write_predictions(predict_dataset(model, dataset), out / f"{name}.tsv", "config: x")
         written.append([(out / f"{name}{suffix}").read_bytes() for suffix in (".json", ".tsv")])

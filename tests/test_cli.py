@@ -40,6 +40,37 @@ def tiny_train(tmp_path):
     return path
 
 
+SUBCOMMANDS = (
+    "stats", "train-baseline", "predict", "ensemble", "postprocess",
+    "pipeline", "evaluate", "ablate", "expand-urls",
+)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: veracity {command} ")
+
+
+@pytest.mark.parametrize("argv, removed", [
+    pytest.param(["stats", "--train", "t.tsv", "--out-dir", "o"], ["--dedup-per-item"], id="stats"),
+    pytest.param(["train-baseline", "--train", "t.tsv", "--out", "m.json"], ["--name", "x"], id="train-baseline"),
+    pytest.param(["evaluate", "--gold", "g.tsv", "--pred", "p.tsv"], ["--average", "macro"], id="evaluate"),
+])
+def test_removed_flags_are_usage_errors(argv, removed, capsys):
+    assert main(argv + removed) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(removed)}\n"
+
+
+def test_a_clean_section_is_an_unknown_section(tmp_path, capsys):
+    config_path = tmp_path / "run.ini"
+    config_path.write_text("[clean]\nremove_urls = true\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"usage error: unknown config section [clean] in {config_path}\n"
+
+
 def test_stats_matches_hand_built_goldens(tiny_train, tmp_path, capsys):
     out_dir = tmp_path / "stats"
     assert main(["stats", "--train", str(tiny_train), "--out-dir", str(out_dir)]) == 0
@@ -837,15 +868,20 @@ def test_malformed_cache_is_reported_before_malformed_train(tmp_path, capsys, co
 
 
 def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, capsys):
-    empty = tmp_path / "empty.tsv"
-    write_dataset_tsv(empty, [])
-    config_path = tmp_path / "run.ini"
-    config_path.write_text(
-        f"[data]\ntrain = {tiny_train}\ntest = {empty}\n[output]\ndir = {tmp_path / 'out'}\n",
-        encoding="utf-8",
-    )
-    assert main(["pipeline", "--config", str(config_path)]) == 2
-    assert "no items to score" in capsys.readouterr().err
+    # a header and no rows, labeled or not, is an error before any artifact is written
+    for labeled in (True, False):
+        empty = tmp_path / "empty.tsv"
+        write_dataset_tsv(empty, [], labeled=labeled)
+        config_path = tmp_path / "run.ini"
+        config_path.write_text(
+            f"[data]\ntrain = {tiny_train}\ntest = {empty}\n[output]\ndir = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error (DataError): the test split empty.tsv has no items to score\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])
@@ -965,7 +1001,7 @@ def test_a_child_that_ends_after_claiming_chunks_stops_the_run(tmp_path, monkeyp
     def counts_then_dies(cfg, split_paths, claim):
         counts = {label: Counter() for label in Label}
         posts = iter_dataset(cfg.train_path, has_labels=True)
-        items = baseline.count_text(posts, cfg.clean_policy, counts, claim)
+        items = baseline.count_text(posts, counts, claim)
         for _ in zip(range(baseline.CHUNK_POSTS), items):
             pass
         counted.write_text(str(sum(sum(c.values()) for c in counts.values())), encoding="utf-8")

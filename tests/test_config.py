@@ -73,10 +73,6 @@ CHANGED = {
     "cache_path": Path("cache.tsv"),
     "prediction_paths": (Path("b.tsv"),),
     "alpha": 0.5,
-    "clean_policy.remove_urls": False,
-    "clean_policy.remove_mentions": False,
-    "clean_policy.remove_emoji": False,
-    "clean_policy.remove_hashmark_only": False,
     "heuristic.threshold": 0.5,
     "heuristic.priority": (AttributeKind.DOMAIN, AttributeKind.USERNAME),
     "scheme": VotingScheme.HARD,

@@ -25,7 +25,7 @@ from veracity.attribute_stats import AttributeKind
 R, F = Label.REAL, Label.FAKE
 
 
-def brute_force_metrics(gold, pred, average="weighted"):
+def brute_force_metrics(gold, pred):
     """Independent recount: per-class tallies straight from the pairs."""
     n = len(gold)
     accuracy = sum(1 for g, p in zip(gold, pred) if g is p) / n
@@ -37,7 +37,7 @@ def brute_force_metrics(gold, pred, average="weighted"):
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        weight = (tp + fn) / n if average == "weighted" else 0.5
+        weight = (tp + fn) / n
         per_class[c] = (precision, recall, f1, weight)
     precision = sum(p * w for p, _, _, w in per_class.values())
     recall = sum(r * w for _, r, _, w in per_class.values())
@@ -107,17 +107,6 @@ def test_relabeling_symmetry(gold, rng):
     swapped = evaluate([g.other() for g in gold], [p.other() for p in pred])
     assert abs(straight.accuracy - swapped.accuracy) <= 1e-12
     assert abs(straight.f1 - swapped.f1) <= 1e-12
-
-
-def test_macro_averaging_flag():
-    gold = [R, R, R, F]
-    pred = [R, R, R, R]
-    weighted = evaluate(gold, pred)
-    macro = evaluate(gold, pred, average="macro")
-    assert weighted.recall == 0.75  # == accuracy
-    assert macro.recall == 0.5  # mean of 1.0 and 0.0
-    with pytest.raises(ValueError):
-        evaluate(gold, pred, average="median")
 
 
 def _input(item_id, ens_p_real, gold, user=None, domain=None):

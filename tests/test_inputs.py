@@ -123,6 +123,9 @@ def test_oversized_field_names_file_and_line(inputs, capsys, command):
     assert "field larger than field limit" in err
 
 
+#: The cleaning as model files once recorded it, under "clean_policy".
+CLEANING = dict.fromkeys(("remove_urls", "remove_mentions", "remove_emoji", "remove_hashmark_only"), True)
+
 BAD_MODELS = {
     "alpha 0": lambda model: model.update(smoothing_alpha=0),
     "alpha NaN": lambda model: model.update(smoothing_alpha=float("nan")),
@@ -134,6 +137,8 @@ BAD_MODELS = {
     "token count a fraction": lambda model: model["token_counts"]["real"].update(icmr=2.9),
     "document count a string": lambda model: model["class_doc_counts"].update(real="1"),
     "document count a boolean": lambda model: model["class_doc_counts"].update(real=True),
+    # tokens counted from text cleaned otherwise would not match clean_text's
+    "another cleaning": lambda model: model.update(clean_policy={**CLEANING, "remove_urls": False}),
 }
 
 
@@ -145,6 +150,19 @@ def test_bad_model_values_name_the_file(inputs, capsys, case):
     path.write_text(json.dumps(model), encoding="utf-8")
     assert main(_argv("model", inputs)) == 2
     assert "bad record in model.json: not a saved model" in capsys.readouterr().err
+
+
+def test_a_model_recording_the_one_cleaning_predicts_as_before(inputs):
+    """A model file that records clean_text's cleaning, as every model file
+    once did, still loads, and predict writes the same rows from it."""
+    model = json.loads((inputs / "model.json").read_text(encoding="utf-8"))
+    (inputs / "older.json").write_text(json.dumps({**model, "clean_policy": CLEANING}), encoding="utf-8")
+    rows = []
+    for name in ("model", "older"):
+        assert main(["predict", "--model", str(inputs / f"{name}.json"), "--data", str(inputs / "train.tsv"),
+                     "--out", str(inputs / f"{name}.tsv")]) == 0
+        rows.append((inputs / f"{name}.tsv").read_text(encoding="utf-8").split("\n", 1)[1])  # past the tag
+    assert rows[0] == rows[1]
 
 
 LOCATED = {

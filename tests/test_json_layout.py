@@ -35,12 +35,6 @@ SUMMARY = {
 }
 MODEL = {
     "class_doc_counts": {"fake": 1, "real": 3},
-    "clean_policy": {
-        "remove_emoji": True,
-        "remove_hashmark_only": True,
-        "remove_mentions": True,
-        "remove_urls": True,
-    },
     "model_name": "baseline-bow",
     "smoothing_alpha": 1.0,
     "token_counts": {

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import re
 from urllib.parse import urlsplit
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from veracity.errors import BadRecord, BadUrl
 from veracity.preprocess import (
-    CleanPolicy,
     TweetAttributes,
     UrlExpansionCache,
     clean_text,
@@ -107,12 +105,6 @@ def test_clean_text_keeps_hashtag_word():
 
 def test_clean_text_identity_on_plain_text():
     assert clean_text("plain sentence") == "plain sentence"
-
-
-def test_clean_text_respects_policy_flags():
-    policy = CleanPolicy(remove_urls=False, remove_mentions=True,
-                         remove_emoji=False, remove_hashmark_only=False)
-    assert clean_text("keep https://a.com drop @user #tag", policy) == "keep https://a.com drop #tag"
 
 
 def test_clean_text_removes_emoji():
@@ -233,19 +225,14 @@ def oracle_extract_attributes(text, cache):
     return TweetAttributes(usernames, urls, tuple(domains))
 
 
-def oracle_clean_text(text, policy):
-    if policy.remove_urls:
-        text = _ORACLE_URL_RE.sub(" ", text)
-    if policy.remove_mentions:
-        text = _ORACLE_MENTION_STRIP_RE.sub(" ", text)
-    if policy.remove_emoji:
-        text = _ORACLE_EMOJI_RE.sub(" ", text)
-    if policy.remove_hashmark_only:
-        text = _ORACLE_HASHMARK_RE.sub(" ", text)
+def oracle_clean_text(text):
+    text = _ORACLE_URL_RE.sub(" ", text)
+    text = _ORACLE_MENTION_STRIP_RE.sub(" ", text)
+    text = _ORACLE_EMOJI_RE.sub(" ", text)
+    text = _ORACLE_HASHMARK_RE.sub(" ", text)
     return " ".join(text.split())
 
 
-ALL_CLEAN_POLICIES = [CleanPolicy(*flags) for flags in itertools.product((False, True), repeat=4)]
 # one cached short link expanding to an upper-case host, one to a bad URL
 CACHE = UrlExpansionCache({"https://t.co/a": "HTTP://Ex.COM/a", "https://t.co/b": "http:///x"})
 
@@ -267,8 +254,7 @@ NOISY_TEXT = st.one_of(
 
 def assert_text_paths_match(text):
     assert extract_attributes(text, CACHE) == oracle_extract_attributes(text, CACHE)
-    for policy in ALL_CLEAN_POLICIES:
-        assert clean_text(text, policy) == oracle_clean_text(text, policy)
+    assert clean_text(text) == oracle_clean_text(text)
 
 
 @pytest.mark.parametrize(

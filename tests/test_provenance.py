@@ -29,12 +29,12 @@ CASES = {
         ["stats", "--train", "train.tsv", "--cache", "cache.tsv", "--out-dir", "{out}",
          "--summary-json", "{out}/summary.json"],
         ["train.tsv", "cache.tsv"],
-        [["--dedup-per-item"], ["--train", "copy/train.tsv"], ["--cache", "copy/cache.tsv"]],
+        [["--train", "copy/train.tsv"], ["--cache", "copy/cache.tsv"]],
     ),
     "train-baseline": (
         ["train-baseline", "--train", "train.tsv", "--out", "{out}/model.json"],
         ["train.tsv"],
-        [["--alpha", "0.5"], ["--name", "other"], ["--train", "copy/train.tsv"]],
+        [["--alpha", "0.5"], ["--train", "copy/train.tsv"]],
     ),
     "predict": (
         ["predict", "--model", "model.json", "--data", "test.tsv", "--out", "{out}/p.tsv"],
@@ -185,3 +185,13 @@ def test_a_split_the_run_does_not_read_is_not_in_the_tag(template, tmp_path, mon
     before = _tag(_run(tmp_path / "out", "pipeline"))
     (inputs / "validation.tsv").write_bytes(b"not read\n")
     assert _tag(_run(tmp_path / "out", "pipeline")) == before
+
+
+def test_the_scheme_ablate_does_not_use_is_not_in_the_tag(template, tmp_path, monkeypatch):
+    """ablate soft-votes every item, whatever `[ensemble] scheme` says."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(template, inputs)
+    monkeypatch.chdir(inputs)
+    soft = _run(tmp_path / "soft", "ablate")
+    (inputs / "run.ini").write_text(_CONFIG + "[ensemble]\nscheme = hard\n", encoding="utf-8")
+    assert _run(tmp_path / "hard", "ablate") == soft

@@ -1,13 +1,15 @@
-"""The README's CLI and config examples parse as they read, every
-`veracity.` name it spells resolves, the package exports only names it
-defines, it imports nothing beyond the standard library, and no module
-keeps an import it does not use: a flag or name removed from the
-program cannot stay in the docs or in `veracity.__all__`, a dependency
-cannot creep in, and a deletion cannot leave its imports behind."""
+"""The README's CLI and config examples parse as they read, the config
+example names every config key, every `veracity.` name it spells
+resolves, the package exports only names it defines, it imports nothing
+beyond the standard library, and no module keeps an import it does not
+use: a flag or name removed from the program cannot stay in the docs or
+in `veracity.__all__`, a key cannot go undocumented, a dependency cannot
+creep in, and a deletion cannot leave its imports behind."""
 
 from __future__ import annotations
 
 import ast
+import configparser
 import importlib
 import re
 import shlex
@@ -19,6 +21,7 @@ import pytest
 
 import veracity
 from veracity.cli import build_parser
+from veracity import config
 from veracity.config import parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,12 +46,22 @@ def test_readme_cli_example_parses(example):
     build_parser().parse_args(argv)
 
 
-def test_readme_config_example_parses():
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"^```ini\n(.*?)^```", text, re.M | re.S)
+def _config_example() -> str:
+    block = re.search(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert block, "README has no ini code block"
-    cfg = parse_config_text(block.group(1), source="README.md")
+    return block.group(1)
+
+
+def test_readme_config_example_parses():
+    cfg = parse_config_text(_config_example(), source="README.md")
     assert cfg.prediction_paths == (Path("preds/a.tsv"), Path("preds/b.tsv"))
+
+
+def test_readme_config_example_names_every_key():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(_config_example())
+    named = {(section, key) for section in parser.sections() for key in parser.options(section)}
+    assert named == {(section, key) for section, key, _, _ in config._KEYS}
 
 
 def _dotted_names(text: str) -> list[str]:
