@@ -28,6 +28,8 @@ _TOKEN_RE = re.compile(r"\w+")
 #: Posts per chunk of training text that `pipeline` and `ablate` share out (see count_text).
 CHUNK_POSTS = 512
 Claim = Callable[[int], bool]  # true for each chunk number that this process is to count
+#: The additive smoothing strength of every model train fits; a saved model records its own.
+SMOOTHING_ALPHA = 1.0
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,7 +102,6 @@ def count_text(items: Iterable[NewsItem], counts: dict, claim: Claim | None = No
 
 def train(
     items: Iterable[NewsItem],
-    alpha: float = 1.0,
     claim: Claim | None = None,
     rest: Callable[[], dict[Label, Counter[str]]] = dict,
 ) -> BowModel:
@@ -117,7 +118,7 @@ def train(
     for label, counts in rest().items():  # integers, so the sums are exact in any order
         counts.update(token_counts[label])  # summed into the received counts: fewer heap holes
         token_counts[label] = counts
-    return BowModel(class_doc_counts, token_counts, alpha)
+    return BowModel(class_doc_counts, token_counts, SMOOTHING_ALPHA)
 
 
 def predict(model: BowModel, text: str, item_id: int = -1) -> PredictionVector:

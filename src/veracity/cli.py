@@ -36,7 +36,7 @@ from .fileio import atomic_write_text, data_lines, data_rows, open_lines, parse_
 from .heuristic import (
     DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, decision_inputs, write_decisions_tsv,
 )
-from .pipeline import ablation_contexts, run_pipeline, split_records
+from .pipeline import ablation_contexts, require_items, run_pipeline, split_records
 from .preprocess import extract_attributes, load_cache
 
 
@@ -57,21 +57,11 @@ def _tag(args, *inputs: Path | None) -> str:
     return config_hash(json.dumps(flags, sort_keys=True), inputs=inputs)
 
 
-def _heuristic_from_args(args, base: HeuristicConfig | None = None) -> HeuristicConfig:
+def _heuristic_from_args(args) -> HeuristicConfig:
     return override(
-        base or HeuristicConfig(),
+        HeuristicConfig(),
         threshold=args.threshold,
         priority=None if args.priority is None else parse_priority(args.priority, "--priority"),
-    )
-
-
-def _add_heuristic_flags(sub) -> None:
-    sub.add_argument("--threshold", type=lambda value: parse_number(value, "--threshold"),
-                     default=None, help="rule threshold; 0 drops it")
-    sub.add_argument(
-        "--priority",
-        default=None,
-        help="attribute priority order, e.g. 'username,domain' or 'domain'",
     )
 
 
@@ -116,7 +106,7 @@ def cmd_stats(args) -> int:
 def cmd_train_baseline(args) -> int:
     train_path = require_file(args.train, "training data")
     digest = _tag(args, train_path)
-    model = baseline.train(iter_dataset(train_path, has_labels=True), alpha=args.alpha)
+    model = baseline.train(iter_dataset(train_path, has_labels=True))
     baseline.save_model(model, args.out, config_hash=digest)
     print(f"trained {model.model_name}: vocabulary {len(model.vocabulary)} tokens")
     return 0
@@ -155,6 +145,7 @@ def cmd_postprocess(args) -> int:
     tables = {kind: load_table(path, kind) for kind, path in (
         (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
     records = split_records(data_path, tables, load_cache(cache_path))
+    require_items(records, "data", data_path)
     ensemble = vote_all(restrict_to(matrix, [record[0] for record in records]))
     del matrix
     decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
@@ -202,9 +193,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _run_config(args) -> RunConfig:
+    """The config file's run; --out-dir, a place and not a setting, moves its output."""
+    cfg = load_config(args.config)
+    if args.out_dir:
+        cfg.output_dir = Path(args.out_dir)
+    return cfg
+
+
 def cmd_pipeline(args) -> int:
-    cfg = _config_with_overrides(args)
-    result = run_pipeline(cfg)
+    result = run_pipeline(_run_config(args))
     for path in result.output_files:
         print(f"wrote {path}")
     if result.post_report is not None:
@@ -213,38 +211,26 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _config_with_overrides(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "out_dir", None):
-        cfg.output_dir = Path(args.out_dir)
-    if getattr(args, "scheme", None):
-        cfg.scheme = VotingScheme(args.scheme)
-    cfg.heuristic = _heuristic_from_args(args, cfg.heuristic)
-    return cfg
-
-
-def _parse_orderings(values: list[str] | None) -> list[tuple[AttributeKind, ...]]:
-    if not values:
-        return [
-            (AttributeKind.USERNAME,),
-            (AttributeKind.DOMAIN,),
-            (AttributeKind.DOMAIN, AttributeKind.USERNAME),
-            DEFAULT_PRIORITY,
-        ]
-    return [parse_priority(value, "--ordering") for value in values]
+#: The paper's ablation grid: each attribute alone, then both in either order.
+ABLATION_ORDERINGS = (
+    (AttributeKind.USERNAME,),
+    (AttributeKind.DOMAIN,),
+    (AttributeKind.DOMAIN, AttributeKind.USERNAME),
+    DEFAULT_PRIORITY,
+)
 
 
 def cmd_ablate(args) -> int:
-    orderings = _parse_orderings(args.ordering)
-    cfg = _config_with_overrides(args)
-    own = {"ordering": [[k.value for k in o] for o in orderings], "tune_threshold": args.tune_threshold}
+    cfg = _run_config(args)
+    orderings = [[kind.value for kind in ordering] for ordering in ABLATION_ORDERINGS]
+    own = {"ordering": orderings, "tune_threshold": args.tune_threshold}
     val_inputs, test_inputs, digest = ablation_contexts(cfg, json.dumps(own))
     threshold = cfg.heuristic.threshold
     extra: dict = {"config_hash": digest, "threshold": threshold}
     if args.tune_threshold:
         threshold = tune_threshold(val_inputs, DEFAULT_THRESHOLD_GRID, cfg.heuristic)
         extra.update(tuned_threshold=threshold, tuning_grid=list(DEFAULT_THRESHOLD_GRID))
-    rows = run_ablation(val_inputs, test_inputs, orderings, threshold)
+    rows = run_ablation(val_inputs, test_inputs, ABLATION_ORDERINGS, threshold)
     out_dir = Path(cfg.output_dir)
     text = f"# config: {digest}\n# threshold: {threshold!r}\n" + format_ablation_text(rows)
     atomic_write_text(out_dir / "ablation.txt", text)
@@ -291,10 +277,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-baseline", help="train the built-in bag-of-words classifier")
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True, help="model JSON output path")
-    p.add_argument(
-        "--alpha", type=lambda value: parse_positive(value, "--alpha"), default=1.0,
-        help="additive smoothing strength",
-    )
     p.set_defaults(func=cmd_train_baseline)
 
     p = sub.add_parser("predict", help="emit prediction vectors for a dataset")
@@ -317,15 +299,15 @@ def build_parser() -> _Parser:
     p.add_argument("--domain-table", required=True)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True)
-    _add_heuristic_flags(p)
+    p.add_argument("--threshold", type=lambda value: parse_number(value, "--threshold"),
+                   default=None, help="rule threshold; 0 drops it")
+    p.add_argument("--priority", default=None,
+                   help="attribute priority order, e.g. 'username,domain' or 'domain'")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--scheme", type=lambda value: parse_scheme(value, "--scheme").value,
-                   default=None, metavar="{soft,hard}")
-    _add_heuristic_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="score a prediction file against gold labels")
@@ -337,14 +319,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="run the priority/threshold ablation grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
-    p.add_argument(
-        "--ordering",
-        action="append",
-        default=None,
-        help="priority ordering to evaluate (repeatable); default is the full grid",
-    )
     p.add_argument("--tune-threshold", action="store_true", help="tune on validation first")
-    _add_heuristic_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser(

@@ -32,7 +32,7 @@ def parse_number(value: str, where: str) -> float:
 
 
 def parse_positive(value: str, where: str) -> float:
-    """A finite, positive number, such as a smoothing strength or a timeout."""
+    """A finite, positive number, such as a timeout."""
     number = parse_number(value, where)
     if not 0 < number < math.inf:
         raise UsageError(f"{where} must be a finite, positive number, got {value!r}")
@@ -84,7 +84,6 @@ _KEYS = (
     ("data", "test", "test_path", _path),
     ("data", "cache", "cache_path", _path),
     ("predictions", "files", "prediction_paths", _paths),
-    ("baseline", "alpha", "alpha", _unless_blank(parse_positive)),
     ("ensemble", "scheme", "scheme", _unless_blank(parse_scheme)),
     ("heuristic", "threshold", "heuristic.threshold", _unless_blank(parse_number)),
     ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
@@ -119,7 +118,6 @@ class RunConfig:
     test_path: Path | None = None
     cache_path: Path | None = None
     prediction_paths: tuple[Path, ...] = ()
-    alpha: float = 1.0
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     scheme: VotingScheme = VotingScheme.SOFT
     output_dir: Path = Path("out")

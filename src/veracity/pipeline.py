@@ -68,7 +68,7 @@ def prediction_source(cfg: RunConfig, claim=None, rest=dict) -> PredictionSource
     if cfg.prediction_paths:
         return load_predictions(cfg.prediction_paths)
     items = iter_dataset(cfg.train_path, has_labels=True)
-    return baseline.train(items, cfg.alpha, claim, rest)
+    return baseline.train(items, claim, rest)
 
 
 def split_vectors(source: PredictionSource, path: Path) -> list[baseline.PredictionVector]:
@@ -82,6 +82,12 @@ def split_records(path: Path, tables: dict, cache: UrlExpansionCache) -> list[tu
     """item_records of an evaluation split, read as a stream and never held whole."""
     username_table, domain_table = tables[AttributeKind.USERNAME], tables[AttributeKind.DOMAIN]
     return item_records(iter_dataset(path), username_table, domain_table, cache)
+
+
+def require_items(records: list, role: str, path: Path) -> None:
+    """A split to score must hold items; checked before anything is written."""
+    if not records:
+        raise DataError(f"the {role} split {path.name} has no items to score")
 
 
 def attribute_side(cfg: RunConfig, split_paths: Sequence[Path], claim=None) -> Iterator:
@@ -215,27 +221,26 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """
     require_paths(cfg, "train", "test")
     out_dir = Path(cfg.output_dir)
-    written: list[Path] = []
+    model_files: list[Path] = []
 
     splits = [cfg.test_path]
     with _attribute_process(cfg, splits) as (beside, claim, rest):
         digest = config_hash(cfg, inputs=splits)  # while the child reads
         source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
-    if not records:  # checked before any artifact is written, as the split's own errors are
-        raise DataError(f"the test split {cfg.test_path.name} has no items to score")
-    written.extend(save_tables(tables, out_dir, header_comment=f"config: {digest}"))
-
+    require_items(records, "test", cfg.test_path)
     if isinstance(source, baseline.BowModel):
-        # as the predict command does, so the file and the matrix match the staged chain's
+        # as the predict command does, so the file and the matrix match the staged chain's;
+        # before the matrix is built, so that it is not held beside the model's encoding
         model_path = out_dir / "baseline_model.json"
         baseline.save_model(source, model_path, config_hash=digest)
         predictions_path = out_dir / "baseline_predictions.tsv"
         baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
-        written += [model_path, predictions_path]
-
+        model_files = [model_path, predictions_path]
+    # with prediction files nothing is written yet: ids they miss stop the run here
     matrix = build_matrix(cfg, source, "test", records, vectors)
-    del source, vectors  # a trained model and its vectors are not needed past the matrix
+    del source, vectors  # a trained model and its vectors, or all the files' rows, past the matrix
+    written = [*save_tables(tables, out_dir, header_comment=f"config: {digest}"), *model_files]
     ensemble_results = vote_all(matrix, cfg.scheme)
     del matrix
     ensemble_path = out_dir / "ensemble.tsv"
@@ -299,6 +304,7 @@ def ablation_contexts(
         source, _ = beside(prediction_source, cfg, claim, rest)  # the tables, drained all the same
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)
+            require_items(records, name, path)
             if any(record[3] is None for record in records):
                 raise UsageError(f"the {name} split must be labeled for an ablation run")
             ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import dataset_of
 from veracity import baseline
 from veracity.baseline import (
+    BowModel,
     count_text,
     load_model,
     predict,
@@ -25,6 +26,12 @@ from veracity.baseline import (
 from veracity.corpus import LABELS, Label, NewsItem
 from veracity.errors import DegenerateTraining
 from veracity.preprocess import clean_text
+
+
+def smoothed(items, alpha):
+    """train's model of items, its counts smoothed by alpha, as a model file may record it."""
+    model = train(items)
+    return BowModel(model.class_doc_counts, model.token_counts, alpha)
 
 
 def posterior_oracle(corpus, text, alpha=1):
@@ -56,7 +63,8 @@ TWO_ITEM = dataset_of((1, "good vaccine", "real"), (2, "hoax cure", "fake"))
 
 
 def test_two_item_posterior_matches_hand_computation():
-    model = train(TWO_ITEM, alpha=1.0)
+    model = train(TWO_ITEM)
+    assert model.smoothing_alpha == 1.0
     vector = predict(model, "good vaccine")
     expected_real, _ = posterior_oracle(
         [(["good", "vaccine"], Label.REAL), (["hoax", "cure"], Label.FAKE)],
@@ -139,7 +147,7 @@ def test_brute_force_oracle_small_corpora(seed):
         corpus.append((tokens, label))
     dataset = tuple(NewsItem(i, " ".join(t), label) for i, (t, label) in enumerate(corpus))
     alpha = rng.choice([0.5, 1.0, 2.0])
-    model = train(dataset, alpha=alpha)
+    model = smoothed(dataset, alpha)
     for _ in range(5):
         query = [rng.choice(WORDS) for _ in range(rng.randrange(0, 6))]
         expected_real, expected_fake = posterior_oracle(corpus, query, alpha)
@@ -155,8 +163,8 @@ def test_duplicated_corpus_identical_posteriors_with_scaled_alpha():
         (1, "good vaccine", "real"), (2, "hoax cure", "fake"),
         (3, "good vaccine", "real"), (4, "hoax cure", "fake"),
     )
-    base_model = train(TWO_ITEM, alpha=1.0)
-    doubled_model = train(doubled, alpha=2.0)
+    base_model = train(TWO_ITEM)
+    doubled_model = smoothed(doubled, 2.0)
     for text in ("good vaccine", "hoax", "good cure", ""):
         assert abs(predict(base_model, text).p_real
                    - predict(doubled_model, text).p_real) <= 1e-12
@@ -169,8 +177,8 @@ def test_duplicated_corpus_fixed_alpha_keeps_labels():
         (1, "good vaccine", "real"), (2, "hoax cure", "fake"),
         (3, "good vaccine", "real"), (4, "hoax cure", "fake"),
     )
-    base_model = train(TWO_ITEM, alpha=1.0)
-    doubled_model = train(doubled, alpha=1.0)
+    base_model = train(TWO_ITEM)
+    doubled_model = train(doubled)
     for text in ("good vaccine", "hoax cure", "good", "cure"):
         base = predict(base_model, text)
         second = predict(doubled_model, text)
@@ -183,7 +191,7 @@ def test_save_load_round_trip(tmp_path):
         (2, "hoax cure exposed", "fake"),
         (3, "vaccine update", "real"),
     )
-    model = train(dataset, alpha=0.7)
+    model = smoothed(dataset, 0.7)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -279,7 +287,7 @@ BIT_CORPORA = st.lists(st.tuples(BIT_TEXTS, st.sampled_from(LABELS)), max_size=1
 )
 def test_paired_scoring_is_bit_identical(tmp_path_factory, rows, alpha, queries):
     dataset = tuple(NewsItem(i, text, label) for i, (text, label) in enumerate(rows))
-    model = train(dataset, alpha)
+    model = smoothed(dataset, alpha)
     fit = oracle_fit(dataset, alpha)
     assert model.token_counts == fit[1]
     assert model.vocabulary == fit[2]

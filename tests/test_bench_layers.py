@@ -11,6 +11,7 @@ import importlib.util
 import multiprocessing
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from conftest import write_dataset_tsv
 from veracity import baseline, ensemble, fileio, preprocess
 from veracity.cli import main
 from veracity.config import RunConfig
+from veracity.ensemble import VotingScheme
 from veracity.heuristic import write_decisions_tsv
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -115,7 +117,6 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
         output_dir=tmp_path / "out",
     )
     config_path = tmp_path / "run.ini"
-    config_path.write_text(cfg.to_text(), encoding="utf-8")
     calls = _count_scans(monkeypatch)
     # many chunks of training text for the two processes to share; the forked child inherits this
     monkeypatch.setattr(baseline, "CHUNK_POSTS", 3)
@@ -126,8 +127,9 @@ def test_one_scan_of_each_kind_per_item(tmp_path, monkeypatch, command, external
     loaded = sizes["train"] + voted
     # pipeline votes by the configured scheme; ablate always soft-votes
     for scheme in (["soft", "hard"] if command == "pipeline" else ["soft"]):
+        config_path.write_text(replace(cfg, scheme=VotingScheme(scheme)).to_text(), encoding="utf-8")
         calls.clear()
-        assert main(argv + (["--scheme", scheme] if command == "pipeline" else [])) == 0
+        assert main(argv) == 0
         assert calls["extract_attributes"] == loaded
         assert calls["clean_text"] == (0 if external else loaded)
         assert calls["soft_vote"] + calls["hard_vote"] == voted

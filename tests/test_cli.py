@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from _options import subcommand_options
 from _synth import make_corpus, head, tail
 from conftest import write_dataset_tsv
 from veracity import baseline, pipeline, urlexpand
@@ -58,10 +59,26 @@ def test_subcommand_help_exits_0(command, capsys):
     pytest.param(["stats", "--train", "t.tsv", "--out-dir", "o"], ["--dedup-per-item"], id="stats"),
     pytest.param(["train-baseline", "--train", "t.tsv", "--out", "m.json"], ["--name", "x"], id="train-baseline"),
     pytest.param(["evaluate", "--gold", "g.tsv", "--pred", "p.tsv"], ["--average", "macro"], id="evaluate"),
+    pytest.param(["train-baseline", "--train", "t.tsv", "--out", "m.json"], ["--alpha", "2"],
+                 id="train-baseline --alpha"),
+    *(pytest.param([command, "--config", "run.ini"], [flag, value], id=f"{command} {flag}")
+      for command in ("pipeline", "ablate")
+      for flag, value in (("--threshold", "0.5"), ("--priority", "domain"))),
+    pytest.param(["pipeline", "--config", "run.ini"], ["--scheme", "hard"], id="pipeline --scheme"),
+    pytest.param(["ablate", "--config", "run.ini"], ["--ordering", "domain"], id="ablate --ordering"),
 ])
 def test_removed_flags_are_usage_errors(argv, removed, capsys):
     assert main(argv + removed) == 1
     assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(removed)}\n"
+
+
+def test_a_run_is_its_config_file():
+    """pipeline and ablate take their settings from the config alone; of
+    the paper's ablation, only tuning the threshold is a flag."""
+    options = subcommand_options()
+    assert options["pipeline"] == {"--config", "--out-dir"}
+    assert options["ablate"] == {"--config", "--out-dir", "--tune-threshold"}
+    assert options["train-baseline"] == {"--train", "--out"}
 
 
 def test_a_clean_section_is_an_unknown_section(tmp_path, capsys):
@@ -69,6 +86,14 @@ def test_a_clean_section_is_an_unknown_section(tmp_path, capsys):
     config_path.write_text("[clean]\nremove_urls = true\n", encoding="utf-8")
     assert main(["pipeline", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"usage error: unknown config section [clean] in {config_path}\n"
+
+
+def test_a_baseline_section_is_an_unknown_section(tmp_path, capsys):
+    # every model train fits is smoothed with alpha 1.0, which its file records
+    config_path = tmp_path / "run.ini"
+    config_path.write_text("[baseline]\nalpha = 1.0\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"usage error: unknown config section [baseline] in {config_path}\n"
 
 
 def test_stats_matches_hand_built_goldens(tiny_train, tmp_path, capsys):
@@ -467,19 +492,16 @@ def test_pipeline_id_mismatch_exit_2(tmp_path, capsys):
 
 
 def test_pipeline_flag_overrides_config(tmp_path):
+    # --out-dir, a place and not a setting, is the one flag that overrides the config
     config_path = _pipeline_config(tmp_path)
-    assert main(
-        ["pipeline", "--config", str(config_path), "--out-dir", str(tmp_path / "other"),
-         "--threshold", "0.5", "--priority", "domain"]
-    ) == 0
-    report = json.loads((tmp_path / "other" / "report.json").read_text(encoding="utf-8"))
-    assert report["threshold"] == 0.5
-    assert report["priority"] == ["domain"]
+    assert main(["pipeline", "--config", str(config_path), "--out-dir", str(tmp_path / "other")]) == 0
+    assert (tmp_path / "other" / "report.json").is_file()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["ensemble", "pipeline"])
 def test_scheme_flag_takes_the_config_spellings(tmp_path, capsys, command):
-    """--scheme parses as [ensemble] scheme does, so HARD writes the bytes hard writes."""
+    """ensemble --scheme and [ensemble] scheme parse alike, so HARD writes the bytes hard writes."""
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     _write_prediction_file(a, [(1, 0.6, 0.4), (2, 0.2, 0.8)])
     _write_prediction_file(b, [(1, 0.9, 0.1), (2, 0.4, 0.6)])
@@ -492,7 +514,9 @@ def test_scheme_flag_takes_the_config_spellings(tmp_path, capsys, command):
             argv = ["ensemble", "--predictions", str(a), str(b), "--scheme", spelling,
                     "--out", str(out / "ens.tsv")]
         else:
-            argv = ["pipeline", "--config", str(config_path), "--scheme", spelling, "--out-dir", str(out)]
+            text = config_path.read_text(encoding="utf-8").replace("scheme = soft\n", f"scheme = {spelling}\n")
+            config_path.write_text(text, encoding="utf-8")
+            argv = ["pipeline", "--config", str(config_path), "--out-dir", str(out)]
         assert main(argv) == 0
         written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert written[0] == written[1]
@@ -500,6 +524,14 @@ def test_scheme_flag_takes_the_config_spellings(tmp_path, capsys, command):
         assert capsys.readouterr().out.count("2 hard-voted results") == 2
     else:
         assert b'"scheme": "hard"' in written[0]["report.json"]
+
+
+#: A stage command line that takes each of the config's heuristic and ensemble settings as a flag.
+_STAGE_ARGV = {
+    "scheme": ["ensemble", "--predictions", "m.tsv", "--out", "e.tsv"],
+    "threshold": ["postprocess", "--data", "d.tsv", "--predictions", "m.tsv",
+                  "--username-table", "u.tsv", "--domain-table", "t.tsv", "--out", "o.tsv"],
+}
 
 
 @pytest.mark.parametrize("setting, section, default, value, rule", [
@@ -512,8 +544,8 @@ def test_flag_and_config_key_report_a_bad_value_alike(
 ):
     config_path = _pipeline_config(tmp_path)
     argv = ["pipeline", "--config", str(config_path)]
-    if given_by == "flag":
-        argv += [f"--{setting}", value]
+    if given_by == "flag":  # a stage command's flag: a run takes its settings from the config
+        argv = _STAGE_ARGV[setting] + [f"--{setting}", value]
         where = f"--{setting}"
     else:
         text = config_path.read_text(encoding="utf-8")
@@ -561,16 +593,13 @@ def test_ablate_full_grid(tmp_path):
         assert set(row["without_threshold"]) == {"validation_f1", "test_f1"}
 
 
-def test_ablate_single_ordering_and_tuning(tmp_path):
+def test_ablate_tunes_the_threshold_over_the_full_grid(tmp_path):
     config_path = _ablate_config(tmp_path)
-    assert main(
-        ["ablate", "--config", str(config_path), "--ordering", "domain,username",
-         "--tune-threshold"]
-    ) == 0
+    assert main(["ablate", "--config", str(config_path), "--tune-threshold"]) == 0
     payload = json.loads((tmp_path / "out" / "ablation.json").read_text(encoding="utf-8"))
-    assert len(payload["rows"]) == 1
-    assert payload["rows"][0]["priority"] == "domain, username, ensemble"
+    assert len(payload["rows"]) == 4
     assert payload["tuned_threshold"] in payload["tuning_grid"]
+    assert payload["threshold"] == 0.88
 
 
 def test_ablate_unlabeled_test_refused(tmp_path, capsys):
@@ -631,24 +660,29 @@ def test_ablate_has_no_scheme_flag(tmp_path, capsys):
     assert "unrecognized arguments: --scheme soft" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("given_by", ["--priority", "--ordering", "heuristic.priority"])
+@pytest.mark.parametrize("given_by", ["--priority", "heuristic.priority"])
 def test_repeated_priority_name_is_usage_error(tmp_path, monkeypatch, capsys, given_by):
     def no_data(*args, **kwargs):
         raise AssertionError("the invocation must be refused before any data is read")
 
     config_path = _ablate_config(tmp_path)
-    argv = ["ablate", "--config", str(config_path)]
     if given_by == "heuristic.priority":
+        argv = ["ablate", "--config", str(config_path)]
         text = config_path.read_text(encoding="utf-8")
         config_path.write_text(
             text.replace("priority = username, domain", "priority = username, Username"),
             encoding="utf-8",
         )
-    else:
-        argv += [given_by, "username, Username"]
-    # pipeline reads every split through iter_dataset, after the URL cache
+    else:  # postprocess parses its flags once its input paths are found to exist
+        exists = str(tmp_path / "test.tsv")
+        argv = ["postprocess", "--data", exists, "--predictions", exists, "--username-table", exists,
+                "--domain-table", exists, "--out", str(tmp_path / "d.tsv"), given_by, "username, Username"]
+    # ablate reads every split through pipeline's iter_dataset, after the URL cache; postprocess
+    # reads its inputs through these
     monkeypatch.setattr(pipeline, "load_cache", no_data)
     monkeypatch.setattr(pipeline, "iter_dataset", no_data)
+    for reader in ("load_predictions", "load_table", "load_cache"):
+        monkeypatch.setattr(f"veracity.cli.{reader}", no_data)
     assert main(argv) == 1
     assert f"usage error: {given_by}: a name may appear only once" in capsys.readouterr().err
 
@@ -660,7 +694,6 @@ def test_config_round_trip(tmp_path):
         test_path=Path("data/test.tsv"),
         cache_path=Path("data/cache.tsv"),
         prediction_paths=(Path("p/a.tsv"), Path("p/b.tsv")),
-        alpha=0.5,
         output_dir=Path("runs/x"),
     )
     reparsed = parse_config_text(cfg.to_text())
@@ -779,24 +812,6 @@ def test_expand_urls_requires_input(tmp_path):
     assert main(["expand-urls", "--out", str(tmp_path / "c.tsv")]) == 1
 
 
-@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize("given_by", ["flag", "config"])
-def test_alpha_must_be_finite_and_positive(tiny_train, tmp_path, capsys, given_by, alpha):
-    if given_by == "flag":
-        argv = ["train-baseline", "--train", str(tiny_train), "--out", str(tmp_path / "m.json"),
-                "--alpha", alpha]
-    else:
-        config_path = tmp_path / "run.ini"
-        config_path.write_text(
-            f"[data]\ntrain = {tiny_train}\ntest = {tiny_train}\n[baseline]\nalpha = {alpha}\n"
-            f"[output]\ndir = {tmp_path / 'out'}\n",
-            encoding="utf-8",
-        )
-        argv = ["pipeline", "--config", str(config_path)]
-    assert main(argv) == 1
-    assert f"alpha must be a finite, positive number, got {alpha!r}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
 def test_expand_urls_timeout_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, timeout):
     def unreachable(url, timeout):
@@ -882,6 +897,60 @@ def test_pipeline_empty_test_split_has_no_items_to_score(tiny_train, tmp_path, c
             "data error (DataError): the test split empty.tsv has no items to score\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_ablate_empty_split_has_no_items_to_score(tmp_path, capsys, split):
+    config_path = _ablate_config(tmp_path)
+    empty = tmp_path / "empty.tsv"
+    write_dataset_tsv(empty, [])
+    text = config_path.read_text(encoding="utf-8")
+    path = {"validation": "val.tsv", "test": "test.tsv"}[split]
+    config_path.write_text(text.replace(str(tmp_path / path), str(empty)), encoding="utf-8")
+    assert main(["ablate", "--config", str(config_path), "--tune-threshold"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error (DataError): the {split} split empty.tsv has no items to score\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_postprocess_empty_data_has_no_items_to_score(tiny_train, tmp_path, capsys):
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    empty = tmp_path / "empty.tsv"
+    write_dataset_tsv(empty, [], labeled=False)
+    preds = tmp_path / "m.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in range(1, 7)])
+    out = tmp_path / "decisions.tsv"
+    rc = main(
+        ["postprocess", "--data", str(empty), "--predictions", str(preds),
+         "--username-table", str(stats_dir / "username_stats.tsv"),
+         "--domain-table", str(stats_dir / "domain_stats.tsv"), "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error (DataError): the data split empty.tsv has no items to score\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over-an-earlier-run"])
+def test_pipeline_files_missing_test_ids_leave_the_output_as_it_was(tmp_path, capsys, earlier_run):
+    config_path = _pipeline_config(tmp_path)
+    out = tmp_path / "out"
+    if earlier_run:  # the built-in model's run: every artifact, each tagged with another config
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+    before = {path: path.read_bytes() for path in sorted(out.rglob("*"))}
+    train = [item.id for item in iter_dataset(tmp_path / "train.tsv")]
+    files = tmp_path / "train_only.tsv"  # covers the training split's ids, none of the test split's
+    _write_prediction_file(files, [(item_id, 0.6, 0.4) for item_id in train])
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(text.replace("files = \n", f"files = {files}\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path)]) == 2
+    assert "train_only.tsv do not cover the test split" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in sorted(out.rglob("*"))} == before
+    assert out.exists() == earlier_run
 
 
 @pytest.mark.parametrize("external", [False, True], ids=["baseline", "prediction-files"])

@@ -2,8 +2,9 @@
 is one hash of the command's settings and of its input files' bytes.
 
 For each command that writes a tag: changing one byte of any input
-changes the tag, changing any flag that names no output changes it, and
-writing elsewhere writes the same bytes, tags included.
+changes the tag, changing any flag that names no output, or any setting
+of a run's config file, changes it, and writing elsewhere writes the
+same bytes, tags included.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ _CONFIG = (
 )
 
 # command: (argv, with {out} for the output directory; the inputs whose
-# bytes the tag covers; extra argv, each of which changes one setting)
+# bytes the tag covers; extra argv, each of which changes one setting; a
+# later --config replaces the first)
 CASES = {
     "stats": (
         ["stats", "--train", "train.tsv", "--cache", "cache.tsv", "--out-dir", "{out}",
@@ -34,7 +36,7 @@ CASES = {
     "train-baseline": (
         ["train-baseline", "--train", "train.tsv", "--out", "{out}/model.json"],
         ["train.tsv"],
-        [["--alpha", "0.5"], ["--train", "copy/train.tsv"]],
+        [["--train", "copy/train.tsv"]],
     ),
     "predict": (
         ["predict", "--model", "model.json", "--data", "test.tsv", "--out", "{out}/p.tsv"],
@@ -59,20 +61,19 @@ CASES = {
     "pipeline": (
         ["pipeline", "--config", "run.ini", "--out-dir", "{out}"],
         ["train.tsv", "test.tsv", "cache.tsv"],
-        [["--scheme", "hard"], ["--threshold", "0.7"], ["--priority", "domain"],
-         ["--threshold", "0"], ["--config", "alpha.ini"], ["--config", "copy.ini"]],
+        [["--config", "hard.ini"], ["--config", "threshold.ini"], ["--config", "priority.ini"],
+         ["--config", "no-threshold.ini"], ["--config", "copy.ini"]],
     ),
     "pipeline with prediction files": (
         ["pipeline", "--config", "files.ini", "--out-dir", "{out}"],
         ["train.tsv", "test.tsv", "cache.tsv", "m1.tsv", "m2.tsv"],
-        [["--scheme", "hard"], ["--config", "run.ini"], ["--config", "swapped.ini"]],
+        [["--config", "files-hard.ini"], ["--config", "run.ini"], ["--config", "swapped.ini"]],
     ),
     "ablate": (
         ["ablate", "--config", "run.ini", "--out-dir", "{out}"],
         ["train.tsv", "validation.tsv", "test.tsv", "cache.tsv"],
-        [["--ordering", "username"], ["--tune-threshold"], ["--threshold", "0.7"],
-         ["--priority", "domain"], ["--threshold", "0"], ["--config", "alpha.ini"],
-         ["--config", "copy.ini"]],
+        [["--tune-threshold"], ["--config", "threshold.ini"], ["--config", "priority.ini"],
+         ["--config", "no-threshold.ini"], ["--config", "copy.ini"]],
     ),
 }
 
@@ -116,12 +117,16 @@ def template(tmp_path_factory) -> Path:
     (root / "copy").mkdir()
     for name in _FLIPS:
         shutil.copy(root / name, root / "copy" / name)
-    files = "[predictions]\nfiles = m1.tsv, m2.tsv\n"
+    files, hard = "[predictions]\nfiles = m1.tsv, m2.tsv\n", "[ensemble]\nscheme = hard\n"
     configs = {
         "run.ini": _CONFIG,
-        "alpha.ini": _CONFIG + "[baseline]\nalpha = 0.5\n",
+        "hard.ini": _CONFIG + hard,
+        "threshold.ini": _CONFIG + "[heuristic]\nthreshold = 0.7\n",
+        "no-threshold.ini": _CONFIG + "[heuristic]\nthreshold = 0\n",
+        "priority.ini": _CONFIG + "[heuristic]\npriority = domain\n",
         "copy.ini": _CONFIG.replace("train.tsv", "copy/train.tsv"),
         "files.ini": _CONFIG + files,
+        "files-hard.ini": _CONFIG + files + hard,
         "swapped.ini": _CONFIG + files.replace("m1.tsv, m2.tsv", "m2.tsv, m1.tsv"),
     }
     for name, text in configs.items():
@@ -189,9 +194,5 @@ def test_a_split_the_run_does_not_read_is_not_in_the_tag(template, tmp_path, mon
 
 def test_the_scheme_ablate_does_not_use_is_not_in_the_tag(template, tmp_path, monkeypatch):
     """ablate soft-votes every item, whatever `[ensemble] scheme` says."""
-    inputs = tmp_path / "inputs"
-    shutil.copytree(template, inputs)
-    monkeypatch.chdir(inputs)
-    soft = _run(tmp_path / "soft", "ablate")
-    (inputs / "run.ini").write_text(_CONFIG + "[ensemble]\nscheme = hard\n", encoding="utf-8")
-    assert _run(tmp_path / "hard", "ablate") == soft
+    monkeypatch.chdir(template)
+    assert _run(tmp_path / "hard", "ablate", ["--config", "hard.ini"]) == _run(tmp_path / "soft", "ablate")
