@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Label, NewsItem
 from .errors import BadRecord, UnlabeledItem, ZeroSupport
-from .fileio import data_lines, open_lines, parse_id, write_tsv
+from .fileio import parse_id, read_tsv, write_tsv
 from .preprocess import UrlExpansionCache, extract_attributes
 
 
@@ -172,20 +172,13 @@ def save_tables(
 def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:
     """Read a table written by save_table; probabilities are re-derived.
     An attribute may appear on one row only."""
-    path = Path(path)
     entries: dict[str, AttrCounts] = {}
-    with open_lines(path) as lines:
-        rows = data_lines(lines)
-        if next(rows, "").rstrip("\r\n") != "\t".join(_TABLE_HEADER):
-            raise BadRecord("missing attribute table header")
-        for raw in rows:
-            parts = raw.rstrip("\r\n").split("\t")
-            if len(parts) != 3:
-                raise BadRecord("expected 3 columns")
-            real_count, fake_count = (parse_id(part, "count") for part in parts[1:])
+    with read_tsv(Path(path), _TABLE_HEADER) as (_, rows):
+        for attr, real, fake in rows:
+            real_count, fake_count = parse_id(real, "count"), parse_id(fake, "count")
             if real_count + fake_count == 0:
-                raise BadRecord(f"attribute {parts[0]!r} has invalid counts")
-            if parts[0] in entries:
-                raise BadRecord(f"repeated attribute {parts[0]!r}")
-            entries[parts[0]] = AttrCounts(real_count, fake_count)
+                raise BadRecord(f"attribute {attr!r} has invalid counts")
+            if attr in entries:
+                raise BadRecord(f"repeated attribute {attr!r}")
+            entries[attr] = AttrCounts(real_count, fake_count)
     return AttributeStatsTable(kind, entries)

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import baseline
@@ -32,7 +32,7 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, data_lines, data_rows, open_lines, parse_id, require_file
+from .fileio import atomic_write_text, data_lines, open_lines, parse_id, read_tsv, require_file
 from .heuristic import (
     DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, decision_inputs, write_decisions_tsv,
 )
@@ -118,6 +118,7 @@ def cmd_predict(args) -> int:
     data_path = require_file(args.data, "data")
     digest = _tag(args, model_path, data_path)
     vectors = baseline.predict_dataset(model, iter_dataset(data_path))
+    require_items(vectors, "the data split", data_path)
     baseline.write_predictions(vectors, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(vectors)} predictions to {args.out}")
     return 0
@@ -127,6 +128,7 @@ def cmd_ensemble(args) -> int:
     prediction_paths = [require_file(pred, "prediction") for pred in args.predictions]
     digest = _tag(args, *prediction_paths)
     matrix = load_predictions(prediction_paths)
+    require_items(matrix.item_ids, "the prediction file", prediction_paths[0])
     results = vote_all(matrix, VotingScheme(args.scheme))
     write_ensemble_tsv(results, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(results)} {args.scheme}-voted results to {args.out}")
@@ -145,7 +147,7 @@ def cmd_postprocess(args) -> int:
     tables = {kind: load_table(path, kind) for kind, path in (
         (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
     records = split_records(data_path, tables, load_cache(cache_path))
-    require_items(records, "data", data_path)
+    require_items(records, "the data split", data_path)
     ensemble = vote_all(restrict_to(matrix, [record[0] for record in records]))
     del matrix
     decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
@@ -157,19 +159,11 @@ def cmd_postprocess(args) -> int:
 def _read_label_column(path: Path) -> dict[int, Label]:
     """Read id -> label from any of our TSV outputs that carry both."""
     labels: dict[int, Label] = {}
-    with open_lines(path) as lines:
-        rows = data_rows(lines)
-        header = [cell.strip().lower() for cell in next(rows, [])]
-        if not header:
-            raise BadRecord("file is empty")
-        try:
-            id_col = header.index("id")
-            label_col = header.index("label")
-        except ValueError:
-            raise BadRecord(f"no id/label columns in header {header!r}") from None
+    with read_tsv(path) as (header, rows):
+        if not {"id", "label"} <= set(header):
+            raise BadRecord(f"no id/label columns in header {header!r}")
+        id_col, label_col = header.index("id"), header.index("label")
         for row in rows:
-            if len(row) <= max(id_col, label_col):
-                raise BadRecord(f"expected an integer id and a label, found {row!r}")
             item_id, label = parse_id(row[id_col]), row[label_col]
             if item_id in labels:
                 raise DuplicateId(item_id)
@@ -222,6 +216,8 @@ ABLATION_ORDERINGS = (
 
 def cmd_ablate(args) -> int:
     cfg = _run_config(args)
+    if not args.tune_threshold:  # only tuning reads the priority; the tag hashes the default
+        cfg.heuristic = replace(cfg.heuristic, priority=DEFAULT_PRIORITY)
     orderings = [[kind.value for kind in ordering] for ordering in ABLATION_ORDERINGS]
     own = {"ordering": orderings, "tune_threshold": args.tune_threshold}
     val_inputs, test_inputs, digest = ablation_contexts(cfg, json.dumps(own))

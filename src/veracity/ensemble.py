@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .baseline import PredictionVector
 from .corpus import Label
 from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
-from .fileio import data_rows, open_lines, parse_id, write_tsv
+from .fileio import parse_id, read_tsv, write_tsv
 
 # The sums a prediction pair may have; anything further off is corrupt.
 _SUM_WINDOW = (0.99, 1.01)
@@ -163,20 +163,10 @@ def _renormalized(
 def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float, float]]:
     """id -> (p_real, p_fake), renormalized to sum to 1."""
     pairs: dict[int, tuple[float, float]] = {}
-    with open_lines(path) as lines:
-        rows = data_rows(lines)
-        header = next(rows, None)
-        if header is None:
-            raise BadRecord("file is empty")
-        if [cell.strip().lower() for cell in header] != ["id", "p_real", "p_fake"]:
-            raise BadRecord(f"expected header id/p_real/p_fake, found {header!r}")
+    with read_tsv(path, ("id", "p_real", "p_fake")) as (_, rows):
         for row in rows:
-            if len(row) != 3:
-                raise BadRecord(f"expected 3 columns, found {len(row)}")
-            item_id = parse_id(row[0])
             try:
-                p_real = float(row[1])
-                p_fake = float(row[2])
+                item_id, p_real, p_fake = parse_id(row[0]), float(row[1]), float(row[2])
             except ValueError:
                 raise BadRecord(f"unparseable row {row!r}") from None
             if item_id in pairs:

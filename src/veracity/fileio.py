@@ -1,6 +1,6 @@
-"""Small file helpers: atomic writes, the TSV artifact layout, input
-checks, the one way input files are opened and hashed, comment-aware
-line reading, and the one id parser."""
+"""Small file helpers: atomic writes, the TSV artifact layout and its
+one reader, input checks, the one way input files are opened and
+hashed, comment-aware line reading, and the one id parser."""
 
 from __future__ import annotations
 
@@ -58,6 +58,28 @@ def write_tsv(
     head = [f"# {comment}"] if comment else []
     lines = chain(head, ["\t".join(header)], ("\t".join(map(str, row)) for row in rows))
     atomic_write_text(Path(path), (line + "\n" for line in lines))
+
+
+@contextmanager
+def read_tsv(path: Path, header: Sequence[str] = ()) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """(names, rows) of a file in write_tsv's layout, read in the block: a row per line but
+    blank and '#' ones, split on tabs and never unquoted. names, the first row's cells stripped
+    and lowercased, must equal header if it is given, and every later row must be as wide."""
+
+    def as_wide(rows: Iterable[list[str]], width: int) -> Iterator[list[str]]:
+        for row in rows:
+            if len(row) != width:
+                raise BadRecord(f"expected {width} columns, found {len(row)}")
+            yield row
+
+    with open_lines(path) as lines:
+        rows = csv.reader(data_lines(lines), delimiter="\t", quoting=csv.QUOTE_NONE)
+        names = [cell.strip().lower() for cell in next(rows, ())]
+        if not names:
+            raise BadRecord("file is empty")
+        if header and names != list(header):
+            raise BadRecord(f"expected header {'/'.join(header)}, found {names!r}")
+        yield names, as_wide(rows, len(names))
 
 
 def require_file(path: Path | str | None, what: str) -> Path:
@@ -123,11 +145,6 @@ def data_lines(lines: Iterable[str]) -> Iterator[str]:
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield line
-
-
-def data_rows(lines: Iterable[str]) -> Iterator[list[str]]:
-    """The tab-separated csv rows of the data lines."""
-    return csv.reader(data_lines(lines), delimiter="\t")
 
 
 def parse_id(cell: str, what: str = "id") -> int:

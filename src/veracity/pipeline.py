@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Sized
 
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, save_tables
@@ -84,10 +84,10 @@ def split_records(path: Path, tables: dict, cache: UrlExpansionCache) -> list[tu
     return item_records(iter_dataset(path), username_table, domain_table, cache)
 
 
-def require_items(records: list, role: str, path: Path) -> None:
-    """A split to score must hold items; checked before anything is written."""
-    if not records:
-        raise DataError(f"the {role} split {path.name} has no items to score")
+def require_items(items: Sized, what: str, path: Path) -> None:
+    """What a command scores must hold items; checked before anything is written."""
+    if not items:
+        raise DataError(f"{what} {path.name} has no items to score")
 
 
 def attribute_side(cfg: RunConfig, split_paths: Sequence[Path], claim=None) -> Iterator:
@@ -228,7 +228,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         digest = config_hash(cfg, inputs=splits)  # while the child reads
         source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
-    require_items(records, "test", cfg.test_path)
+    require_items(records, "the test split", cfg.test_path)
     if isinstance(source, baseline.BowModel):
         # as the predict command does, so the file and the matrix match the staged chain's;
         # before the matrix is built, so that it is not held beside the model's encoding
@@ -304,7 +304,7 @@ def ablation_contexts(
         source, _ = beside(prediction_source, cfg, claim, rest)  # the tables, drained all the same
         for name, path in (("validation", cfg.validation_path), ("test", cfg.test_path)):
             vectors, records = beside(split_vectors, source, path)
-            require_items(records, name, path)
+            require_items(records, f"the {name} split", path)
             if any(record[3] is None for record in records):
                 raise UsageError(f"the {name} split must be labeled for an ablation run")
             ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))

@@ -934,6 +934,32 @@ def test_postprocess_empty_data_has_no_items_to_score(tiny_train, tmp_path, caps
     assert not out.exists()
 
 
+def test_predict_empty_data_has_no_items_to_score(tiny_train, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train-baseline", "--train", str(tiny_train), "--out", str(model)]) == 0
+    empty = tmp_path / "empty.tsv"
+    write_dataset_tsv(empty, [], labeled=False)
+    out = tmp_path / "p.tsv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error (DataError): the data split empty.tsv has no items to score\n"
+    )
+    assert not out.exists()
+
+
+def test_ensemble_header_only_predictions_have_no_items_to_score(tmp_path, capsys):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    _write_prediction_file(a, [])
+    _write_prediction_file(b, [])
+    out = tmp_path / "e.tsv"
+    assert main(["ensemble", "--predictions", str(a), str(b), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error (DataError): the prediction file a.tsv has no items to score\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over-an-earlier-run"])
 def test_pipeline_files_missing_test_ids_leave_the_output_as_it_was(tmp_path, capsys, earlier_run):
     config_path = _pipeline_config(tmp_path)

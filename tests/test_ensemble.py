@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from veracity.errors import (
     IdSetMismatch,
     NoModels,
 )
-from veracity.fileio import data_rows, open_lines, parse_id
+from veracity.fileio import open_lines, parse_id
 
 
 def pv(p_real, item_id=0, name="m"):
@@ -317,7 +318,8 @@ def test_vote_all_sorted_by_id(seed):
 def oracle_read(path, model_name):
     vectors = {}
     with open_lines(path) as lines:
-        rows = data_rows(lines)
+        data = (line for line in lines if line.strip() and not line.strip().startswith("#"))
+        rows = csv.reader(data, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = next(rows, None)
         if header is None:
             raise BadRecord("file is empty")

@@ -98,6 +98,18 @@ def test_undecodable_byte_names_file_and_line(inputs, capsys, reader):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("reader", ["predictions", "evaluate --pred"])
+def test_a_quote_is_a_character_and_the_error_names_its_line(inputs, capsys, reader):
+    # the tab-separated outputs are read one line per row with no quoting, so a
+    # '"' opening a cell does not swallow the lines after it
+    name = READERS[reader]
+    path = inputs / name
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b'\n"' + rest)
+    assert main(_argv(reader, inputs)) == 2
+    assert f"bad record in {name} (line 2)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_crlf_and_byte_order_mark_read_like_plain_lines(inputs, reader):
     path = inputs / READERS[reader]

@@ -72,8 +72,14 @@ CASES = {
     "ablate": (
         ["ablate", "--config", "run.ini", "--out-dir", "{out}"],
         ["train.tsv", "validation.tsv", "test.tsv", "cache.tsv"],
-        [["--tune-threshold"], ["--config", "threshold.ini"], ["--config", "priority.ini"],
+        [["--tune-threshold"], ["--config", "threshold.ini"],
          ["--config", "no-threshold.ini"], ["--config", "copy.ini"]],
+    ),
+    # tuning is what reads the priority
+    "ablate --tune-threshold": (
+        ["ablate", "--config", "run.ini", "--out-dir", "{out}", "--tune-threshold"],
+        ["train.tsv", "validation.tsv", "test.tsv", "cache.tsv"],
+        [["--config", "priority.ini"]],
     ),
 }
 
@@ -196,3 +202,9 @@ def test_the_scheme_ablate_does_not_use_is_not_in_the_tag(template, tmp_path, mo
     """ablate soft-votes every item, whatever `[ensemble] scheme` says."""
     monkeypatch.chdir(template)
     assert _run(tmp_path / "hard", "ablate", ["--config", "hard.ini"]) == _run(tmp_path / "soft", "ablate")
+
+
+def test_the_priority_untuned_ablate_does_not_use_is_not_in_the_tag(template, tmp_path, monkeypatch):
+    """Without --tune-threshold, ablate's grid sets every priority itself."""
+    monkeypatch.chdir(template)
+    assert _run(tmp_path / "domain", "ablate", ["--config", "priority.ini"]) == _run(tmp_path / "run", "ablate")

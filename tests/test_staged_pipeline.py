@@ -99,3 +99,31 @@ def test_pipeline_writes_what_the_staged_chain_writes(tmp_path, inputs, source, 
     report = json.loads((whole / "report.json").read_text(encoding="utf-8"))
     evaluated = json.loads((staged / "evaluate.json").read_text(encoding="utf-8"))
     assert report["post_processed"] == evaluated
+
+
+def test_a_quoted_domain_survives_the_staged_tables(tmp_path):
+    """`https://"evil"/x` links the domain `"evil"`, quotes included; the
+    staged chain writes it to a table and reads it back unchanged."""
+    link = 'https://"evil"/x'
+    train, test, files = tmp_path / "train.tsv", tmp_path / "test.tsv", tmp_path / "m.tsv"
+    write_dataset_tsv(train, [(1, f"cure {link}", "fake"), (2, f"hoax {link}", "fake"),
+                              (3, "official update", "real"), (4, "vaccine data", "real")])
+    write_dataset_tsv(test, [(10, f"read {link}", "fake"), (11, "health report", "real")])
+    files.write_text("id\tp_real\tp_fake\n10\t0.9\t0.1\n11\t0.9\t0.1\n", encoding="utf-8")
+    staged, whole = tmp_path / "staged", tmp_path / "pipeline"
+    _run(["stats", "--train", train, "--out-dir", staged])
+    assert '"evil"\t0\t2\n' in (staged / "domain_stats.tsv").read_text(encoding="utf-8")
+    _run([
+        "postprocess", "--data", test, "--predictions", files,
+        "--username-table", staged / "username_stats.tsv",
+        "--domain-table", staged / "domain_stats.tsv", "--out", staged / "decisions.tsv",
+    ])
+    (tmp_path / "run.ini").write_text(
+        f"[data]\ntrain = {train}\ntest = {test}\n[predictions]\nfiles = {files}\n"
+        f"[output]\ndir = {whole}\n",
+        encoding="utf-8",
+    )
+    _run(["pipeline", "--config", tmp_path / "run.ini"])
+    decisions = _content(staged / "decisions.tsv")
+    assert decisions == _content(whole / "decisions.tsv")
+    assert b"\n10\tfake\tdomain_rule\t" in decisions
