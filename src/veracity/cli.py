@@ -175,10 +175,11 @@ def cmd_evaluate(args) -> int:
     gold_path = require_file(args.gold, "gold data")
     pred_path = require_file(args.pred, "prediction")
     gold_by_id = {item.id: item.label for item in iter_dataset(gold_path, has_labels=True)}
+    require_items(gold_by_id, "the gold split", gold_path)
     predicted = _read_label_column(pred_path)
     missing = sorted(set(gold_by_id) - set(predicted))
     if missing:
-        raise DataError(f"predictions missing ids, e.g. {missing[:5]}")
+        raise DataError(f"the predictions {pred_path.name} miss ids of {gold_path.name}, e.g. {missing[:5]}")
     ordered_ids = sorted(gold_by_id)
     report = evaluate([gold_by_id[i] for i in ordered_ids], [predicted[i] for i in ordered_ids])
     print(report.format_text(f"{pred_path.name} vs {gold_path.name}"), end="")

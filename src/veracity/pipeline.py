@@ -40,7 +40,6 @@ from .evaluation import EvalReport, evaluate
 from .fileio import atomic_write_text
 from .heuristic import (
     DecisionInput,
-    HeuristicDecision,
     decide_inputs,
     decision_inputs,
     item_records,
@@ -182,20 +181,13 @@ def build_matrix(
     return restrict_to(source, [r[0] for r in records], f"{files} do not cover the {split} split: ")
 
 
-def _decided_by_counts(decisions: list[HeuristicDecision]) -> Counter:
-    return Counter(decision.decided_by.value for decision in decisions)
-
-
-def _report_text(
-    digest: str,
-    n_items: int,
-    scheme: str,
-    pre: EvalReport | None,
-    post: EvalReport | None,
-    decisions: list[HeuristicDecision],
-) -> str:
-    lines = [f"# config: {digest}", f"items: {n_items}", f"ensemble scheme: {scheme}"]
-    counts = _decided_by_counts(decisions)
+def _report_text(summary: dict, pre: EvalReport | None, post: EvalReport | None) -> str:
+    counts = summary["decided_by"]
+    lines = [
+        f"# config: {summary['config_hash']}",
+        f"items: {summary['n_items']}",
+        f"ensemble scheme: {summary['scheme']}",
+    ]
     lines.append(
         "decided_by: "
         + " ".join(f"{key}={counts.get(key, 0)}" for key in ("username_rule", "domain_rule", "ensemble"))
@@ -218,6 +210,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     Each test item is voted once, by the configured scheme, which sets
     ensemble.tsv's labels and the "ensemble only" metrics; the heuristic
     reads those results' mean probabilities, the same in both schemes.
+    Every check and every number comes before the last block, whose
+    writes can fail only on I/O.
     """
     require_paths(cfg, "train", "test")
     out_dir = Path(cfg.output_dir)
@@ -231,7 +225,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     require_items(records, "the test split", cfg.test_path)
     if isinstance(source, baseline.BowModel):
         # as the predict command does, so the file and the matrix match the staged chain's;
-        # before the matrix is built, so that it is not held beside the model's encoding
+        # the only writes before the last block, so that the model is not held through the vote
         model_path = out_dir / "baseline_model.json"
         baseline.save_model(source, model_path, config_hash=digest)
         predictions_path = out_dir / "baseline_predictions.tsv"
@@ -240,44 +234,38 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # with prediction files nothing is written yet: ids they miss stop the run here
     matrix = build_matrix(cfg, source, "test", records, vectors)
     del source, vectors  # a trained model and its vectors, or all the files' rows, past the matrix
-    written = [*save_tables(tables, out_dir, header_comment=f"config: {digest}"), *model_files]
     ensemble_results = vote_all(matrix, cfg.scheme)
     del matrix
-    ensemble_path = out_dir / "ensemble.tsv"
-    write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
-    written.append(ensemble_path)
-
     inputs = decision_inputs(records, ensemble_results)
     decisions = decide_inputs(inputs, cfg.heuristic)
-    decisions_path = out_dir / "decisions.tsv"
-    write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
-    written.append(decisions_path)
-
-    pre_report = post_report = None
     gold = [entry.gold for entry in inputs]
+    summary = {  # what report.txt and report.json both say of the run
+        "config_hash": digest,
+        "n_items": len(gold),
+        "scheme": cfg.scheme.value,
+        "threshold": cfg.heuristic.threshold,
+        "priority": [kind.value for kind in cfg.heuristic.priority],
+        "use_threshold": cfg.heuristic.threshold > 0.0,  # a fact of the threshold, not a setting
+        "decided_by": dict(Counter(decision.decided_by.value for decision in decisions)),
+    }
+    pre_report = post_report = None
     if None not in gold:
         pre_report = evaluate(gold, [result.label for result in ensemble_results])
         post_report = evaluate(gold, [decision.label for decision in decisions])
-        report_json = {
-            "config_hash": digest,
-            "n_items": len(gold),
-            "scheme": cfg.scheme.value,
-            "threshold": cfg.heuristic.threshold,
-            "priority": [kind.value for kind in cfg.heuristic.priority],
-            "use_threshold": cfg.heuristic.threshold > 0.0,  # a fact of the threshold, not a setting
-            "decided_by": dict(_decided_by_counts(decisions)),
-            "ensemble_only": asdict(pre_report),
-            "post_processed": asdict(post_report),
-        }
-        json_path = out_dir / "report.json"
-        atomic_write_text(json_path, json.dumps(report_json, indent=2, sort_keys=True) + "\n")
-        written.append(json_path)
 
+    written = [*save_tables(tables, out_dir, header_comment=f"config: {digest}"), *model_files]
+    ensemble_path = out_dir / "ensemble.tsv"
+    write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
+    decisions_path = out_dir / "decisions.tsv"
+    write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
+    written += [ensemble_path, decisions_path]
+    if pre_report is not None:
+        report = {**summary, "ensemble_only": asdict(pre_report), "post_processed": asdict(post_report)}
+        json_path = out_dir / "report.json"
+        atomic_write_text(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        written.append(json_path)
     report_path = out_dir / "report.txt"
-    atomic_write_text(
-        report_path,
-        _report_text(digest, len(gold), cfg.scheme.value, pre_report, post_report, decisions),
-    )
+    atomic_write_text(report_path, _report_text(summary, pre_report, post_report))
     written.append(report_path)
 
     return PipelineResult(pre_report, post_report, written)

@@ -96,7 +96,7 @@ def load_cache(path: Path | str | None) -> UrlExpansionCache:
     with open_lines(path) as lines:
         for raw in data_lines(lines):
             parts = raw.rstrip("\r\n").split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
+            if len(parts) != 2 or not all(parts):
                 raise BadRecord("expected short_url<TAB>expanded_url")
             entries[parts[0]] = parts[1]
     return UrlExpansionCache(entries)

@@ -934,6 +934,28 @@ def test_postprocess_empty_data_has_no_items_to_score(tiny_train, tmp_path, caps
     assert not out.exists()
 
 
+def test_evaluate_header_only_gold_has_no_items_to_score(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "p.tsv"
+    write_dataset_tsv(gold, [])
+    pred.write_text("id\tlabel\n1\treal\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--json-out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error (DataError): the gold split gold.tsv has no items to score\n"
+    )
+    assert not out.exists()
+
+
+def test_evaluate_names_both_files_when_predictions_miss_gold_ids(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "p.tsv"
+    write_dataset_tsv(gold, [(1, "a", "real"), (2, "b", "fake")])
+    pred.write_text("id\tlabel\n1\treal\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+    assert capsys.readouterr().err == (
+        "data error (DataError): the predictions p.tsv miss ids of gold.tsv, e.g. [2]\n"
+    )
+
+
 def test_predict_empty_data_has_no_items_to_score(tiny_train, tmp_path, capsys):
     model = tmp_path / "model.json"
     assert main(["train-baseline", "--train", str(tiny_train), "--out", str(model)]) == 0
@@ -960,21 +982,54 @@ def test_ensemble_header_only_predictions_have_no_items_to_score(tmp_path, capsy
     assert not out.exists()
 
 
+def _break_one_input(tmp_path, config_path, fault) -> str:
+    """Break one input of _pipeline_config's run as fault names; returns a part of the error."""
+    test_ids = [item.id for item in iter_dataset(tmp_path / "test.tsv")]
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    _write_prediction_file(a, [(item_id, 0.6, 0.4) for item_id in test_ids])
+    _write_prediction_file(b, [(item_id, 0.3, 0.7) for item_id in test_ids])
+    files = f"{a}, {b}"
+    if fault in ("train-row", "test-row"):
+        path = tmp_path / {"train-row": "train.tsv", "test-row": "test.tsv"}[fault]
+        path.write_text(path.read_text(encoding="utf-8") + "not an id\tword\treal\n", encoding="utf-8")
+        files, expected = "", f"bad record in {path.name}"
+    elif fault == "cache-row":
+        (tmp_path / "cache.tsv").write_text("https://t.co/a\n", encoding="utf-8")
+        files, expected = "", "bad record in cache.tsv (line 1)"
+    elif fault == "prediction-row":
+        b.write_text(b.read_text(encoding="utf-8") + "x\t0.5\t0.5\n", encoding="utf-8")
+        expected = "in b.tsv (line"
+    elif fault == "files-disagree":
+        _write_prediction_file(b, [(item_id, 0.3, 0.7) for item_id in test_ids[1:]])
+        expected = f"a.tsv vs b.tsv (missing e.g. [{test_ids[0]}]"
+    elif fault == "files-miss-test-ids":  # they cover the training split's ids, none of the test split's
+        train_ids = [item.id for item in iter_dataset(tmp_path / "train.tsv")]
+        _write_prediction_file(a, [(item_id, 0.6, 0.4) for item_id in train_ids])
+        files, expected = str(a), "a.tsv do not cover the test split"
+    else:
+        write_dataset_tsv(tmp_path / "test.tsv", [])
+        files, expected = "", "the test split test.tsv has no items to score"
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(text.replace("files = \n", f"files = {files}\n"), encoding="utf-8")
+    return expected
+
+
 @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over-an-earlier-run"])
-def test_pipeline_files_missing_test_ids_leave_the_output_as_it_was(tmp_path, capsys, earlier_run):
+@pytest.mark.parametrize("fault", [
+    "train-row", "test-row", "cache-row", "prediction-row",
+    "files-disagree", "files-miss-test-ids", "header-only-test",
+])
+def test_pipeline_failure_leaves_the_output_as_it_was(tmp_path, capsys, fault, earlier_run):
+    # every check comes before the first write, so a run that stops on its inputs writes nothing
     config_path = _pipeline_config(tmp_path)
     out = tmp_path / "out"
     if earlier_run:  # the built-in model's run: every artifact, each tagged with another config
         assert main(["pipeline", "--config", str(config_path)]) == 0
     before = {path: path.read_bytes() for path in sorted(out.rglob("*"))}
-    train = [item.id for item in iter_dataset(tmp_path / "train.tsv")]
-    files = tmp_path / "train_only.tsv"  # covers the training split's ids, none of the test split's
-    _write_prediction_file(files, [(item_id, 0.6, 0.4) for item_id in train])
-    text = config_path.read_text(encoding="utf-8")
-    config_path.write_text(text.replace("files = \n", f"files = {files}\n"), encoding="utf-8")
+    expected = _break_one_input(tmp_path, config_path, fault)
     capsys.readouterr()
     assert main(["pipeline", "--config", str(config_path)]) == 2
-    assert "train_only.tsv do not cover the test split" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert {path: path.read_bytes() for path in sorted(out.rglob("*"))} == before
     assert out.exists() == earlier_run
 
@@ -1135,6 +1190,25 @@ def test_a_run_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, capsys,
         runs.append((capsys.readouterr(), {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
         shutil.rmtree(out)
     assert runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def test_pipeline_reruns_match_across_hash_seeds(tmp_path):
+    """Two interpreters with different string hashes, so sets and dicts
+    of strings iterate in different orders, write the same bytes."""
+    config_path = _pipeline_config(tmp_path, n=80)
+    out = tmp_path / "out"
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "veracity.cli", "pipeline", "--config", str(config_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append((done.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+        shutil.rmtree(out)
+    assert "report.json" in runs[0][1]
     assert runs[1] == runs[0]
 
 

@@ -173,9 +173,12 @@ def test_cache_lookup_is_exact_string_match(tmp_path):
 
 def test_cache_bad_row_rejected(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("https://t.co/a only-one-column\n", encoding="utf-8")
-    with pytest.raises(BadRecord):
-        load_cache(path)
+    # one cell, then three: a row is exactly a short URL and its expansion
+    for row in ("https://t.co/a only-one-column", "http://t.co/a\thttps://news.sky/a\textra"):
+        path.write_text(f"# short_url\texpanded_url\n{row}\n", encoding="utf-8")
+        message = r"bad record in bad.tsv \(line 2\): expected short_url<TAB>expanded_url"
+        with pytest.raises(BadRecord, match=message):
+            load_cache(path)
 
 
 # --------------------------------------------------------------------------
