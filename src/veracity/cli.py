@@ -19,10 +19,10 @@ from pathlib import Path
 from . import baseline
 from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
 from .config import (
-    RunConfig, config_hash, load_config, override, parse_number, parse_positive, parse_priority, parse_scheme,
+    RunConfig, config_hash, load_config, parse_positive, parse_priority, parse_scheme, parse_threshold,
 )
 from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
-from .ensemble import VotingScheme, load_predictions, restrict_to, vote_all, write_ensemble_tsv
+from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
@@ -32,11 +32,11 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, data_lines, open_lines, parse_id, read_tsv, require_file
+from .fileio import atomic_write_text, parse_id, read_tsv, require_file
 from .heuristic import (
     DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, decision_inputs, write_decisions_tsv,
 )
-from .pipeline import ablation_contexts, require_items, run_pipeline, split_records
+from .pipeline import ablation_contexts, build_matrix, require_items, run_pipeline, split_records
 from .preprocess import extract_attributes, load_cache
 
 
@@ -58,11 +58,9 @@ def _tag(args, *inputs: Path | None) -> str:
 
 
 def _heuristic_from_args(args) -> HeuristicConfig:
-    return override(
-        HeuristicConfig(),
-        threshold=args.threshold,
-        priority=None if args.priority is None else parse_priority(args.priority, "--priority"),
-    )
+    priority = None if args.priority is None else parse_priority(args.priority, "--priority")
+    changes = {"threshold": args.threshold, "priority": priority}
+    return replace(HeuristicConfig(), **{key: value for key, value in changes.items() if value is not None})
 
 
 def _cache_path(args) -> Path | None:
@@ -148,7 +146,7 @@ def cmd_postprocess(args) -> int:
         (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
     records = split_records(data_path, tables, load_cache(cache_path))
     require_items(records, "the data split", data_path)
-    ensemble = vote_all(restrict_to(matrix, [record[0] for record in records]))
+    ensemble = vote_all(build_matrix(prediction_paths, matrix, "data", records, []))
     del matrix
     decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
     write_decisions_tsv(decisions, args.out, header_comment=f"config: {digest}")
@@ -240,15 +238,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_expand_urls(args) -> int:
     urls: list[str] = []
-    if args.urls_file:
-        urls_path = require_file(args.urls_file, "urls list")
-        with open_lines(urls_path) as lines:
-            urls.extend(line.strip() for line in data_lines(lines))
-    if args.data:
-        for item in iter_dataset(require_file(args.data, "data")):
-            urls.extend(extract_attributes(item.text).urls)
-    if not urls:
-        raise UsageError("nothing to expand: pass --urls-file and/or --data")
+    for item in iter_dataset(require_file(args.data, "data")):
+        urls.extend(extract_attributes(item.text).urls)
     from . import urlexpand  # the network stack, needed by this command alone
 
     resolved, failed = urlexpand.build_cache(urls, args.out, timeout=args.timeout)
@@ -296,8 +287,8 @@ def build_parser() -> _Parser:
     p.add_argument("--domain-table", required=True)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=lambda value: parse_number(value, "--threshold"),
-                   default=None, help="rule threshold; 0 drops it")
+    p.add_argument("--threshold", type=lambda value: parse_threshold(value, "--threshold"),
+                   default=None, help="rule threshold in [0, 1]; 0 drops it")
     p.add_argument("--priority", default=None,
                    help="attribute priority order, e.g. 'username,domain' or 'domain'")
     p.set_defaults(func=cmd_postprocess)
@@ -323,8 +314,7 @@ def build_parser() -> _Parser:
         "expand-urls",
         help="NETWORK: follow redirects to build the URL expansion cache",
     )
-    p.add_argument("--urls-file", default=None, help="one URL per line")
-    p.add_argument("--data", default=None, help="dataset to harvest URLs from")
+    p.add_argument("--data", required=True, help="dataset whose posts' URLs are resolved")
     p.add_argument("--out", required=True)
     p.add_argument("--timeout", type=lambda value: parse_positive(value, "--timeout"), default=10.0)
     p.set_defaults(func=cmd_expand_urls)

@@ -62,6 +62,14 @@ def parse_scheme(value: str, where: str) -> VotingScheme:
         raise UsageError(f"{where} must be soft or hard, got {value!r}") from None
 
 
+def parse_threshold(value: str, where: str) -> float:
+    """The heuristic's threshold, a number from 0 to 1."""
+    number = parse_number(value, where)
+    if not 0 <= number <= 1:
+        raise UsageError(f"{where} must be in [0, 1], got {value!r}")
+    return number
+
+
 def _unless_blank(parse):
     """parse, with a blank value keeping the default."""
     return lambda value, where: parse(value, where) if value.strip() else None
@@ -85,19 +93,10 @@ _KEYS = (
     ("data", "cache", "cache_path", _path),
     ("predictions", "files", "prediction_paths", _paths),
     ("ensemble", "scheme", "scheme", _unless_blank(parse_scheme)),
-    ("heuristic", "threshold", "heuristic.threshold", _unless_blank(parse_number)),
+    ("heuristic", "threshold", "heuristic.threshold", _unless_blank(parse_threshold)),
     ("heuristic", "priority", "heuristic.priority", _unless_blank(parse_priority)),
     ("output", "dir", "output_dir", _path),
 )
-
-
-def override(base, **changes):
-    """base, a settings dataclass such as HeuristicConfig, with every
-    change that is not None applied; an invalid result is a UsageError."""
-    try:
-        return replace(base, **{key: value for key, value in changes.items() if value is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _text(value) -> str:
@@ -171,7 +170,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                 groups.setdefault(group, {})[attr] = value
     settings = groups.pop("", {})
     for group, changes in groups.items():
-        settings[group] = override(getattr(RunConfig(), group), **changes)
+        settings[group] = replace(getattr(RunConfig(), group), **changes)
     return RunConfig(**settings)
 
 

@@ -171,13 +171,14 @@ def _attribute_process(cfg: RunConfig, split_paths: Sequence[Path]) -> Iterator:
 
 
 def build_matrix(
-    cfg: RunConfig, source: PredictionSource, split: str, records: list[tuple], vectors: list
+    prediction_paths: Sequence[Path], source: PredictionSource, split: str,
+    records: list[tuple], vectors: list,
 ) -> PredictionMatrix:
     """Exactly the split's prediction rows: trimmed from the files, which
-    may cover a superset of it, or the model's vectors."""
+    may cover a superset of it and are named if they miss an id, or the model's vectors."""
     if isinstance(source, baseline.BowModel):
         return matrix_from_vectors({source.model_name: vectors})
-    files = ", ".join(path.name for path in cfg.prediction_paths)
+    files = ", ".join(path.name for path in prediction_paths)
     return restrict_to(source, [r[0] for r in records], f"{files} do not cover the {split} split: ")
 
 
@@ -219,7 +220,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     splits = [cfg.test_path]
     with _attribute_process(cfg, splits) as (beside, claim, rest):
-        digest = config_hash(cfg, inputs=splits)  # while the child reads
+        # while the child reads; the validation split, which this run does not read, left out
+        digest = config_hash(replace(cfg, validation_path=None), inputs=splits)
         source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
     require_items(records, "the test split", cfg.test_path)
@@ -232,7 +234,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
         model_files = [model_path, predictions_path]
     # with prediction files nothing is written yet: ids they miss stop the run here
-    matrix = build_matrix(cfg, source, "test", records, vectors)
+    matrix = build_matrix(cfg.prediction_paths, source, "test", records, vectors)
     del source, vectors  # a trained model and its vectors, or all the files' rows, past the matrix
     ensemble_results = vote_all(matrix, cfg.scheme)
     del matrix
@@ -295,7 +297,7 @@ def ablation_contexts(
             require_items(records, f"the {name} split", path)
             if any(record[3] is None for record in records):
                 raise UsageError(f"the {name} split must be labeled for an ablation run")
-            ensemble = vote_all(build_matrix(cfg, source, name, records, vectors))
+            ensemble = vote_all(build_matrix(cfg.prediction_paths, source, name, records, vectors))
             contexts.append(decision_inputs(records, ensemble))
             del records, vectors, ensemble  # not held beside the next split's
     return *contexts, digest

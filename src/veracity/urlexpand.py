@@ -11,7 +11,7 @@ import sys
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .preprocess import UrlExpansionCache, load_cache, save_cache
 
@@ -33,7 +33,6 @@ def build_cache(
     urls: Iterable[str],
     out_path: Path | str,
     timeout: float = 10.0,
-    resolver: Callable[[str, float], str] | None = None,
 ) -> tuple[int, int]:
     """Resolve each distinct URL and merge the results into the cache
     file at out_path, creating it if there is none.
@@ -48,15 +47,13 @@ def build_cache(
     URL is fetched, so an out_path that cannot be written is a UsageError
     that costs no network time.
     """
-    if resolver is None:
-        resolver = resolve_redirect
     out_path = Path(out_path)
     entries = dict(load_cache(out_path).entries) if out_path.is_file() else {}
     save_cache(UrlExpansionCache(entries), out_path)
     resolved = failed = 0
     for url in dict.fromkeys(urls):
         try:
-            expanded = resolver(url, timeout)
+            expanded = resolve_redirect(url, timeout)
         except Exception as exc:
             failed += 1
             print(f"expand-urls: {url}: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from veracity.cli import main
 from veracity.config import RunConfig, config_hash, load_config, parse_config_text
 from veracity.corpus import Label, iter_dataset
 from veracity.errors import UsageError
+from veracity.preprocess import load_cache
 
 
 TINY_ROWS = [
@@ -66,6 +67,8 @@ def test_subcommand_help_exits_0(command, capsys):
       for flag, value in (("--threshold", "0.5"), ("--priority", "domain"))),
     pytest.param(["pipeline", "--config", "run.ini"], ["--scheme", "hard"], id="pipeline --scheme"),
     pytest.param(["ablate", "--config", "run.ini"], ["--ordering", "domain"], id="ablate --ordering"),
+    pytest.param(["expand-urls", "--data", "d.tsv", "--out", "c.tsv"], ["--urls-file", "u.txt"],
+                 id="expand-urls --urls-file"),
 ])
 def test_removed_flags_are_usage_errors(argv, removed, capsys):
     assert main(argv + removed) == 1
@@ -491,6 +494,26 @@ def test_pipeline_id_mismatch_exit_2(tmp_path, capsys):
     assert "a.tsv" in err and "b.tsv" in err
 
 
+def test_postprocess_id_mismatch_names_the_files_and_the_split(tiny_train, tmp_path, capsys):
+    """postprocess reports prediction files that miss an id as pipeline does."""
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    preds = tmp_path / "p1.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in (1, 3, 4, 5, 6)])
+    out = tmp_path / "decisions.tsv"
+    rc = main(
+        ["postprocess", "--data", str(tiny_train), "--predictions", str(preds),
+         "--username-table", str(stats_dir / "username_stats.tsv"),
+         "--domain-table", str(stats_dir / "domain_stats.tsv"), "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error (IdSetMismatch): prediction id sets do not line up: "
+        "p1.tsv do not cover the data split: no predictions for items [2]\n"
+    )
+    assert not out.exists()
+
+
 def test_pipeline_flag_overrides_config(tmp_path):
     # --out-dir, a place and not a setting, is the one flag that overrides the config
     config_path = _pipeline_config(tmp_path)
@@ -537,6 +560,7 @@ _STAGE_ARGV = {
 @pytest.mark.parametrize("setting, section, default, value, rule", [
     ("scheme", "ensemble", "soft", "vote", " must be soft or hard"),
     ("threshold", "heuristic", "0.88", "abc", ": expected a number"),
+    ("threshold", "heuristic", "0.88", "1.5", " must be in [0, 1]"),
 ])
 @pytest.mark.parametrize("given_by", ["flag", "config"])
 def test_flag_and_config_key_report_a_bad_value_alike(
@@ -753,12 +777,11 @@ def test_expand_urls_with_injected_resolver(tmp_path, monkeypatch, capsys):
         return url
 
     monkeypatch.setattr(urlexpand, "resolve_redirect", fake_resolver)
-    urls_file = tmp_path / "urls.txt"
-    urls_file.write_text(
-        "https://t.co/x\nhttps://die.example/z\nhttps://stable.org/a\n", encoding="utf-8"
-    )
+    data = tmp_path / "posts.tsv"
+    write_dataset_tsv(data, [(1, "see https://t.co/x and https://die.example/z"),
+                             (2, "also https://stable.org/a")], labeled=False)
     out = tmp_path / "cache.tsv"
-    rc = main(["expand-urls", "--urls-file", str(urls_file), "--out", str(out)])
+    rc = main(["expand-urls", "--data", str(data), "--out", str(out)])
     assert rc == 0
     body = out.read_text(encoding="utf-8")
     assert "https://t.co/x\thttps://news.sky/story/long" in body
@@ -777,9 +800,9 @@ def test_expand_urls_merges_into_existing_cache(tmp_path, monkeypatch, capsys):
     out.write_text(
         "# short_url\texpanded_url\nhttps://t.co/old\thttps://news.sky/old-story\n", encoding="utf-8"
     )
-    urls_file = tmp_path / "urls.txt"
-    urls_file.write_text("https://t.co/old\nhttps://t.co/new\n", encoding="utf-8")
-    assert main(["expand-urls", "--urls-file", str(urls_file), "--out", str(out)]) == 0
+    data = tmp_path / "posts.tsv"
+    write_dataset_tsv(data, [(1, "https://t.co/old then https://t.co/new")], labeled=False)
+    assert main(["expand-urls", "--data", str(data), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").splitlines() == [
         "# short_url\texpanded_url",
         "https://t.co/new\thttps://news.sky/new-story",
@@ -798,11 +821,11 @@ def test_expand_urls_checks_out_before_fetching(tmp_path, monkeypatch, capsys):
         return "https://news.sky/story"
 
     monkeypatch.setattr(urlexpand, "resolve_redirect", counting_resolver)
-    urls_file = tmp_path / "urls.txt"
-    urls_file.write_text("https://t.co/a\nhttps://t.co/b\n", encoding="utf-8")
+    data = tmp_path / "posts.tsv"
+    write_dataset_tsv(data, [(1, "https://t.co/a"), (2, "https://t.co/b")], labeled=False)
     out = tmp_path / "cache_dir"
     out.mkdir()
-    assert main(["expand-urls", "--urls-file", str(urls_file), "--out", str(out)]) == 1
+    assert main(["expand-urls", "--data", str(data), "--out", str(out)]) == 1
     assert f"usage error: cannot write {out}: Is a directory" in capsys.readouterr().err
     assert fetched == []
     assert not list(tmp_path.rglob("*.tmp"))
@@ -812,17 +835,31 @@ def test_expand_urls_requires_input(tmp_path):
     assert main(["expand-urls", "--out", str(tmp_path / "c.tsv")]) == 1
 
 
+def test_expand_urls_on_posts_without_links_resolves_nothing(tmp_path, monkeypatch, capsys):
+    def unreachable(url, timeout):
+        raise AssertionError("no URL may be fetched")
+
+    monkeypatch.setattr(urlexpand, "resolve_redirect", unreachable)
+    data = tmp_path / "posts.tsv"
+    write_dataset_tsv(data, [(1, "plain words only"), (2, "@icmr says fine")], labeled=False)
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("https://t.co/x\thttps://news.sky/a\n", encoding="utf-8")
+    assert main(["expand-urls", "--data", str(data), "--out", str(cache)]) == 0
+    assert capsys.readouterr().out == f"resolved 0 urls (0 failed) -> {cache}\n"
+    assert load_cache(cache).entries == {"https://t.co/x": "https://news.sky/a"}
+
+
 @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
 def test_expand_urls_timeout_must_be_finite_and_positive(tmp_path, monkeypatch, capsys, timeout):
     def unreachable(url, timeout):
         raise AssertionError("no URL may be fetched")
 
     monkeypatch.setattr(urlexpand, "resolve_redirect", unreachable)
-    urls_file = tmp_path / "urls.txt"
-    urls_file.write_text("https://t.co/x\n", encoding="utf-8")
+    data = tmp_path / "posts.tsv"
+    write_dataset_tsv(data, [(1, "https://t.co/x")], labeled=False)
     cache = tmp_path / "cache.tsv"
     cache.write_text("https://t.co/x\thttps://news.sky/a\n", encoding="utf-8")
-    argv = ["expand-urls", "--urls-file", str(urls_file), "--out", str(cache), "--timeout", timeout]
+    argv = ["expand-urls", "--data", str(data), "--out", str(cache), "--timeout", timeout]
     assert main(argv) == 1
     expected = f"usage error: --timeout must be a finite, positive number, got {timeout!r}"
     assert expected in capsys.readouterr().err

@@ -7,11 +7,13 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_dataset_tsv
+from veracity import urlexpand
 from veracity.cli import main
 from veracity.corpus import iter_dataset, load_dataset
 from veracity.errors import DataError
@@ -335,10 +337,15 @@ def test_any_dataset_bytes_end_in_exit_0_1_or_2(model_path, data):
         assert main(["stats", "--train", str(path), "--out-dir", f"{tmp}/o"]) in (0, 1, 2)
         assert main(["predict", "--model", str(model_path), "--data", str(path),
                      "--out", f"{tmp}/p.tsv"]) in (0, 1, 2)
+        # patched here, not by a fixture: hypothesis runs every example in one test call
+        with mock.patch.object(urlexpand, "resolve_redirect", side_effect=OSError("no network")):
+            expanded = main(["expand-urls", "--data", str(path), "--out", f"{tmp}/c.tsv"])
+        assert expanded in (0, 1, 2)
         try:
             dataset = load_dataset(path)
         except DataError:
             return
+        assert expanded == 0
         labeled = all(item.label is not None for item in dataset)
         for save_delimiter in ("\t", ","):
             copy = Path(tmp) / "copy.txt"

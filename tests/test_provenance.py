@@ -189,13 +189,19 @@ def test_every_input_byte_is_in_the_tag(template, tmp_path, monkeypatch, name, c
 
 
 def test_a_split_the_run_does_not_read_is_not_in_the_tag(template, tmp_path, monkeypatch):
-    """pipeline reads no validation split, though the config names one."""
+    """pipeline reads no validation split, though the config names one:
+    neither its bytes nor its path, nor whether there is one, is in the tag."""
     inputs = tmp_path / "inputs"
     shutil.copytree(template, inputs)
     monkeypatch.chdir(inputs)
-    before = _tag(_run(tmp_path / "out", "pipeline"))
+    written = _run(tmp_path / "out", "pipeline")
+    before = _tag(written)
     (inputs / "validation.tsv").write_bytes(b"not read\n")
     assert _tag(_run(tmp_path / "out", "pipeline")) == before
+    (inputs / "other.ini").write_text(_CONFIG.replace("validation.tsv", "copy/validation.tsv"), encoding="utf-8")
+    (inputs / "none.ini").write_text(_CONFIG.replace("validation = validation.tsv\n", ""), encoding="utf-8")
+    for config in ("other.ini", "none.ini"):
+        assert _run(tmp_path / config, "pipeline", ["--config", config]) == written
 
 
 def test_the_scheme_ablate_does_not_use_is_not_in_the_tag(template, tmp_path, monkeypatch):
