@@ -141,14 +141,17 @@ def cmd_postprocess(args) -> int:
     cache_path = _cache_path(args)
     cfg = _heuristic_from_args(args)
     digest = _tag(args, data_path, *prediction_paths, username_path, domain_path, cache_path)
-    matrix = load_predictions(prediction_paths)
     tables = {kind: load_table(path, kind) for kind, path in (
         (AttributeKind.USERNAME, username_path), (AttributeKind.DOMAIN, domain_path))}
     records = split_records(data_path, tables, load_cache(cache_path))
     require_items(records, "the data split", data_path)
+    del tables  # dropped, like the cache, before the prediction files are read
+    matrix = load_predictions(prediction_paths)
     ensemble = vote_all(build_matrix(prediction_paths, matrix, "data", records, []))
     del matrix
-    decisions = decide_inputs(decision_inputs(records, ensemble), cfg)
+    inputs = decision_inputs(records, ensemble)
+    del records, ensemble  # the inputs hold what the decisions need of them
+    decisions = decide_inputs(inputs, cfg)
     write_decisions_tsv(decisions, args.out, header_comment=f"config: {digest}")
     print(f"wrote {len(decisions)} decisions to {args.out}")
     return 0
@@ -289,8 +292,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--threshold", type=lambda value: parse_threshold(value, "--threshold"),
                    default=None, help="rule threshold in [0, 1]; 0 drops it")
-    p.add_argument("--priority", default=None,
-                   help="attribute priority order, e.g. 'username,domain' or 'domain'")
+    # checked as it is parsed, but kept as written, which the tag hashes
+    p.add_argument("--priority", type=lambda value: parse_priority(value, "--priority") and value,
+                   default=None, help="attribute priority order, e.g. 'username,domain' or 'domain'")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")

@@ -10,16 +10,20 @@ tie resolves to real in both schemes.
 from __future__ import annotations
 
 import operator
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import partial
+from itertools import groupby, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .baseline import PredictionVector
 from .corpus import Label
-from .errors import BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError
+from .errors import (
+    BadProbabilities, BadRecord, DataError, DuplicateId, IdSetMismatch, NoModels, UsageError,
+)
 from .fileio import parse_id, read_tsv, write_tsv
 
 # The sums a prediction pair may have; anything further off is corrupt.
@@ -50,9 +54,9 @@ class EnsembleResult:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Every model's predictions for the same items, one float column per
-    model and class: p_real[k][j] and p_fake[k][j] are model k's
-    probabilities for item_ids[j], and item_ids ascend.
+    """Every model's predictions for the same items, one array('d') of
+    exact doubles per model and class: p_real[k][j] and p_fake[k][j] are
+    model k's probabilities for item_ids[j], and item_ids ascend.
 
     rows is a read-only view of the same numbers as id -> one vector per
     model, built only for the items looked up.
@@ -60,8 +64,8 @@ class PredictionMatrix:
 
     model_names: tuple[str, ...]
     item_ids: tuple[int, ...]
-    p_real: tuple[tuple[float, ...], ...]
-    p_fake: tuple[tuple[float, ...], ...]
+    p_real: tuple[array, ...]
+    p_fake: tuple[array, ...]
 
     def __post_init__(self) -> None:
         width, height = len(self.model_names), len(self.item_ids)
@@ -160,55 +164,97 @@ def _renormalized(
     return p_real / total, p_fake / total
 
 
-def _read_prediction_file(path: Path, model_name: str) -> dict[int, tuple[float, float]]:
-    """id -> (p_real, p_fake), renormalized to sum to 1."""
-    pairs: dict[int, tuple[float, float]] = {}
+#: A column as read, in its own order: ids, p_real and p_fake.
+Column = tuple[list[int], array, array]
+
+
+def _column(
+    triples: Iterable[tuple[int, float, float]], model_name: str,
+    expected: Sequence[int] = (), source: str | None = None,
+) -> Column:
+    """The triples' ids and renormalized pairs, in the triples' order. A
+    repeated id is a DuplicateId naming source. The ids go into a set only
+    from the first one out of a known order: expected's, the ids of a
+    column already checked, or else ascending."""
+    ids: list[int] = []
+    reals, fakes = array("d"), array("d")
+    seen: set[int] | None = None
+    for item_id, p_real, p_fake in triples:
+        if seen is None:
+            n = len(ids)
+            in_order = (n < len(expected) and item_id == expected[n]) if expected else (not ids or ids[-1] < item_id)
+            if not in_order:
+                seen = set(ids)
+        if seen is not None:
+            if item_id in seen:
+                raise DuplicateId(item_id, source)
+            seen.add(item_id)
+        p_real, p_fake = _renormalized(item_id, model_name, p_real, p_fake)
+        ids.append(item_id)
+        reals.append(p_real)
+        fakes.append(p_fake)
+    return ids, reals, fakes
+
+
+def _parsed(row: Sequence[str]) -> tuple[int, float, float]:
+    try:
+        return parse_id(row[0]), float(row[1]), float(row[2])
+    except ValueError:
+        raise BadRecord(f"unparseable row {row!r}") from None
+
+
+def _read_prediction_file(path: Path, model_name: str, expected: Sequence[int] = ()) -> Column:
+    """A prediction file's column, in file order (see _column)."""
     with read_tsv(path, ("id", "p_real", "p_fake")) as (_, rows):
-        for row in rows:
-            try:
-                item_id, p_real, p_fake = parse_id(row[0]), float(row[1]), float(row[2])
-            except ValueError:
-                raise BadRecord(f"unparseable row {row!r}") from None
-            if item_id in pairs:
-                raise DuplicateId(item_id)
-            pairs[item_id] = _renormalized(item_id, model_name, p_real, p_fake)
-    return pairs
+        return _column(map(_parsed, rows), model_name, expected)
+
+
+def _ascending(ids: Sequence[int]) -> array | None:
+    """The positions of ids in ascending order, or None when they ascend already."""
+    if all(map(operator.lt, ids, islice(ids, 1, None))):
+        return None
+    return array("q", sorted(range(len(ids)), key=ids.__getitem__))
+
+
+def _taken(values: Sequence, positions: array | None) -> Iterable:
+    return values if positions is None else map(values.__getitem__, positions)
 
 
 def _aligned(
-    names: Sequence[str],
-    columns: Iterable[dict[int, tuple[float, float]]],
-    sources: Sequence[str],
+    names: Sequence[str], columns: Iterable[Callable[[Sequence[int]], Column]], sources: Sequence[str],
 ) -> PredictionMatrix:
-    """The matrix of one id -> renormalized (p_real, p_fake) column per
-    model. Every column must cover the first one's ids; sources name the
-    columns in the mismatch message. Columns are taken one at a time and
-    emptied as their floats are copied out, so they may be read lazily.
-    After a mismatch the remaining columns are still drawn, so an error
-    raised while producing one comes before the mismatch."""
+    """The matrix of one column per model, each read by a call given the
+    first column's ids in its own order. Every column must hold the first
+    one's ids; sources name the columns in the mismatch message. A column
+    whose ids come in the first one's order is taken as that one is: as
+    it is when they ascend, or through the same permutation. Columns are
+    read one at a time, and after a mismatch the remaining ones are still
+    read, so an error raised while reading one comes before the mismatch."""
     columns = iter(columns)
-    ids: set[int] | None = None  # made only when a second column is checked
+    first: Sequence[int] = ()
+    order: array | None = None
     item_ids: tuple[int, ...] = ()
     reals, fakes = [], []
     mismatch = None
     for index, source in enumerate(sources):
-        # drawn with next(), not zip(), whose reused result tuple would
-        # hold the last column while the next one is read
-        column = next(columns)
+        ids, p_real, p_fake = next(columns)(first)
         if index == 0:
-            item_ids = tuple(sorted(column))
-        elif mismatch is None and column.keys() != (ids := ids or set(item_ids)):
-            missing = sorted(ids - column.keys())[:3]
-            extra = sorted(column.keys() - ids)[:3]
-            mismatch = IdSetMismatch(
-                f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
-            )
+            first, order = ids, _ascending(ids)
+            item_ids = tuple(_taken(ids, order))
+        positions = order
+        if ids != first:
+            positions = _ascending(ids)
+            if mismatch is None and tuple(_taken(ids, positions)) != item_ids:
+                expected, found = set(item_ids), set(ids)
+                missing = sorted(expected - found)[:3]
+                extra = sorted(found - expected)[:3]
+                mismatch = IdSetMismatch(
+                    f"{sources[0]} vs {source} (missing e.g. {missing}, unexpected e.g. {extra})"
+                )
         if mismatch is None:
-            # no list of the floats beside each tuple, and each pair is
-            # freed as its second float is copied out
-            reals.append(tuple(map(operator.itemgetter(0), map(column.__getitem__, item_ids))))
-            fakes.append(tuple(map(operator.itemgetter(1), map(column.pop, item_ids))))
-        del column  # not held while the next column is read
+            reals.append(p_real if positions is None else array("d", _taken(p_real, positions)))
+            fakes.append(p_fake if positions is None else array("d", _taken(p_fake, positions)))
+        del ids, p_real, p_fake  # not held while the next column is read
     if mismatch is not None:
         raise mismatch
     return PredictionMatrix(tuple(names), item_ids, tuple(reals), tuple(fakes))
@@ -225,43 +271,54 @@ def load_predictions(paths: Sequence[Path | str]) -> PredictionMatrix:
     if not resolved:
         raise UsageError("at least one prediction file is required")
     names = [p.stem for p in resolved]
-    columns = (_read_prediction_file(p, name) for p, name in zip(resolved, names))
+    columns = (partial(_read_prediction_file, p, name) for p, name in zip(resolved, names))
     return _aligned(names, columns, [p.name for p in resolved])
 
 
 def restrict_to(matrix: PredictionMatrix, ids: Iterable[int], whose: str = "") -> PredictionMatrix:
     """Subset a matrix to ids it must all cover; whose starts a mismatch message."""
-    wanted = sorted(set(ids))
-    position = {item_id: j for j, item_id in enumerate(matrix.item_ids)}
-    missing = [item_id for item_id in wanted if item_id not in position]
+    item_ids = matrix.item_ids
+    wanted = [item_id for item_id, _ in groupby(sorted(ids))]  # no set of the ids
+    keep = array("q", (bisect_left(item_ids, item_id) for item_id in wanted))
+    missing = [
+        item_id for item_id, j in zip(wanted, keep) if j == len(item_ids) or item_ids[j] != item_id
+    ]
     if missing:
         raise IdSetMismatch(f"{whose}no predictions for items {missing[:5]}")
-    if len(wanted) == len(position):
+    if len(wanted) == len(item_ids):
         return matrix
-    keep = [position[item_id] for item_id in wanted]
     return PredictionMatrix(
         matrix.model_names,
         tuple(wanted),
-        tuple(tuple([column[j] for j in keep]) for column in matrix.p_real),
-        tuple(tuple([column[j] for j in keep]) for column in matrix.p_fake),
+        tuple(array("d", _taken(column, keep)) for column in matrix.p_real),
+        tuple(array("d", _taken(column, keep)) for column in matrix.p_fake),
     )
 
 
-def matrix_from_vectors(named: Mapping[str, Iterable[PredictionVector]]) -> PredictionMatrix:
+def _vector_triples(vectors: Iterable[PredictionVector]) -> Iterator[tuple[int, float, float]]:
+    for item_id, p_real, p_fake, _ in vectors:
+        if item_id < 0:  # as parse_id rejects it in a file
+            raise BadRecord(f"id {item_id} is negative")
+        yield item_id, p_real, p_fake
+
+
+def _vector_column(name: str, vectors: Sequence[PredictionVector], _expected: Sequence[int]) -> Column:
+    """A model's vectors as a column in ascending id order, so that no set
+    of the ids is made; the first error in the vectors' own order is
+    looked for only once the sorted vectors hold one."""
+    try:
+        return _column(_vector_triples(sorted(vectors, key=operator.itemgetter(0))), name, (), name)
+    except DataError:
+        _column(_vector_triples(vectors), name, (), name)
+        raise
+
+
+def matrix_from_vectors(named: Mapping[str, Sequence[PredictionVector]]) -> PredictionMatrix:
     """Build a matrix from in-memory model outputs (e.g. the baseline),
     each vector checked and renormalized as a prediction file's row is."""
     if not named:
         raise NoModels()
-    columns: list[dict[int, tuple[float, float]]] = []
-    for name, vectors in named.items():
-        pairs: dict[int, tuple[float, float]] = {}
-        for item_id, p_real, p_fake, _ in vectors:
-            if item_id < 0:  # as parse_id rejects it in a file
-                raise BadRecord(f"id {item_id} is negative")
-            if item_id in pairs:
-                raise DuplicateId(item_id, source=name)
-            pairs[item_id] = _renormalized(item_id, name, p_real, p_fake)
-        columns.append(pairs)
+    columns = (partial(_vector_column, name, vectors) for name, vectors in named.items())
     return _aligned(list(named), columns, [f"model {name!r}" for name in named])
 
 

@@ -514,6 +514,33 @@ def test_postprocess_id_mismatch_names_the_files_and_the_split(tiny_train, tmp_p
     assert not out.exists()
 
 
+def test_postprocess_reports_flags_then_tables_cache_and_data_then_predictions(
+    tiny_train, tmp_path, capsys
+):
+    """A bad --priority is refused as the command line is parsed, before any
+    path is checked; past that, --data is read before the prediction files,
+    so when both are malformed the data split's error is the one reported."""
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    out = tmp_path / "decisions.tsv"
+    tables = ["--username-table", str(stats_dir / "username_stats.tsv"),
+              "--domain-table", str(stats_dir / "domain_stats.tsv"), "--out", str(out)]
+    absent = str(tmp_path / "absent.tsv")
+    assert main(["postprocess", "--data", absent, "--predictions", absent, *tables,
+                 "--priority", "bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --priority: expected names from username/domain, got 'bogus'\n"
+    )
+    data, preds = tmp_path / "data.tsv", tmp_path / "p1.tsv"
+    data.write_text("id\ttweet\tlabel\n1\tfine words\treal\nx\tmore words\treal\n", encoding="utf-8")
+    preds.write_text("id\tp_real\tp_fake\n1\t0.9\n", encoding="utf-8")
+    assert main(["postprocess", "--data", str(data), "--predictions", str(preds), *tables]) == 2
+    assert capsys.readouterr().err == (
+        "data error (BadRecord): bad record in data.tsv (line 3): id 'x' is not an integer\n"
+    )
+    assert not out.exists()
+
+
 def test_pipeline_flag_overrides_config(tmp_path):
     # --out-dir, a place and not a setting, is the one flag that overrides the config
     config_path = _pipeline_config(tmp_path)
@@ -697,7 +724,7 @@ def test_repeated_priority_name_is_usage_error(tmp_path, monkeypatch, capsys, gi
             text.replace("priority = username, domain", "priority = username, Username"),
             encoding="utf-8",
         )
-    else:  # postprocess parses its flags once its input paths are found to exist
+    else:  # postprocess checks --priority as its command line is parsed
         exists = str(tmp_path / "test.tsv")
         argv = ["postprocess", "--data", exists, "--predictions", exists, "--username-table", exists,
                 "--domain-table", exists, "--out", str(tmp_path / "d.tsv"), given_by, "username, Username"]

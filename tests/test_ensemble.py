@@ -26,11 +26,14 @@ from veracity.ensemble import (
 from veracity.errors import (
     BadProbabilities,
     BadRecord,
+    DataError,
     DuplicateId,
     IdSetMismatch,
     NoModels,
 )
 from veracity.fileio import open_lines, parse_id
+
+from test_inputs import _CELLS
 
 
 def pv(p_real, item_id=0, name="m"):
@@ -215,6 +218,18 @@ def test_load_predictions_duplicate_id(tmp_path):
         load_predictions([path])
 
 
+@pytest.mark.parametrize("first_ids", [(5, 1, 9), (5, 1)], ids=["within", "past its end"])
+def test_a_file_that_leaves_the_first_files_order_is_checked_for_repeats(tmp_path, first_ids):
+    # b follows a's order for two rows, then repeats an id it read while
+    # following it; a file in a's order is not put in a set until it leaves it
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    _write_predictions(a, [(i, 0.5, 0.5) for i in first_ids])
+    _write_predictions(b, [(5, 0.6, 0.4), (1, 0.3, 0.7), (5, 0.5, 0.5)])
+    with pytest.raises(DuplicateId) as exc_info:
+        load_predictions([a, b])
+    assert str(exc_info.value) == "duplicate item id 5 in b.tsv (line 4)"
+
+
 def test_load_predictions_header_required(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("1\t0.6\t0.4\n", encoding="utf-8")
@@ -323,8 +338,9 @@ def oracle_read(path, model_name):
         header = next(rows, None)
         if header is None:
             raise BadRecord("file is empty")
-        if [cell.strip().lower() for cell in header] != ["id", "p_real", "p_fake"]:
-            raise BadRecord(f"expected header id/p_real/p_fake, found {header!r}")
+        names = [cell.strip().lower() for cell in header]
+        if names != ["id", "p_real", "p_fake"]:  # shown stripped and lowercased
+            raise BadRecord(f"expected header id/p_real/p_fake, found {names!r}")
         for row in rows:
             if len(row) != 3:
                 raise BadRecord(f"expected 3 columns, found {len(row)}")
@@ -474,6 +490,37 @@ def test_columnar_matrix_matches_row_oracle(tmp_path_factory, case):
     assert _outcome(restrict_to, matrix, unknown) == _outcome(oracle_restrict, rows, unknown)
 
 
+# A prediction file's text as test_inputs builds any reader's: a comment,
+# the header or not, a byte-order mark, CRLF, and rows of arbitrary cells
+# (nan, inf, 1e309, " ", '"', short and long rows).
+PREDICTION_TEXTS = st.builds(
+    lambda comment, header, bom, newline, final, rows: ("\ufeff" if bom else "") + newline.join(
+        (["# config: x"] if comment else []) + (["id\tp_real\tp_fake"] if header else [])
+        + ["\t".join(row) for row in rows]
+    ) + (newline if final else ""),
+    st.booleans(), st.booleans(), st.booleans(), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+    st.lists(st.lists(_CELLS, max_size=5), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PREDICTION_TEXTS, min_size=1, max_size=3))
+def test_any_prediction_bytes_load_as_the_row_oracle_does(tmp_path_factory, texts):
+    root = tmp_path_factory.mktemp("any")
+    paths = []
+    for index, text in enumerate(texts):
+        paths.append(root / f"m{index}.tsv")
+        paths[-1].write_text(text, encoding="utf-8", newline="")
+    matrix = _outcome(load_predictions, paths)
+    rows = _outcome(oracle_load, paths)
+    if isinstance(rows, tuple):
+        assert matrix == rows
+        return
+    assert matrix.model_names == tuple(p.stem for p in paths)
+    assert matrix.item_ids == tuple(rows)
+    assert all(matrix.rows[item_id] == row for item_id, row in rows.items())
+
+
 def _ulps_from(value, ulps):
     """value moved by |ulps| representable floats, up when ulps > 0."""
     toward = math.inf if ulps > 0 else -math.inf
@@ -531,6 +578,26 @@ def test_bad_vectors_fail_as_their_file_rows_do(tmp_path, pair, detail):
     assert str(from_file.value) == f"{in_memory.value} in m.tsv (line 3)"
 
 
+@pytest.mark.parametrize("order, error", [
+    ([5, 1, 1], "model 'm', item 5: probabilities sum to 1.02, outside [0.99, 1.01]"),
+    ([1, 1, 5], "duplicate item id 1"),
+])
+def test_vectors_report_their_first_error_in_their_own_order(tmp_path, order, error):
+    """The vectors are read in id order, yet the error is the one their
+    own order meets first, as it is for a file holding the same rows."""
+    pairs = {5: (0.6, 0.42), 1: (0.5, 0.5)}
+    vectors = [PredictionVector(i, *pairs[i], "m") for i in order]
+    path = tmp_path / "m.tsv"
+    _write_predictions(path, [(i, *pairs[i]) for i in order])
+    with pytest.raises(DataError) as in_memory:
+        matrix_from_vectors({"m": vectors})
+    with pytest.raises(DataError) as from_file:
+        load_predictions([path])
+    assert str(in_memory.value).startswith(error)
+    assert type(from_file.value) is type(in_memory.value)
+    assert str(from_file.value).startswith(error)
+
+
 def _eight_model_files(tmp_path):
     rng = random.Random(8)
     ids = rng.sample(range(1, 10**6), 2000)
@@ -542,7 +609,10 @@ def _eight_model_files(tmp_path):
     return paths
 
 
-def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
+def test_matrix_holds_under_40_bytes_per_cell(tmp_path):
+    """Each probability is 8 bytes in its float array, and each id an int
+    and a pointer: about 23 B per cell here, against 76 B when the
+    columns held boxed floats in tuples."""
     paths = _eight_model_files(tmp_path)
     tracemalloc.start()
     try:
@@ -551,16 +621,17 @@ def test_matrix_holds_under_100_bytes_per_cell(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(matrix.item_ids) * len(matrix.model_names) == 16_000
-    assert held / 16_000 < 100
+    assert held / 16_000 < 40
 
 
 def test_loading_peaks_under_20_bytes_per_cell_above_the_matrix(tmp_path):
-    """Each file's rows are dropped once its columns are built, so the
-    load peaks at the matrix plus about one file's rows: 14 B per cell
-    above what the matrix holds here, 27 B when one file's rows outlive
-    its columns, and 112 B when every file's rows are held until the end.
-    The excess is pinned, not the peak, because the peak moves with the
-    interpreter's free lists while the excess does not."""
+    """Each file is read straight into its ids and two float arrays, which
+    are dropped once its columns are built, so the load peaks at the
+    matrix plus about one file's arrays: 9 B per cell above what the
+    matrix holds here, and 22 B when each file was first read into an
+    id -> pair dict of boxed floats. The excess is pinned, not the peak,
+    because the peak moves with the interpreter's free lists while the
+    excess does not."""
     paths = _eight_model_files(tmp_path)
     tracemalloc.start()
     try:
@@ -573,12 +644,12 @@ def test_loading_peaks_under_20_bytes_per_cell_above_the_matrix(tmp_path):
 
 
 def test_building_from_vectors_peaks_at_twice_the_matrix():
-    """The model's vectors become one id -> pair column, whose pairs are
-    freed as their floats are copied out, with no list of the pairs or the
-    floats in between, so building the matrix peaks below twice what it
-    holds: 1.8x here, for a test split of the bench corpus's size, against
-    2.7x when the pairs were listed before being copied. The vectors, like
-    the built-in model's, exist before the call."""
+    """The model's vectors are sorted by id and copied into the float
+    arrays in that order, with no set of the ids and no boxed pair in
+    between, so building the matrix peaks below twice what it holds: 1.7x
+    here, for a test split of the bench corpus's size, against 4.2x when
+    an id -> pair dict was built before the arrays. The vectors, like the
+    built-in model's, exist before the call."""
     rng = random.Random(7)
     vectors = [
         PredictionVector(item_id, p, 1.0 - p, "bow")
