@@ -9,7 +9,6 @@ config_hash is the one provenance tag of every artifact.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Iterable
 from .attribute_stats import AttributeKind
 from .ensemble import VotingScheme
 from .errors import UsageError
-from .fileio import file_sha256, open_lines, require_file
+from .fileio import file_sha256, open_lines, require_file, sha256
 from .heuristic import HeuristicConfig
 
 
@@ -139,7 +138,7 @@ def config_hash(settings: RunConfig | str, extra: str = "", inputs: Iterable[Pat
     if isinstance(settings, RunConfig):
         cfg, settings = settings, replace(settings, output_dir=RunConfig().output_dir).to_text()
         inputs = [cfg.train_path, cfg.cache_path, *cfg.prediction_paths, *inputs]
-    tag = hashlib.sha256(f"{settings}\n{extra}".encode("utf-8"))
+    tag = sha256(f"{settings}\n{extra}".encode("utf-8"))
     for path in inputs:
         if path is not None and path.is_file():
             tag.update(file_sha256(path))

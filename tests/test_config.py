@@ -1,10 +1,12 @@
 """The run config's key table: any config text is either a usage error or
 round-trips through its canonical text, and every setting reaches the
-config hash."""
+config hash, whose formula is pinned."""
 
 from __future__ import annotations
 
 import configparser
+import hashlib
+import random
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from veracity.attribute_stats import AttributeKind
 from veracity.config import RunConfig, config_hash, parse_config_text
 from veracity.ensemble import VotingScheme
 from veracity.errors import UsageError
+from veracity.fileio import _HASH_BLOCK, file_sha256, sha256
 
 # every section and key, as the canonical text of the default config names them
 _DEFAULT = configparser.ConfigParser(interpolation=None)
@@ -99,3 +102,27 @@ def test_changing_a_setting_changes_the_hash(name):
         assert config_hash(changed) == config_hash(BASE)
     else:
         assert config_hash(changed) != config_hash(BASE)
+
+
+def test_the_tag_formula_is_pinned(tmp_path, monkeypatch):
+    """A tag names its settings and input bytes across versions of the
+    program, so the formula may not drift. The tag was computed with
+    hashlib; one input is empty and one spans several hash blocks."""
+    monkeypatch.chdir(tmp_path)
+    big, empty = Path("big.tsv"), Path("empty.tsv")
+    big.write_bytes(bytes(k * 7 % 251 for k in range(200_000)))
+    empty.write_bytes(b"")
+    assert big.stat().st_size > 3 * _HASH_BLOCK
+    cfg = RunConfig(train_path=big, cache_path=empty, scheme=VotingScheme.HARD,
+                    prediction_paths=(big, Path("missing.tsv")))
+    assert config_hash(cfg, "ablate --tune-threshold", [empty, None, big]) == "0f69db7069800372"
+    assert config_hash("settings", "", [big]) == "9ce411aa5129e340"
+
+
+@pytest.mark.parametrize("size", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1])
+def test_the_sha256_constructor_is_hashlibs(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    expected = hashlib.sha256(data).digest()
+    assert sha256(data).digest() == expected
+    (tmp_path / "data").write_bytes(data)
+    assert file_sha256(tmp_path / "data") == expected

@@ -4,8 +4,11 @@ with an error that names the file and the line, never in exit 3."""
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +20,7 @@ from veracity import urlexpand
 from veracity.cli import main
 from veracity.corpus import iter_dataset, load_dataset
 from veracity.errors import DataError
+from veracity.fileio import read_tsv
 
 ROWS = [
     (1, "update @icmr via https://news.sky/a", "real"),
@@ -417,4 +421,18 @@ def test_any_reader_bytes_end_in_exit_0_1_or_2(
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(valid_inputs, tmp, dirs_exist_ok=True)
         (Path(tmp) / READERS[reader]).write_text(text, encoding="utf-8", newline="")
-        assert main(_argv(reader, Path(tmp))) in (0, 1, 2)
+        with redirect_stdout(StringIO()) as out:
+            status = main(_argv(reader, Path(tmp)))
+        assert status in (0, 1, 2)
+        if status == 0:
+            assert _scored(reader, Path(tmp), out.getvalue()) > 0
+
+
+def _scored(reader: str, d: Path, stdout: str) -> int:
+    """How many items the command of the case scored, read from what it wrote."""
+    if reader in ("predictions", "table"):
+        with read_tsv(d / ("e.tsv" if reader == "predictions" else "d.tsv")) as (_, rows):
+            return sum(1 for _ in rows)
+    if reader == "cache":
+        return int(re.search(r"^items: (\d+)$", stdout, re.M)[1])
+    return sum(map(int, re.findall(r"(\d+) -> ", stdout)))  # evaluate's confusion counts

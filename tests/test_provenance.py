@@ -9,14 +9,19 @@ same bytes, tags included.
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from _synth import head, make_corpus, tail
 from conftest import write_dataset_tsv
+import veracity
 from veracity.cli import main
 
 _CONFIG = (
@@ -214,3 +219,31 @@ def test_the_priority_untuned_ablate_does_not_use_is_not_in_the_tag(template, tm
     """Without --tune-threshold, ablate's grid sets every priority itself."""
     monkeypatch.chdir(template)
     assert _run(tmp_path / "domain", "ablate", ["--config", "priority.ini"]) == _run(tmp_path / "run", "ablate")
+
+
+# run in a fresh interpreter, as this one has loaded the test tools
+_RUN_ALL = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from veracity.cli import main
+for argv in json.loads(sys.argv[2]):
+    assert main(argv) == 0, argv
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this build has no builtin sha256 module, so tags are hashed through hashlib",
+)
+def test_no_command_loads_openssl(template, tmp_path):
+    """hashlib loads OpenSSL's libcrypto, 3.6 MB of every command's peak RSS;
+    the tags are hashed with CPython's builtin sha256 module instead."""
+    commands = [[arg.format(out=tmp_path / name) for arg in argv] for name, (argv, _, _) in CASES.items()]
+    commands.append(["evaluate", "--gold", "test.tsv", "--pred", str(tmp_path / "postprocess" / "d.tsv")])
+    src = str(Path(veracity.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, src, json.dumps(commands)],
+        cwd=template, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.endswith("False\n")
