@@ -81,23 +81,23 @@ def cmd_stats(args) -> int:
 
     items = tallied(iter_dataset(train_path, has_labels=True))
     tables = build_tables(items, cache)
-    save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
     n_items = labels.total()
     summary = CorpusSummary(
         n_items, *(label_fractions(labels[Label.REAL], n_items) or (None, None)),
         len(tables[AttributeKind.USERNAME]), len(tables[AttributeKind.DOMAIN]),
     )
+    save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
+    if args.summary_json:
+        atomic_write_text(
+            Path(args.summary_json),
+            json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
+        )
     print(f"items: {summary.item_count}")
     print(f"unique usernames: {summary.unique_usernames}")
     print(f"unique domains: {summary.unique_domains}")
     if summary.real_fraction is not None:
         print(f"real fraction: {summary.real_fraction:.4f}")
         print(f"fake fraction: {summary.fake_fraction:.4f}")
-    if args.summary_json:
-        atomic_write_text(
-            Path(args.summary_json),
-            json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
-        )
     return 0
 
 
@@ -161,8 +161,8 @@ def _read_label_column(path: Path) -> dict[int, Label]:
     """Read id -> label from any of our TSV outputs that carry both."""
     labels: dict[int, Label] = {}
     with read_tsv(path) as (header, rows):
-        if not {"id", "label"} <= set(header):
-            raise BadRecord(f"no id/label columns in header {header!r}")
+        if header.count("id") != 1 or header.count("label") != 1:
+            raise BadRecord(f"header {header!r} must name the id and label columns once each")
         id_col, label_col = header.index("id"), header.index("label")
         for row in rows:
             item_id, label = parse_id(row[id_col]), row[label_col]
@@ -183,9 +183,9 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"the predictions {pred_path.name} miss ids of {gold_path.name}, e.g. {missing[:5]}")
     ordered_ids = sorted(gold_by_id)
     report = evaluate([gold_by_id[i] for i in ordered_ids], [predicted[i] for i in ordered_ids])
-    print(report.format_text(f"{pred_path.name} vs {gold_path.name}"), end="")
     if args.json_out:
         atomic_write_text(Path(args.json_out), json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    print(report.format_text(f"{pred_path.name} vs {gold_path.name}"), end="")
     return 0
 
 

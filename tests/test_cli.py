@@ -136,6 +136,15 @@ def test_stats_summary_json(tiny_train, tmp_path):
     }
 
 
+def test_stats_unwritable_summary_json_prints_no_summary(tiny_train, tmp_path, capsys):
+    rc = main(["stats", "--train", str(tiny_train), "--out-dir", str(tmp_path / "o"),
+               "--summary-json", str(tmp_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {tmp_path}: ")
+
+
 def test_stats_missing_cache_is_usage_error(tiny_train, tmp_path, capsys):
     rc = main(
         ["stats", "--train", str(tiny_train), "--cache", str(tmp_path / "nope.tsv"),
@@ -259,6 +268,27 @@ def test_evaluate_command(tmp_path, capsys):
     payload = json.loads(json_out.read_text(encoding="utf-8"))
     assert payload["accuracy"] == 0.75
     assert payload["confusion"] == [[1, 1], [0, 2]]
+
+
+def test_evaluate_unwritable_json_out_prints_no_report(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "p.tsv"
+    write_dataset_tsv(gold, [(1, "a", "real"), (2, "b", "fake")])
+    pred.write_text("id\tlabel\n1\treal\n2\tfake\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--json-out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("header", ["id\tlabel\tid", "label\tid\tlabel", "id\tscore"])
+def test_evaluate_needs_one_id_and_one_label_column(tmp_path, capsys, header):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "p.tsv"
+    write_dataset_tsv(gold, [(1, "a", "real"), (2, "b", "fake")])
+    pred.write_text(f"{header}\n1\treal\t2\n2\tfake\t1\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error (BadRecord): bad record in p.tsv (line 1): header ")
 
 
 @pytest.mark.parametrize(
