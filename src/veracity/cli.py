@@ -70,6 +70,8 @@ def _cache_path(args) -> Path | None:
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
     cache_path = _cache_path(args)
+    if args.summary_json and Path(args.summary_json).is_dir():  # before any table is written
+        raise UsageError(f"cannot write {Path(args.summary_json)}: Is a directory")
     digest = _tag(args, train_path, cache_path)
     cache = load_cache(cache_path)
     labels: Counter = Counter()

@@ -147,12 +147,18 @@ def item_records(
     domain_table: AttributeStatsTable, cache: UrlExpansionCache | None = None,
 ) -> list[tuple]:
     """Per item, which may come from a stream: (id, the username and
-    domain vectors of the attributes in its post, gold label), in id order."""
+    domain vectors of the attributes in its post, gold label), in id order.
+    Posts whose handles, or whose domains, are the same tuple share one vector."""
     records = []
+    by_usernames: dict[tuple, AttrProbVector] = {}  # each tuple's vector, for this call only
+    by_domains: dict[tuple, AttrProbVector] = {}
     for item in items:
         attrs = extract_attributes(item.text, cache)
-        records.append((item.id, tweet_attr_vector(attrs.usernames, username_table),
-                        tweet_attr_vector(attrs.domains, domain_table), item.label))
+        if (username_vec := by_usernames.get(attrs.usernames)) is None:
+            username_vec = by_usernames[attrs.usernames] = tweet_attr_vector(attrs.usernames, username_table)
+        if (domain_vec := by_domains.get(attrs.domains)) is None:
+            domain_vec = by_domains[attrs.domains] = tweet_attr_vector(attrs.domains, domain_table)
+        records.append((item.id, username_vec, domain_vec, item.label))
     records.sort(key=itemgetter(0))
     return records
 

@@ -297,7 +297,10 @@ def ablation_contexts(
             require_items(records, f"the {name} split", path)
             if any(record[3] is None for record in records):
                 raise UsageError(f"the {name} split must be labeled for an ablation run")
-            ensemble = vote_all(build_matrix(cfg.prediction_paths, source, name, records, vectors))
-            contexts.append(decision_inputs(records, ensemble))
-            del records, vectors, ensemble  # not held beside the next split's
+            matrix = build_matrix(cfg.prediction_paths, source, name, records, vectors)
+            del vectors  # not held through the vote
+            if name == "test":  # the last matrix is built: the model, or the files' rows, go too
+                del source
+            contexts.append(decision_inputs(records, vote_all(matrix)))
+            del records, matrix  # not held beside the next split's
     return *contexts, digest

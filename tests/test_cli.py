@@ -145,6 +145,16 @@ def test_stats_unwritable_summary_json_prints_no_summary(tiny_train, tmp_path, c
     assert captured.err.startswith(f"usage error: cannot write {tmp_path}: ")
 
 
+def test_stats_summary_json_naming_a_directory_writes_no_table(tiny_train, tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    rc = main(["stats", "--train", str(tiny_train), "--out-dir", str(out_dir),
+               "--summary-json", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {tmp_path}: Is a directory\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_stats_missing_cache_is_usage_error(tiny_train, tmp_path, capsys):
     rc = main(
         ["stats", "--train", str(tiny_train), "--cache", str(tmp_path / "nope.tsv"),

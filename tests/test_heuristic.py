@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
 from _synth import make_corpus
+from veracity import heuristic
 from veracity.attribute_stats import (
     AttrCounts,
     AttributeKind,
     AttributeStatsTable,
     AttrProbVector,
     build_table,
+    tweet_attr_vector,
 )
 from veracity.baseline import PredictionVector
 from veracity.corpus import Label, NewsItem
@@ -23,9 +26,11 @@ from veracity.heuristic import (
     decide,
     decide_batch,
     decision_inputs,
+    item_records,
     prepare_inputs,
     write_decisions_tsv,
 )
+from veracity.preprocess import extract_attributes
 
 USERNAME = AttributeKind.USERNAME
 DOMAIN = AttributeKind.DOMAIN
@@ -266,3 +271,66 @@ def test_decisions_tsv_shape(tmp_path):
     assert lines[1] == "id\tlabel\tdecided_by\tp_real_ens\tp_real_user\tp_real_domain"
     assert lines[2].split("\t") == ["1", "fake", "ensemble", "0.2", "-", "-"]
     assert lines[3].split("\t") == ["2", "real", "username_rule", "0.9", "0.95", "-"]
+
+
+def _repeating_posts(n_items: int, seed: int) -> list[NewsItem]:
+    """Posts whose handle and domain lists repeat, also reordered and with
+    an entry twice, in shuffled id order; some handles and domains are in
+    no table."""
+    rng = random.Random(seed)
+    handles = ["who", "cdc", "rumor", "unknown"]
+    hosts = ["who.int", "cdc.gov", "hoax.biz", "nowhere.net"]
+    items = []
+    for item_id in rng.sample(range(1, 10 * n_items), n_items):
+        words = [f"@{rng.choice(handles)}" for _ in range(rng.randint(0, 3))]
+        words += [f"https://{rng.choice(hosts)}/{item_id}" for _ in range(rng.randint(0, 2))]
+        rng.shuffle(words)
+        items.append(NewsItem(item_id, " ".join(["post", *words]), rng.choice([Label.REAL, Label.FAKE])))
+    return items
+
+
+def _repeating_tables(seed: int) -> list[AttributeStatsTable]:
+    """Seeded counts for three of _repeating_posts' four handles and hosts."""
+    rng = random.Random(seed)
+    known = ((USERNAME, ("who", "cdc", "rumor")), (DOMAIN, ("who.int", "cdc.gov", "hoax.biz")))
+    return [
+        AttributeStatsTable(kind, {name: AttrCounts(rng.randint(0, 9), rng.randint(1, 9)) for name in names})
+        for kind, names in known
+    ]
+
+
+def test_item_records_equal_one_vector_per_post():
+    """The oracle: every post's own tweet_attr_vector calls, sorted by id.
+    Two calls over the same posts with other tables each read their own."""
+    items = _repeating_posts(400, seed=3)
+    for seed in (1, 2):
+        table_u, table_d = _repeating_tables(seed)
+        oracle = []
+        for item in items:
+            attrs = extract_attributes(item.text)
+            oracle.append((item.id, tweet_attr_vector(attrs.usernames, table_u),
+                           tweet_attr_vector(attrs.domains, table_d), item.label))
+        assert item_records(items, table_u, table_d) == sorted(oracle, key=itemgetter(0))
+
+
+def test_posts_with_equal_attribute_tuples_share_one_vector(monkeypatch):
+    """One tweet_attr_vector call per distinct handle tuple and per distinct
+    domain tuple, order and repeats included, and every post with that
+    tuple holds the same vector."""
+    calls = []
+
+    def counted(attrs, table):
+        calls.append((table.kind, attrs))
+        return tweet_attr_vector(attrs, table)
+
+    monkeypatch.setattr(heuristic, "tweet_attr_vector", counted)
+    items = _repeating_posts(400, seed=3)
+    records = item_records(items, *_repeating_tables(1))
+    shared = {}
+    for item, (_, username_vec, domain_vec, _) in zip(sorted(items, key=lambda item: item.id), records):
+        attrs = extract_attributes(item.text)
+        assert shared.setdefault((USERNAME, attrs.usernames), username_vec) is username_vec
+        assert shared.setdefault((DOMAIN, attrs.domains), domain_vec) is domain_vec
+    assert sorted(calls, key=repr) == sorted(shared, key=repr)
+    assert {("cdc", "who"), ("who", "cdc"), ("who", "who")} <= {attrs for _, attrs in shared}
+    assert len(shared) < len(items) / 4
