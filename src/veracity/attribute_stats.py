@@ -155,18 +155,20 @@ def save_table(
     write_tsv(path, _TABLE_HEADER, rows, header_comment)
 
 
+def table_paths(out_dir: Path | str) -> dict[AttributeKind, Path]:
+    """Where save_tables writes each kind's table: `<kind>_stats.tsv` under out_dir."""
+    return {kind: Path(out_dir) / f"{kind.value}_stats.tsv" for kind in AttributeKind}
+
+
 def save_tables(
     tables: Mapping[AttributeKind, AttributeStatsTable],
     out_dir: Path | str,
     header_comment: str | None = None,
-) -> list[Path]:
-    """Write every table to `<kind>_stats.tsv` under out_dir; returns the paths."""
-    written = []
+) -> None:
+    """Write every table to its table_paths path."""
+    paths = table_paths(out_dir)
     for kind, table in tables.items():
-        path = Path(out_dir) / f"{kind.value}_stats.tsv"
-        save_table(table, path, header_comment)
-        written.append(path)
-    return written
+        save_table(table, paths[kind], header_comment)
 
 
 def load_table(path: Path | str, kind: AttributeKind) -> AttributeStatsTable:

@@ -17,7 +17,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import baseline
-from .attribute_stats import AttributeKind, build_tables, load_table, save_tables
+from .attribute_stats import AttributeKind, build_tables, load_table, save_tables, table_paths
 from .config import (
     RunConfig, config_hash, load_config, parse_positive, parse_priority, parse_scheme, parse_threshold,
 )
@@ -32,7 +32,7 @@ from .evaluation import (
     run_ablation,
     tune_threshold,
 )
-from .fileio import atomic_write_text, parse_id, read_tsv, require_file
+from .fileio import atomic_write_text, parse_id, read_tsv, require_file, require_writable
 from .heuristic import (
     DEFAULT_PRIORITY, HeuristicConfig, decide_inputs, decision_inputs, write_decisions_tsv,
 )
@@ -70,8 +70,8 @@ def _cache_path(args) -> Path | None:
 def cmd_stats(args) -> int:
     train_path = require_file(args.train, "training data")
     cache_path = _cache_path(args)
-    if args.summary_json and Path(args.summary_json).is_dir():  # before any table is written
-        raise UsageError(f"cannot write {Path(args.summary_json)}: Is a directory")
+    summary_json = [args.summary_json] if args.summary_json else []
+    require_writable([*table_paths(args.out_dir).values(), *summary_json])  # before any table is written
     digest = _tag(args, train_path, cache_path)
     cache = load_cache(cache_path)
     labels: Counter = Counter()
@@ -220,6 +220,8 @@ ABLATION_ORDERINGS = (
 
 def cmd_ablate(args) -> int:
     cfg = _run_config(args)
+    out_dir = Path(cfg.output_dir)
+    require_writable([out_dir / "ablation.txt", out_dir / "ablation.json"])
     if not args.tune_threshold:  # only tuning reads the priority; the tag hashes the default
         cfg.heuristic = replace(cfg.heuristic, priority=DEFAULT_PRIORITY)
     orderings = [[kind.value for kind in ordering] for ordering in ABLATION_ORDERINGS]
@@ -231,7 +233,6 @@ def cmd_ablate(args) -> int:
         threshold = tune_threshold(val_inputs, DEFAULT_THRESHOLD_GRID, cfg.heuristic)
         extra.update(tuned_threshold=threshold, tuning_grid=list(DEFAULT_THRESHOLD_GRID))
     rows = run_ablation(val_inputs, test_inputs, ABLATION_ORDERINGS, threshold)
-    out_dir = Path(cfg.output_dir)
     text = f"# config: {digest}\n# threshold: {threshold!r}\n" + format_ablation_text(rows)
     atomic_write_text(out_dir / "ablation.txt", text)
     atomic_write_text(out_dir / "ablation.json", ablation_to_json(rows, extra))

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .baseline import PredictionVector
 from .corpus import Label
 from .errors import (
-    BadProbabilities, BadRecord, DataError, DuplicateId, IdSetMismatch, NoModels, UsageError,
+    BadProbabilities, BadRecord, DuplicateId, IdSetMismatch, NoModels, UsageError,
 )
 from .fileio import parse_id, read_tsv, write_tsv
 
@@ -304,13 +304,8 @@ def _vector_triples(vectors: Iterable[PredictionVector]) -> Iterator[tuple[int, 
 
 def _vector_column(name: str, vectors: Sequence[PredictionVector], _expected: Sequence[int]) -> Column:
     """A model's vectors as a column in ascending id order, so that no set
-    of the ids is made; the first error in the vectors' own order is
-    looked for only once the sorted vectors hold one."""
-    try:
-        return _column(_vector_triples(sorted(vectors, key=operator.itemgetter(0))), name, (), name)
-    except DataError:
-        _column(_vector_triples(vectors), name, (), name)
-        raise
+    of the ids is made; of several bad vectors, the lowest id's error is raised."""
+    return _column(_vector_triples(sorted(vectors, key=operator.itemgetter(0))), name, (), name)
 
 
 def matrix_from_vectors(named: Mapping[str, Sequence[PredictionVector]]) -> PredictionMatrix:

@@ -87,12 +87,6 @@ class ZeroSupport(DataError):
         super().__init__("cannot derive probabilities from zero counts")
 
 
-class BadUrl(DataError):
-    def __init__(self, url: str):
-        self.url = url
-        super().__init__(f"cannot extract a host from {url!r}")
-
-
 class NoModels(DataError):
     def __init__(self) -> None:
         super().__init__("cannot vote over an empty prediction row")

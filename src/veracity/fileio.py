@@ -57,6 +57,19 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def require_writable(paths: Iterable[Path | str]) -> None:
+    """Check, before the first of a command's writes, that atomic_write_text
+    can make each path: it is not a directory, and its nearest existing
+    ancestor is one. Creates nothing; a path that fails is a UsageError
+    naming it, in atomic_write_text's words."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise UsageError(f"cannot write {path}: Is a directory")
+        ancestor = next(parent for parent in path.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise UsageError(f"cannot write {path}: {ancestor} is not a directory")
+
+
 def write_tsv(
     path: Path | str, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
 ) -> None:

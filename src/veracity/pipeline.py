@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, Sequence, Sized
 
 from . import baseline
-from .attribute_stats import AttributeKind, build_tables, save_tables
+from .attribute_stats import AttributeKind, build_tables, save_tables, table_paths
 from .config import RunConfig, config_hash, require_paths
 from .corpus import Label, iter_dataset
 from .ensemble import (
@@ -37,7 +37,7 @@ from .ensemble import (
 )
 from .errors import DataError, PipelineError, UsageError
 from .evaluation import EvalReport, evaluate
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, require_writable
 from .heuristic import (
     DecisionInput,
     decide_inputs,
@@ -211,8 +211,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     Each test item is voted once, by the configured scheme, which sets
     ensemble.tsv's labels and the "ensemble only" metrics; the heuristic
     reads those results' mean probabilities, the same in both schemes.
-    Every check and every number comes before the last block, whose
-    writes can fail only on I/O.
+    Every check, each output path's included, and every number comes
+    before the last block, whose writes can fail only on I/O.
     """
     require_paths(cfg, "train", "test")
     out_dir = Path(cfg.output_dir)
@@ -225,14 +225,18 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         source, tables = beside(prediction_source, cfg, claim, rest)
         vectors, records = beside(split_vectors, source, cfg.test_path)
     require_items(records, "the test split", cfg.test_path)
+    labeled = None not in (record[3] for record in records)
     if isinstance(source, baseline.BowModel):
+        model_files = [out_dir / "baseline_model.json", out_dir / "baseline_predictions.tsv"]
+    reports = ("report.json", "report.txt") if labeled else ("report.txt",)
+    written = [*table_paths(out_dir).values(), *model_files,
+               *(out_dir / name for name in ("ensemble.tsv", "decisions.tsv", *reports))]
+    require_writable(written)  # every output path, before the first write
+    if model_files:
         # as the predict command does, so the file and the matrix match the staged chain's;
         # the only writes before the last block, so that the model is not held through the vote
-        model_path = out_dir / "baseline_model.json"
-        baseline.save_model(source, model_path, config_hash=digest)
-        predictions_path = out_dir / "baseline_predictions.tsv"
-        baseline.write_predictions(vectors, predictions_path, header_comment=f"config: {digest}")
-        model_files = [model_path, predictions_path]
+        baseline.save_model(source, model_files[0], config_hash=digest)
+        baseline.write_predictions(vectors, model_files[1], header_comment=f"config: {digest}")
     # with prediction files nothing is written yet: ids they miss stop the run here
     matrix = build_matrix(cfg.prediction_paths, source, "test", records, vectors)
     del source, vectors  # a trained model and its vectors, or all the files' rows, past the matrix
@@ -251,24 +255,17 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "decided_by": dict(Counter(decision.decided_by.value for decision in decisions)),
     }
     pre_report = post_report = None
-    if None not in gold:
+    if labeled:
         pre_report = evaluate(gold, [result.label for result in ensemble_results])
         post_report = evaluate(gold, [decision.label for decision in decisions])
 
-    written = [*save_tables(tables, out_dir, header_comment=f"config: {digest}"), *model_files]
-    ensemble_path = out_dir / "ensemble.tsv"
-    write_ensemble_tsv(ensemble_results, ensemble_path, header_comment=f"config: {digest}")
-    decisions_path = out_dir / "decisions.tsv"
-    write_decisions_tsv(decisions, decisions_path, header_comment=f"config: {digest}")
-    written += [ensemble_path, decisions_path]
-    if pre_report is not None:
+    save_tables(tables, out_dir, header_comment=f"config: {digest}")
+    write_ensemble_tsv(ensemble_results, out_dir / "ensemble.tsv", header_comment=f"config: {digest}")
+    write_decisions_tsv(decisions, out_dir / "decisions.tsv", header_comment=f"config: {digest}")
+    if labeled:
         report = {**summary, "ensemble_only": asdict(pre_report), "post_processed": asdict(post_report)}
-        json_path = out_dir / "report.json"
-        atomic_write_text(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        written.append(json_path)
-    report_path = out_dir / "report.txt"
-    atomic_write_text(report_path, _report_text(summary, pre_report, post_report))
-    written.append(report_path)
+        atomic_write_text(out_dir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(out_dir / "report.txt", _report_text(summary, pre_report, post_report))
 
     return PipelineResult(pre_report, post_report, written)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from .errors import BadRecord, BadUrl
+from .errors import BadRecord
 from .fileio import atomic_write_text, data_lines, open_lines
 
 # URLs are taken by longest match: everything from the scheme up to the
@@ -121,12 +121,9 @@ class TweetAttributes:
     domains: tuple[str, ...]
 
 
-def normalize_domain(url: str) -> str:
-    """Reduce a URL to its bare host.
-
-    Lowercases, drops userinfo/port/path, and strips leading "www."
-    labels. Raises BadUrl when no host can be found.
-    """
+def normalize_domain(url: str) -> str | None:
+    """A URL's bare host, lowercased, without userinfo, port, path or
+    leading "www." labels; None when it has no host."""
     plain = _PLAIN_HOST_RE.match(url)
     if plain is not None:
         host = plain.group(1).lower()
@@ -134,14 +131,12 @@ def normalize_domain(url: str) -> str:
         try:
             host = urlsplit(url).hostname
         except ValueError:
-            raise BadUrl(url) from None
+            return None
     if not host:
-        raise BadUrl(url)
+        return None
     while host.startswith("www."):
         host = host[4:]
-    if not host:
-        raise BadUrl(url)
-    return host
+    return host or None
 
 
 def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> TweetAttributes:
@@ -167,10 +162,9 @@ def extract_attributes(text: str, cache: UrlExpansionCache | None = None) -> Twe
             usernames.append(m.group(1).lower())
     domains: list[str] = []
     for url in urls:
-        try:
-            domains.append(normalize_domain(cache.expand(url)))
-        except BadUrl:
-            continue
+        domain = normalize_domain(cache.expand(url))
+        if domain is not None:
+            domains.append(domain)
     return TweetAttributes(tuple(usernames), urls, tuple(domains))
 
 

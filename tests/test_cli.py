@@ -1155,6 +1155,39 @@ def test_pipeline_bad_test_record_writes_nothing(tiny_train, tmp_path, capsys, e
     assert not (tmp_path / "out").exists()
 
 
+#: Per command, the last path it writes under its output directory, and the first.
+_OUTPUT_ENDS = {
+    "stats": ("s.json", "s.json"),
+    "ablate": ("ablation.json", "ablation.txt"),
+    "pipeline": ("report.txt", "username_stats.tsv"),
+}
+
+
+@pytest.mark.parametrize("obstacle", ["directory", "file-ancestor"])
+@pytest.mark.parametrize("command", list(_OUTPUT_ENDS))
+def test_an_unwritable_output_path_leaves_the_output_as_it_was(tiny_train, tmp_path, capsys, command, obstacle):
+    # every output path is checked before the first write, so a run that could not write one writes none
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "f").write_text("a regular file\n", encoding="utf-8")
+    last, first = _OUTPUT_ENDS[command]
+    if obstacle == "directory":  # in the way of the last output
+        place, blocked, reason = out, out / last, "Is a directory"
+        blocked.mkdir()
+    else:  # an ancestor of every output: stats' summary, or the run's output directory
+        place = out / "f" / "sub"
+        blocked, reason = place / first, f"{out / 'f'} is not a directory"
+    if command == "stats":
+        argv = ["stats", "--train", str(tiny_train), "--out-dir", str(out), "--summary-json", str(place / "s.json")]
+    else:
+        config_path = (_ablate_config if command == "ablate" else _pipeline_config)(tmp_path)
+        argv = [command, "--config", str(config_path), "--out-dir", str(place)]
+    before = {path: path.is_file() and path.read_bytes() for path in sorted(out.rglob("*"))}
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {blocked}: {reason}\n"
+    assert {path: path.is_file() and path.read_bytes() for path in sorted(out.rglob("*"))} == before
+
+
 def _with_cache(config_path: Path, cache: Path) -> None:
     text = config_path.read_text(encoding="utf-8")
     config_path.write_text(text.replace("cache = \n", f"cache = {cache}\n"), encoding="utf-8")

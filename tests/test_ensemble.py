@@ -26,7 +26,6 @@ from veracity.ensemble import (
 from veracity.errors import (
     BadProbabilities,
     BadRecord,
-    DataError,
     DuplicateId,
     IdSetMismatch,
     NoModels,
@@ -578,24 +577,19 @@ def test_bad_vectors_fail_as_their_file_rows_do(tmp_path, pair, detail):
     assert str(from_file.value) == f"{in_memory.value} in m.tsv (line 3)"
 
 
-@pytest.mark.parametrize("order, error", [
-    ([5, 1, 1], "model 'm', item 5: probabilities sum to 1.02, outside [0.99, 1.01]"),
-    ([1, 1, 5], "duplicate item id 1"),
-])
-def test_vectors_report_their_first_error_in_their_own_order(tmp_path, order, error):
-    """The vectors are read in id order, yet the error is the one their
-    own order meets first, as it is for a file holding the same rows."""
-    pairs = {5: (0.6, 0.42), 1: (0.5, 0.5)}
+@pytest.mark.parametrize("order", sorted(set(itertools.permutations([7, 2, 2, 9]))))
+def test_vectors_report_the_lowest_ids_error(order):
+    """Of several bad vectors, in any order, the lowest id's error is
+    raised: the vectors are read once, in id order."""
+    pairs = {7: (0.6, 0.42), 2: (0.5, 0.5), 9: (-0.5, 1.5)}
     vectors = [PredictionVector(i, *pairs[i], "m") for i in order]
-    path = tmp_path / "m.tsv"
-    _write_predictions(path, [(i, *pairs[i]) for i in order])
-    with pytest.raises(DataError) as in_memory:
+    with pytest.raises(DuplicateId) as duplicate:
         matrix_from_vectors({"m": vectors})
-    with pytest.raises(DataError) as from_file:
-        load_predictions([path])
-    assert str(in_memory.value).startswith(error)
-    assert type(from_file.value) is type(in_memory.value)
-    assert str(from_file.value).startswith(error)
+    assert str(duplicate.value) == "duplicate item id 2 in m"
+    vectors = [vector for vector in vectors if vector.item_id != 2]
+    with pytest.raises(BadProbabilities) as bad:
+        matrix_from_vectors({"m": vectors})
+    assert str(bad.value) == "model 'm', item 7: probabilities sum to 1.02, outside [0.99, 1.01]"
 
 
 def _eight_model_files(tmp_path):

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from veracity.errors import BadRecord
-from veracity.fileio import _PIECES_PER_WRITE, atomic_write_text, write_tsv
+from veracity.errors import BadRecord, UsageError
+from veracity.fileio import _PIECES_PER_WRITE, atomic_write_text, require_writable, write_tsv
 
 
 def _joined_tsv(header, rows, comment) -> str:
@@ -55,3 +55,27 @@ def test_a_failing_stream_leaves_the_earlier_file(tmp_path, error, writer):
             atomic_write_text(path, ("\t".join(map(str, row)) + "\n" for row in rows()))
     assert path.read_text(encoding="utf-8") == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
+
+def test_require_writable_accepts_what_atomic_write_text_makes_and_creates_nothing(tmp_path):
+    (tmp_path / "old.txt").write_text("earlier\n", encoding="utf-8")
+    paths = [tmp_path / "old.txt", tmp_path / "new.txt", tmp_path / "a" / "b" / "c.txt"]
+    require_writable(paths)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    for path in paths:
+        atomic_write_text(path, "x\n")
+
+
+@pytest.mark.parametrize("obstacle", ["directory", "file-ancestor"])
+def test_require_writable_names_the_path_and_the_reason(tmp_path, obstacle):
+    (tmp_path / "f").write_text("a regular file\n", encoding="utf-8")
+    (tmp_path / "d").mkdir()
+    path = tmp_path / ("d" if obstacle == "directory" else "f/sub/x.txt")
+    reason = "Is a directory" if obstacle == "directory" else f"{tmp_path / 'f'} is not a directory"
+    with pytest.raises(UsageError) as checked:
+        require_writable([tmp_path / "fine.txt", path])
+    assert str(checked.value) == f"cannot write {path}: {reason}"
+    with pytest.raises(UsageError) as written:
+        atomic_write_text(path, "x\n")
+    assert str(written.value).startswith(f"cannot write {path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
