@@ -21,7 +21,7 @@ from .attribute_stats import AttributeKind, build_tables, load_table, save_table
 from .config import (
     RunConfig, config_hash, load_config, parse_positive, parse_priority, parse_scheme, parse_threshold,
 )
-from .corpus import CorpusSummary, Label, iter_dataset, label_fractions
+from .corpus import Label, iter_dataset, summarize
 from .ensemble import VotingScheme, load_predictions, vote_all, write_ensemble_tsv
 from .errors import BadRecord, DataError, DuplicateId, PipelineError, UsageError
 from .evaluation import (
@@ -83,11 +83,7 @@ def cmd_stats(args) -> int:
 
     items = tallied(iter_dataset(train_path, has_labels=True))
     tables = build_tables(items, cache)
-    n_items = labels.total()
-    summary = CorpusSummary(
-        n_items, *(label_fractions(labels[Label.REAL], n_items) or (None, None)),
-        len(tables[AttributeKind.USERNAME]), len(tables[AttributeKind.DOMAIN]),
-    )
+    summary = summarize(labels, len(tables[AttributeKind.USERNAME]), len(tables[AttributeKind.DOMAIN]))
     save_tables(tables, args.out_dir, header_comment=f"config: {digest}")
     if args.summary_json:
         atomic_write_text(

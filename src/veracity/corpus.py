@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import BadLabel, BadRecord, DuplicateId, EmptyText
 from .fileio import open_lines, parse_id
@@ -54,8 +55,7 @@ class NewsItem:
 class CorpusSummary:
     """Headline statistics for one dataset.
 
-    Fractions are None for datasets that are not fully labeled (absent,
-    not zero).
+    Fractions are None for a split with no items (absent, not zero).
     """
 
     item_count: int
@@ -132,41 +132,13 @@ def load_dataset(path: Path | str, has_labels: bool | None = None) -> tuple[News
     return tuple(iter_dataset(path, has_labels))
 
 
-def label_fractions(n_real: int, n_items: int) -> tuple[float, float] | None:
-    """(real, fake) fractions of n_items labeled items, n_real of them
-    real, or None when there are none."""
+def summarize(labels: Counter, unique_usernames: int, unique_domains: int) -> CorpusSummary:
+    """A split's summary from its per-label item counts and the sizes of
+    its attribute tables."""
+    n_items = labels.total()
     if n_items == 0:
-        return None
-    return n_real / n_items, (n_items - n_real) / n_items
-
-
-def summarize(dataset: Sequence[NewsItem], cache=None) -> CorpusSummary:
-    """Compute item count, class balance and distinct attribute counts.
-
-    The expansion cache is only needed to resolve shortened URLs to their
-    domains; omitting it counts domains of the URLs as written.
-    """
-    from .preprocess import UrlExpansionCache, extract_attributes
-
-    if cache is None:
-        cache = UrlExpansionCache()
-    usernames: set[str] = set()
-    domains: set[str] = set()
-    for item in dataset:
-        attrs = extract_attributes(item.text, cache)
-        usernames.update(attrs.usernames)
-        domains.update(attrs.domains)
-    fractions = (
-        label_fractions(sum(1 for item in dataset if item.label is Label.REAL), len(dataset))
-        if all(item.label is not None for item in dataset)
-        else None
-    )
-    real_fraction, fake_fraction = fractions if fractions else (None, None)
+        return CorpusSummary(0, None, None, unique_usernames, unique_domains)
+    n_real = labels[Label.REAL]
     return CorpusSummary(
-        item_count=len(dataset),
-        real_fraction=real_fraction,
-        fake_fraction=fake_fraction,
-        unique_usernames=len(usernames),
-        unique_domains=len(domains),
+        n_items, n_real / n_items, (n_items - n_real) / n_items, unique_usernames, unique_domains
     )
-

@@ -45,7 +45,7 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 umask = os.umask(0)  # the umask can only be read by setting it
                 os.umask(umask)
-                os.fchmod(fd, 0o666 & ~umask)
+                os.chmod(tmp_name, 0o666 & ~umask)  # os.fchmod is POSIX-only before 3.13
                 while block := list(islice(pieces, _PIECES_PER_WRITE)):
                     handle.write("".join(block))
             os.replace(tmp_name, path)

@@ -136,6 +136,23 @@ def test_stats_summary_json(tiny_train, tmp_path):
     }
 
 
+def test_stats_header_only_split_has_no_fractions(tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    write_dataset_tsv(train, [])
+    json_path = tmp_path / "summary.json"
+    assert main(["stats", "--train", str(train), "--out-dir", str(tmp_path / "stats"),
+                 "--summary-json", str(json_path)]) == 0
+    payload = json.loads(json_path.read_text(encoding="utf-8"))
+    assert payload == {
+        "item_count": 0,
+        "real_fraction": None,
+        "fake_fraction": None,
+        "unique_usernames": 0,
+        "unique_domains": 0,
+    }
+    assert capsys.readouterr().out == "items: 0\nunique usernames: 0\nunique domains: 0\n"
+
+
 def test_stats_unwritable_summary_json_prints_no_summary(tiny_train, tmp_path, capsys):
     rc = main(["stats", "--train", str(tiny_train), "--out-dir", str(tmp_path / "o"),
                "--summary-json", str(tmp_path)])
@@ -362,6 +379,25 @@ def test_postprocess_repeated_table_row_exit_2(tiny_train, tmp_path, capsys):
     assert not (tmp_path / "d.tsv").exists()
 
 
+def test_postprocess_table_row_without_counts_exit_2(tiny_train, tmp_path, capsys):
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--train", str(tiny_train), "--out-dir", str(stats_dir)]) == 0
+    table = stats_dir / "username_stats.tsv"
+    table.write_text("attribute\treal_count\tfake_count\nbob\t5\t0\nx\t0\t0\n", encoding="utf-8")
+    preds = tmp_path / "m.tsv"
+    _write_prediction_file(preds, [(i, 0.9, 0.1) for i in range(1, 7)])
+    rc = main(
+        ["postprocess", "--data", str(tiny_train), "--predictions", str(preds),
+         "--username-table", str(table), "--domain-table", str(stats_dir / "domain_stats.tsv"),
+         "--out", str(tmp_path / "d.tsv")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error (BadRecord): bad record in username_stats.tsv (line 3): attribute 'x' has invalid counts\n"
+    )
+    assert not (tmp_path / "d.tsv").exists()
+
+
 def _pipeline_config(tmp_path, corpus_seed=77, n=120, **overrides) -> Path:
     corpus = make_corpus(n, seed=corpus_seed)
     train = head(corpus, n // 2)
@@ -399,6 +435,22 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
     cfg = load_config(config_path)
     digest = config_hash(cfg, inputs=[cfg.test_path])
     assert (out_dir / "ensemble.tsv").read_text(encoding="utf-8").startswith(f"# config: {digest}")
+
+
+def test_pipeline_on_an_unlabeled_test_split_writes_no_metrics(tmp_path, capsys):
+    # the shared task's own test set came without labels: the run decides and does not score
+    config_path = _pipeline_config(tmp_path)
+    test_path = tmp_path / "test.tsv"
+    write_dataset_tsv(test_path, list(iter_dataset(test_path)), labeled=False)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    out_dir = tmp_path / "out"
+    assert not (out_dir / "report.json").exists()
+    report = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[1] == "items: 60"
+    assert report[-1] == "metrics: (target split unlabeled; no evaluation)"
+    printed = capsys.readouterr().out.splitlines()  # the files written, and no metrics block
+    assert all(line.startswith("wrote ") for line in printed)
+    assert printed[-1] == f"wrote {out_dir / 'report.txt'}"
 
 
 def test_pipeline_deterministic_reruns(tmp_path):
@@ -799,6 +851,21 @@ def test_config_unknown_key_rejected():
         parse_config_text("[mystery]\nx = 1\n")
 
 
+def test_config_without_a_test_path_is_usage_error(tiny_train, tmp_path, capsys):
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(f"[data]\ntrain = {tiny_train}\n[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "usage error: config is missing the test data path\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unparseable_config_is_usage_error(tmp_path, capsys):
+    config_path = tmp_path / "run.ini"
+    config_path.write_text("train = train.tsv\n[data]\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot parse config {config_path}: ")
+
+
 def test_config_heuristic_values():
     cfg = parse_config_text(
         "[heuristic]\nthreshold = 0.5\npriority = domain\n"
@@ -1048,6 +1115,16 @@ def test_evaluate_header_only_gold_has_no_items_to_score(tmp_path, capsys):
         "data error (DataError): the gold split gold.tsv has no items to score\n"
     )
     assert not out.exists()
+
+
+def test_evaluate_empty_gold_file_exit_2(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "p.tsv"
+    gold.write_bytes(b"")
+    pred.write_text("id\tlabel\n1\treal\n", encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error (BadRecord): bad record in gold.tsv: file is empty\n"
 
 
 def test_evaluate_names_both_files_when_predictions_miss_gold_ids(tmp_path, capsys):

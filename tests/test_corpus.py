@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import dataset_of, write_dataset_tsv
-from veracity.corpus import Label, NewsItem, load_dataset, sniff_has_labels, summarize
+from veracity.corpus import Label, load_dataset, sniff_has_labels, summarize
 from veracity.errors import BadLabel, BadRecord, DuplicateId, EmptyText
-from veracity.preprocess import UrlExpansionCache
 
 
 def test_load_two_rows(tiny_labeled):
@@ -119,8 +120,16 @@ def test_nfc_normalization_applied(tmp_path):
     assert dataset[0].text == "café"
 
 
+def test_empty_line_between_records_is_skipped(tmp_path):
+    path = tmp_path / "gap.tsv"
+    path.write_text("id\ttweet\tlabel\n1\ta\treal\n\n2\tb\tfake\n", encoding="utf-8")
+    assert [(item.id, item.label) for item in load_dataset(path, has_labels=True)] == [
+        (1, Label.REAL), (2, Label.FAKE),
+    ]
+
+
 def test_summarize_trivial():
-    summary = summarize(dataset_of((1, "yes", "real"), (2, "no", "fake")))
+    summary = summarize(Counter({Label.REAL: 1, Label.FAKE: 1}), 0, 0)
     assert summary.item_count == 2
     assert summary.real_fraction == 0.5
     assert summary.fake_fraction == 0.5
@@ -128,27 +137,7 @@ def test_summarize_trivial():
     assert summary.unique_domains == 0
 
 
-def test_summarize_distinct_attributes():
-    cache = UrlExpansionCache({"http://x.com/y": "http://x.com/y"})
-    dataset = dataset_of(
-        (1, "@a sees http://x.com/y", "real"),
-        (2, "@a again http://x.com/y", "fake"),
-        (3, "@a more http://x.com/y", "real"),
-    )
-    summary = summarize(dataset, cache)
-    assert summary.item_count == 3
-    assert summary.unique_usernames == 1
-    assert summary.unique_domains == 1
-
-
-def test_summarize_unlabeled_fractions_absent():
-    summary = summarize(dataset_of((1, "a", None), (2, "b", "real")))
-    assert summary.real_fraction is None
-    assert summary.fake_fraction is None
-
-
 @given(st.lists(st.sampled_from([Label.REAL, Label.FAKE]), min_size=1, max_size=60))
 def test_fractions_sum_to_one(labels):
-    dataset = tuple(NewsItem(i, "t", label) for i, label in enumerate(labels))
-    summary = summarize(dataset)
+    summary = summarize(Counter(labels), 0, 0)
     assert abs(summary.real_fraction + summary.fake_fraction - 1.0) <= 1e-12

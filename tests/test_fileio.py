@@ -4,6 +4,9 @@ stream that fails partway leaves the earlier file as it was."""
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from veracity.errors import BadRecord, UsageError
@@ -55,6 +58,19 @@ def test_a_failing_stream_leaves_the_earlier_file(tmp_path, error, writer):
             atomic_write_text(path, ("\t".join(map(str, row)) + "\n" for row in rows()))
     assert path.read_text(encoding="utf-8") == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
+
+def test_the_mode_is_set_without_fchmod(tmp_path, monkeypatch):
+    # os.fchmod exists on Windows only from Python 3.13 on
+    monkeypatch.delattr(os, "fchmod", raising=False)
+    path = tmp_path / "out.txt"
+    saved = os.umask(0o027)
+    try:
+        atomic_write_text(path, "text\n")
+    finally:
+        os.umask(saved)
+    assert path.read_text(encoding="utf-8") == "text\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 def test_require_writable_accepts_what_atomic_write_text_makes_and_creates_nothing(tmp_path):
